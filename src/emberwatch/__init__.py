@@ -24,7 +24,6 @@ from .coordination import (
     feasibility_test,
     patrol_step,
     plan_safety_tour,
-    recruit_and_partition,
     vicinity_fires,
 )
 from .errors import (
@@ -53,7 +52,6 @@ from .routing import (
     Tour,
     build_mst,
     k_opt_improve,
-    partition_path,
     steiner_reduce,
     tour_from_mst,
 )

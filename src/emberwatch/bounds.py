@@ -212,7 +212,7 @@ def uncertainty_ratio(
     if track.prior_mean is None:
         raise ValueError("uncertainty_ratio requires a predicted track")
     steps = max(1, math.ceil(horizon_seconds / dt))
-    _, forecast = tracking.multi_step_predict(track, steps)
+    forecast = tracking.multi_step_predict(track, steps)
     H = tracking.observation_jacobian(track.prior_mean)
     current = tracking.innovation_covariance(
         track.prior_covariance, H, track.observation_noise

@@ -1,14 +1,15 @@
 """Scenario configuration: dataclasses, YAML loading, strict validation.
 
 Config files are nested key/value documents (YAML; JSON works too since
-it parses as YAML). Unknown keys anywhere are errors, and every error
-carries the dotted path of the offending field.
+it parses as YAML). Unknown keys and values whose type does not match
+the field's annotation are errors, and every error carries the dotted
+path of the offending field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -129,7 +130,6 @@ class ScenarioConfig:
     def filter_config(self) -> FilterConfig:
         return FilterConfig(
             alpha_forget=self.filter.alpha_forget,
-            dt=self.dt,
             residual_source=self.filter.residual_source,
         )
 
@@ -151,6 +151,7 @@ class ScenarioConfig:
         _check(self.area.height > 0, "area.height", "must be > 0")
         _check(self.dt > 0, "dt", "must be > 0")
         _check(self.duration >= 1, "duration", "must be >= 1")
+        _check(self.rng_seed >= 0, "rng_seed", "must be >= 0")
         _check(0 < self.alpha_conf < 1, "alpha_conf", "must be in (0, 1)")
         _check(self.vicinity_radius > 0, "vicinity_radius", "must be > 0")
         _check(
@@ -284,104 +285,72 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from a nested dict; unknown keys are errors."""
-    data = dict(data)
-    kwargs = {}
-    if "area" in data:
-        kwargs["area"] = _build_simple(AreaConfig, data.pop("area"), "area")
-    if "fire" in data:
-        kwargs["fire"] = _build_fire(data.pop("fire"))
-    if "teams" in data:
-        kwargs["teams"] = _build_teams(data.pop("teams"))
-    if "uavs" in data:
-        kwargs["uavs"] = _build_simple(UavConfigSection, data.pop("uavs"), "uavs")
-    if "filter" in data:
-        kwargs["filter"] = _build_filter(data.pop("filter"))
-    if "gradient" in data:
-        kwargs["gradient"] = _build_simple(GradientSection, data.pop("gradient"), "gradient")
-    for name in (
-        "case", "alpha_conf", "vicinity_radius", "dt", "duration", "rng_seed",
-        "controller", "ratio_mode",
-    ):
-        if name in data:
-            kwargs[name] = data.pop(name)
-    if data:
-        raise ConfigError(sorted(data)[0], "unknown key")
-    try:
-        return ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError("<root>", str(exc)) from exc
+    """Build a ScenarioConfig from a nested dict.
+
+    Unknown keys and values of the wrong type are errors.
+    """
+    return _build(ScenarioConfig, data, "")
 
 
-def _build_simple(cls, data, path: str):
+def _build(cls, data, path: str):
     if not isinstance(data, dict):
-        raise ConfigError(path, "must be a mapping")
-    allowed = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}", "unknown key")
-    return cls(**data)
-
-
-def _build_fire(data) -> FireConfigSection:
-    if not isinstance(data, dict):
-        raise ConfigError("fire", "must be a mapping")
-    data = dict(data)
+        raise ConfigError(path or "<root>", "must be a mapping")
+    types = {f.name: f.type for f in fields(cls)}
     kwargs = {}
-    if "ellipse" in data:
-        kwargs["ellipse"] = _build_simple(EllipseParams, data.pop("ellipse"), "fire.ellipse")
-    if "schedule" in data:
-        entries = data.pop("schedule")
-        if not isinstance(entries, list):
-            raise ConfigError("fire.schedule", "must be a list")
-        kwargs["schedule"] = tuple(
-            _build_simple(WindShift, e, f"fire.schedule[{i}]") for i, e in enumerate(entries)
-        )
-    allowed = {f.name for f in fields(FireConfigSection)} - {"ellipse", "schedule"}
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"fire.{key}", "unknown key")
-    return FireConfigSection(**kwargs, **data)
+    for key, value in data.items():
+        sub = f"{path}.{key}" if path else str(key)
+        if key not in types:
+            raise ConfigError(sub, "unknown key")
+        kwargs[key] = _typed(value, types[key], sub)
+    return cls(**kwargs)
 
 
-def _build_teams(data) -> TeamConfigSection:
-    if not isinstance(data, dict):
-        raise ConfigError("teams", "must be a mapping")
-    data = dict(data)
-    kwargs = {}
-    if "positions" in data:
-        raw = data.pop("positions")
-        if raw is not None:
-            if not isinstance(raw, list):
-                raise ConfigError("teams.positions", "must be a list of [x, y] pairs")
-            positions = []
-            for i, entry in enumerate(raw):
-                if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                    raise ConfigError(f"teams.positions[{i}]", "must be an [x, y] pair")
-                positions.append((float(entry[0]), float(entry[1])))
-            kwargs["positions"] = tuple(positions)
+def _typed(value, kind: str, path: str):
+    """Check one config value against its field annotation and convert it.
+
+    Ints reject bools and floats; floats accept ints and reject inf and
+    nan; sections recurse.
+    """
+    if kind.endswith(" | None"):
+        return None if value is None else _typed(value, kind.removesuffix(" | None"), path)
+    if kind in _SECTIONS:
+        return _build(_SECTIONS[kind], value, path)
+    if kind.startswith("tuple["):
+        if not isinstance(value, list):
+            raise ConfigError(path, f"must be a list, got {value!r}")
+        inner = kind.removeprefix("tuple[").removesuffix("]")
+        if inner.endswith(", ..."):
+            item_kinds = [inner.removesuffix(", ...")] * len(value)
         else:
-            kwargs["positions"] = None
-    allowed = {f.name for f in fields(TeamConfigSection)} - {"positions"}
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"teams.{key}", "unknown key")
-    return TeamConfigSection(**kwargs, **data)
+            item_kinds = inner.split(", ")
+            if len(value) != len(item_kinds):
+                raise ConfigError(path, f"must be a list of {len(item_kinds)} values")
+        return tuple(_typed(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(value, item_kinds)))
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(path, f"must be an integer, got {value!r}")
+        return value
+    if kind == "float":
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ConfigError(path, f"must be a finite number, got {value!r}")
+        return float(value)
+    if kind == "str":
+        if not isinstance(value, str):
+            raise ConfigError(path, f"must be a string, got {value!r}")
+        return value
+    raise TypeError(f"no config rule for field type {kind!r}")
 
 
-def _build_filter(data) -> FilterSection:
-    if not isinstance(data, dict):
-        raise ConfigError("filter", "must be a mapping")
-    data = dict(data)
-    for name in ("init_weather_std", "process_weather_std", "obs_weather_std"):
-        if name in data:
-            triple = data[name]
-            if not isinstance(triple, (list, tuple)) or len(triple) != 3:
-                raise ConfigError(f"filter.{name}", "must be a list of three values")
-            data[name] = tuple(float(v) for v in triple)
-    return _build_simple(FilterSection, data, "filter")
-
-
-def with_overrides(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:
-    """Functional update helper used by the sweeps and the CLI."""
-    return replace(cfg, **overrides)
+_SECTIONS = {
+    cls.__name__: cls
+    for cls in (
+        AreaConfig,
+        WindShift,
+        FireConfigSection,
+        TeamConfigSection,
+        UavConfigSection,
+        FilterSection,
+        GradientSection,
+        EllipseParams,
+    )
+}

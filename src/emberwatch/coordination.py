@@ -241,7 +241,7 @@ def plan_safety_tour(
     waypoints = steiner_reduce(positions, g, ids=list(fire_ids), max_members=max_group)
     centers = np.array([w.position for w in waypoints])
     mst_edges, _ = build_mst(centers)
-    tour = k_opt_improve(tour_from_mst(centers, mst_edges), centers, k=3)
+    tour = k_opt_improve(tour_from_mst(centers, mst_edges), centers)
 
     parts = min(len(assigned), len(waypoints))
     chunks = split_sequence(list(tour.order), centers, parts, cyclic=True)
@@ -306,25 +306,6 @@ def plan_safety_tour(
         fire_ids=fire_ids,
     )
     return plan, assigned
-
-
-def recruit_and_partition(
-    tracks: Mapping[int, tracking.TrackEstimate],
-    available: list[UavAgent],
-    case: int,
-    confidence_level: float,
-    dt: float,
-    params: EllipseParams,
-    team: HumanTeam | None = None,
-) -> MissionPlan:
-    """One-shot safety planning from an idle pool (starts with one UAV)."""
-    if not available:
-        raise NoUavAvailable("no UAV available for a safety request")
-    plan, assigned = plan_safety_tour(
-        tracks, [], list(available), case, confidence_level, dt, params, team=team
-    )
-    apply_safety_plan(plan, {a.id: a for a in assigned})
-    return plan
 
 
 def apply_safety_plan(plan: MissionPlan, agents_by_id: Mapping[int, UavAgent]) -> None:
@@ -442,15 +423,14 @@ def coverage_step(
     rng: np.random.Generator,
     step: int,
     force_replan: bool = False,
-) -> dict[int, list[int]]:
+) -> None:
     """Advance every coverage UAV; replan partitions when deadlines expire.
 
-    Returns, per agent id, the tracked fires inside its footprint after
-    the move. The caller applies actual sensing against ground truth.
+    The caller applies sensing against ground truth.
     """
     cov = sorted((a for a in agents if a.mode == "coverage"), key=lambda a: a.id)
     if not cov:
-        return {}
+        return
 
     fire_ids = sorted(tracks)
     needs_replan = force_replan or any(
@@ -459,15 +439,8 @@ def coverage_step(
     if fire_ids and needs_replan:
         _replan_coverage(cov, tracks, fire_ids, case, confidence_level, dt, params, rng, step)
 
-    observed: dict[int, list[int]] = {}
     for agent in cov:
         _follow_route(agent, dt)
-        observed[agent.id] = [
-            f
-            for f in fire_ids
-            if fov_covers(agent.pose, agent.half_angle, tracks[f].mean.fire_position)
-        ]
-    return observed
 
 
 def _replan_coverage(
@@ -495,7 +468,7 @@ def _replan_coverage(
             continue
         pts = centers[idxs]
         mst_edges, mst_length = build_mst(pts)
-        tour = k_opt_improve(tour_from_mst(pts, mst_edges), pts, k=3)
+        tour = k_opt_improve(tour_from_mst(pts, mst_edges), pts)
         agent.route = [pts[i].copy() for i in tour.order]
         agent.route_cyclic = True
         agent.route_index = 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baseline import gradient_coverage_step
+from .baseline import _GOLDEN_ANGLE, gradient_coverage_step
 from .bounds import joint_confidence
 from .config import ScenarioConfig
 from .coordination import (
@@ -42,8 +42,6 @@ from .fire import (
     substream_key,
 )
 from .tracking import FullState, ObservationVector, TrackEstimate, predict, step_track
-
-_GOLDEN_ANGLE = 2.399963229728653
 
 # Substream purposes.
 _S_LAYOUT = 1
@@ -72,8 +70,6 @@ class RunMetrics:
     drones_recruited: dict[int, int] = field(default_factory=dict)
     bound_confidence: dict[int, tuple[float, float]] = field(default_factory=dict)
     plans_feasible: bool = True
-    # diagnostics, not part of the serialized outputs
-    trace_by_fire: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
     wall_clock: list[float] = field(default_factory=list)
 
     @property
@@ -433,11 +429,7 @@ def run_scenario(
         cum += uncovered
         metrics.uncovered.append(uncovered)
         metrics.cum_uncertainty.append(cum)
-        traces = []
-        for fid in sorted(tracks):
-            trace = float(np.trace(tracks[fid].covariance))
-            traces.append(trace)
-            metrics.trace_by_fire.setdefault(fid, []).append((step, trace))
+        traces = [float(np.trace(tracks[fid].covariance)) for fid in sorted(tracks)]
         metrics.mean_trace_covariance.append(sum(traces) / len(traces) if traces else 0.0)
         metrics.active_uavs.append(sum(1 for a in agents if a.mode != "idle"))
         metrics.wall_clock.append(time.perf_counter() - tic)

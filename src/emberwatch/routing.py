@@ -1,8 +1,8 @@
-"""Waypoint graphs, MST tours, k-opt improvement, and waypoint reduction.
+"""Waypoint graphs, MST tours, 2-opt improvement, and waypoint reduction.
 
 Everything here is deterministic for a fixed input ordering: MST ties
 break on (weight, node pair), tour construction visits children in id
-order, and the k-opt scan order is fixed.
+order, and the 2-opt scan order is fixed.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from .errors import InvalidSplit
 from .geometry import smallest_enclosing_circle
 
 _IMPROVE_EPS = 1e-12
+MAX_TWO_OPT_PASSES = 50
 
 
 @dataclass(frozen=True)
@@ -110,24 +111,15 @@ def tour_from_mst(nodes, mst_edges) -> Tour:
     return Tour(order=tuple(order), length=tour_length(nodes, order))
 
 
-def k_opt_improve(tour: Tour, nodes, k: int = 2, max_passes: int = 50) -> Tour:
-    """Local-search improvement: 2-opt passes, optionally one 3-opt polish.
+def k_opt_improve(tour: Tour, nodes) -> Tour:
+    """2-opt local search to convergence (at most MAX_TWO_OPT_PASSES passes).
 
     First-improvement with a fixed scan order; the length never increases.
-    With k=3 a single 3-opt pass runs after 2-opt converges, followed by
-    more 2-opt passes.
     """
-    if k not in (2, 3):
-        raise ValueError(f"k must be 2 or 3, got {k}")
     nodes = np.asarray(nodes, dtype=float)
     order = list(tour.order)
-    if len(order) < 4:
-        return Tour(order=tuple(order), length=tour_length(nodes, order))
-
-    passes = _two_opt(order, nodes, max_passes)
-    if k == 3 and passes < max_passes:
-        if _three_opt_pass(order, nodes):
-            _two_opt(order, nodes, max_passes - passes)
+    if len(order) >= 4:
+        _two_opt(order, nodes)
     return Tour(order=tuple(order), length=tour_length(nodes, order))
 
 
@@ -135,13 +127,10 @@ def _dist(nodes, a: int, b: int) -> float:
     return float(np.linalg.norm(nodes[a] - nodes[b]))
 
 
-def _two_opt(order: list[int], nodes, max_passes: int) -> int:
+def _two_opt(order: list[int], nodes) -> None:
     n = len(order)
-    passes = 0
-    improved = True
-    while improved and passes < max_passes:
+    for _ in range(MAX_TWO_OPT_PASSES):
         improved = False
-        passes += 1
         for i in range(1, n - 1):
             for j in range(i + 1, n):
                 if i == 1 and j == n - 1:
@@ -152,49 +141,8 @@ def _two_opt(order: list[int], nodes, max_passes: int) -> int:
                 if delta < -_IMPROVE_EPS:
                     order[i : j + 1] = reversed(order[i : j + 1])
                     improved = True
-    return passes
-
-
-def _three_opt_pass(order: list[int], nodes) -> bool:
-    """One first-improvement 3-opt sweep; returns True if a move applied."""
-    n = len(order)
-    improved = False
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            for m in range(j + 1, n):
-                best = _best_three_opt_move(order, nodes, i, j, m)
-                if best is not None:
-                    order[:] = best
-                    improved = True
-    return improved
-
-
-def _best_three_opt_move(order, nodes, i, j, m):
-    n = len(order)
-    a, b = order[i], order[i + 1]
-    c, d = order[j], order[j + 1]
-    e, f = order[m], order[(m + 1) % n]
-    d0 = _dist(nodes, a, b) + _dist(nodes, c, d) + _dist(nodes, e, f)
-
-    seg1 = order[i + 1 : j + 1]
-    seg2 = order[j + 1 : m + 1]
-    best_delta = -_IMPROVE_EPS
-    best = None
-    candidates = (
-        (seg1[::-1], seg2, _dist(nodes, a, c) + _dist(nodes, b, d) + _dist(nodes, e, f)),
-        (seg1, seg2[::-1], _dist(nodes, a, b) + _dist(nodes, c, e) + _dist(nodes, d, f)),
-        (seg1[::-1], seg2[::-1], _dist(nodes, a, c) + _dist(nodes, b, e) + _dist(nodes, d, f)),
-        (seg2, seg1, _dist(nodes, a, d) + _dist(nodes, e, b) + _dist(nodes, c, f)),
-        (seg2, seg1[::-1], _dist(nodes, a, d) + _dist(nodes, e, c) + _dist(nodes, b, f)),
-        (seg2[::-1], seg1, _dist(nodes, a, e) + _dist(nodes, d, b) + _dist(nodes, c, f)),
-        (seg2[::-1], seg1[::-1], _dist(nodes, a, e) + _dist(nodes, d, c) + _dist(nodes, b, f)),
-    )
-    for first, second, cost in candidates:
-        delta = cost - d0
-        if delta < best_delta:
-            best_delta = delta
-            best = order[: i + 1] + list(first) + list(second) + order[m + 1 :]
-    return best
+        if not improved:
+            return
 
 
 def steiner_reduce(points, fov_width: float, ids=None, max_members: int | None = None) -> list[SteinerWaypoint]:
@@ -247,17 +195,6 @@ def steiner_reduce(points, fov_width: float, ids=None, max_members: int | None =
             )
         )
     return waypoints
-
-
-def partition_path(tour: Tour, nodes, parts: int = 2) -> list[list[int]]:
-    """Split the cycle into contiguous segments of near-equal length.
-
-    A greedy walk closes a segment whenever the accumulated length crosses
-    the next multiple of total/parts, while leaving at least one node for
-    every remaining segment.
-    """
-    order = list(tour.order)
-    return split_sequence(order, nodes, parts, cyclic=True)
 
 
 def split_sequence(order: list[int], nodes, parts: int, cyclic: bool = False) -> list[list[int]]:

@@ -108,7 +108,6 @@ class FilterConfig:
     """Knobs of the adaptive filter."""
 
     alpha_forget: float = 0.97
-    dt: float = 1.0
     residual_source: str = "posterior"  # or "innovation", for the Q update
 
     def __post_init__(self):
@@ -274,11 +273,6 @@ def kalman_gain(P: np.ndarray, H: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.linalg.solve(S, H @ P).T
 
 
-def multi_step_state(F: np.ndarray, state_vec: np.ndarray, steps: int) -> np.ndarray:
-    """Apply the frozen transition matrix steps-1 times to the prior state."""
-    return np.linalg.matrix_power(F, steps - 1) @ state_vec
-
-
 def multi_step_residual_cov(
     F: np.ndarray, H: np.ndarray, P: np.ndarray, R: np.ndarray, steps: int
 ) -> np.ndarray:
@@ -361,8 +355,8 @@ def adapt_noise(
     return replace(track, process_noise=Q, observation_noise=R)
 
 
-def multi_step_predict(track: TrackEstimate, steps: int) -> tuple[FullState, np.ndarray]:
-    """Forecast the state and residual covariance `steps` ahead.
+def multi_step_predict(track: TrackEstimate, steps: int) -> np.ndarray:
+    """Forecast the residual covariance `steps` ahead.
 
     Uses the frozen transition/observation matrices of the latest predict;
     there is no re-linearization along the horizon.
@@ -374,9 +368,7 @@ def multi_step_predict(track: TrackEstimate, steps: int) -> tuple[FullState, np.
     steps = int(steps)
     F = track.transition_matrix
     H = observation_jacobian(track.prior_mean)
-    state = FullState.from_array(multi_step_state(F, track.prior_mean.as_array(), steps))
-    S = multi_step_residual_cov(F, H, track.prior_covariance, track.observation_noise, steps)
-    return state, S
+    return multi_step_residual_cov(F, H, track.prior_covariance, track.observation_noise, steps)
 
 
 def step_track(

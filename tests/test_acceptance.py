@@ -200,7 +200,7 @@ def test_criterion_3_urr_guarantee_monte_carlo():
         # fly the planned tour against the realized motion
         centers = np.array([w.position for w in report.waypoints])
         edges, _ = build_mst(centers)
-        tour = k_opt_improve(tour_from_mst(centers, edges), centers, k=3)
+        tour = k_opt_improve(tour_from_mst(centers, edges), centers)
         fire_sequence = [m for i in tour.order for m in report.waypoints[i].members]
         targets = [tracks[f].mean.fire_position for f in fire_sequence]
         vels = [velocities[f] for f in fire_sequence]
@@ -246,7 +246,7 @@ def test_criterion_4_tsp_suite():
         nodes = rng.uniform(0, 300, size=(n, 2))
         edges, _ = build_mst(nodes)
         start = tour_from_mst(nodes, edges)
-        improved = k_opt_improve(start, nodes, k=2)
+        improved = k_opt_improve(start, nodes)
         assert improved.length <= start.length + 1e-9
         optimum = exact_tsp_held_karp(nodes)
         assert improved.length <= 2 * optimum + 1e-9

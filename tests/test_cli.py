@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+import yaml
 
 from emberwatch.cli import main
 
@@ -91,6 +92,40 @@ def test_config_error_exits_two(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+BAD_VALUES = [
+    pytest.param("dt", {"dt": "1"}, id="dt-string"),
+    pytest.param("duration", {"duration": 2.5}, id="duration-float"),
+    pytest.param("uavs.count", {"uavs": {"count": "abc"}}, id="uavs-count-string"),
+    pytest.param("vicinity_radius", {"vicinity_radius": [1]}, id="vicinity-radius-list"),
+    pytest.param(
+        "filter.init_weather_std", {"filter": {"init_weather_std": ["a", 1, 1]}}, id="weather-std-string"
+    ),
+    pytest.param(
+        "teams.positions", {"teams": {"count": 1, "positions": [["a", 1]]}}, id="team-position-string"
+    ),
+    pytest.param("area.width", {"area": {"width": float("inf")}}, id="area-width-inf"),
+    pytest.param("rng_seed", {"rng_seed": -1}, id="rng-seed-negative"),
+    pytest.param("case", {"case": True}, id="case-bool"),
+    pytest.param("case", {"case": 1.0}, id="case-float"),
+    pytest.param(
+        "fire.schedule[0].step",
+        {"fire": {"schedule": [{"step": 1.5, "wind_speed": 5.0, "wind_azimuth": 0.5}]}},
+        id="schedule-step-float",
+    ),
+]
+
+
+@pytest.mark.parametrize("field, override", BAD_VALUES)
+def test_bad_value_exits_two_naming_field(tmp_path, capsys, field, override):
+    data = yaml.safe_load(write_tiny_config(tmp_path / "base.yaml").read_text())
+    for key, value in override.items():
+        data[key] = {**data[key], **value} if isinstance(value, dict) and key in data else value
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_missing_config_exits_two(tmp_path):

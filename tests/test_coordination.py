@@ -8,11 +8,12 @@ import pytest
 from emberwatch.coordination import (
     HumanTeam,
     UavAgent,
+    apply_safety_plan,
     cluster_and_assign,
     coverage_step,
     feasibility_test,
+    fov_covers,
     plan_safety_tour,
-    recruit_and_partition,
     vicinity_fires,
 )
 from emberwatch.errors import NoUavAvailable
@@ -202,11 +203,20 @@ class TestFeasibility:
             assert report.passed == oracle_pass
 
 
+def plan_from_pool(tracks, pool, case):
+    """Plan from an idle pool with nobody assigned yet, then fly the plan."""
+    plan, assigned = plan_safety_tour(
+        tracks, [], pool, case=case, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE
+    )
+    apply_safety_plan(plan, {a.id: a for a in assigned})
+    return plan
+
+
 class TestRecruitment:
     def test_single_stationary_fire_single_uav(self):
         tracks = {1: make_track((30.0, 30.0))}
         pool = [make_agent(0, xy=(25.0, 25.0))]
-        plan = recruit_and_partition(tracks, pool, case=1, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE)
+        plan = plan_from_pool(tracks, pool, case=1)
         assert plan.feasible
         assert plan.recruited == 1
         assert pool[0].mode == "safety"
@@ -215,7 +225,7 @@ class TestRecruitment:
     def test_empty_pool_raises(self):
         tracks = {1: make_track((30.0, 30.0))}
         with pytest.raises(NoUavAvailable):
-            recruit_and_partition(tracks, [], case=1, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE)
+            plan_from_pool(tracks, [], case=1)
 
     def _hard_case2_tracks(self):
         # spread-out moving fires: one UAV fails, two suffice
@@ -232,9 +242,7 @@ class TestRecruitment:
         )
         assert not solo_report.passed  # one UAV is not enough here
         pool = [make_agent(i, xy=(130.0 * i, -20.0)) for i in range(4)]
-        plan = recruit_and_partition(
-            tracks, pool, case=2, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE
-        )
+        plan = plan_from_pool(tracks, pool, case=2)
         assert plan.feasible
         assert plan.recruited == 2
         assert all(v <= 1.0 + 1e-12 for v in plan.uncertainty_ratios.values())
@@ -245,9 +253,7 @@ class TestRecruitment:
             for fid in range(1, 8)
         }
         pool = [make_agent(0), make_agent(1)]
-        plan = recruit_and_partition(
-            tracks, pool, case=2, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE
-        )
+        plan = plan_from_pool(tracks, pool, case=2)
         if not plan.feasible:
             assert plan.recruited == 2  # everyone assigned before giving up
             assert all(a.mode == "safety" for a in pool)
@@ -256,20 +262,14 @@ class TestRecruitment:
         tracks = self._hard_case2_tracks()
         small = [make_agent(i) for i in range(2)]
         large = [make_agent(i) for i in range(6)]
-        plan_small = recruit_and_partition(
-            tracks, small, case=2, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE
-        )
-        plan_large = recruit_and_partition(
-            tracks, large, case=2, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE
-        )
+        plan_small = plan_from_pool(tracks, small, case=2)
+        plan_large = plan_from_pool(tracks, large, case=2)
         assert plan_small.feasible <= plan_large.feasible  # adding UAVs never hurts
 
     def test_segments_cover_fires_exactly_once(self):
         tracks = self._hard_case2_tracks()
         pool = [make_agent(i) for i in range(4)]
-        plan = recruit_and_partition(
-            tracks, pool, case=2, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE
-        )
+        plan = plan_from_pool(tracks, pool, case=2)
         covered = sorted(f for seg in plan.segments for f in seg.fire_ids)
         assert covered == sorted(tracks)
         ids = [seg.uav_id for seg in plan.segments]
@@ -292,11 +292,11 @@ class TestCoverageStep:
     def test_agent_over_fire_observes_it(self):
         tracks = {7: make_track((50.0, 50.0))}
         agent = make_agent(0, xy=(50.0, 50.0), mode="coverage")
-        observed = coverage_step(
+        coverage_step(
             [agent], tracks, case=1, confidence_level=0.05, dt=1.0,
             params=DEFAULT_ELLIPSE, rng=np.random.default_rng(0), step=0,
         )
-        assert observed[0] == [7]
+        assert fov_covers(agent.pose, agent.half_angle, (50, 50))
 
     def test_replan_assigns_routes_and_deadlines(self):
         tracks = {i: make_track((100.0 * i, 0.0)) for i in range(1, 5)}

@@ -203,11 +203,3 @@ class TestMetricsSerialization:
         assert len(metrics.wall_clock) == 3
         assert "wall" not in metrics.to_csv()
         assert "wall" not in metrics.to_json()
-
-    def test_per_fire_trace_series_recorded(self):
-        metrics = run_scenario(coverage_config(duration=8))
-        assert metrics.trace_by_fire
-        for series in metrics.trace_by_fire.values():
-            steps = [s for s, _ in series]
-            assert steps == sorted(steps)
-            assert all(t >= 0 for _, t in series)

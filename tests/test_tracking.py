@@ -23,7 +23,6 @@ from emberwatch.tracking import (
     kalman_gain,
     multi_step_predict,
     multi_step_residual_cov,
-    multi_step_state,
     observation_jacobian,
     observe,
     predict,
@@ -281,7 +280,7 @@ class TestMultiStep:
         track = predict(make_track(), 1.0, DEFAULT_ELLIPSE)
         H = observation_jacobian(track.prior_mean)
         expected = innovation_covariance(track.prior_covariance, H, track.observation_noise)
-        _, S = multi_step_predict(track, 1)
+        S = multi_step_predict(track, 1)
         assert np.allclose(S, expected, atol=1e-12)
 
     def test_scalar_identity_dynamics(self):
@@ -299,16 +298,6 @@ class TestMultiStep:
         R = np.array([[1.0]])
         # r=3 applies F twice: 2^2 * 1 * 2^2 + 1 = 17
         assert multi_step_residual_cov(F, H, P, R, 3)[0, 0] == pytest.approx(17.0)
-
-    def test_matrix_power_matches_iterated_multiplication(self):
-        track = predict(make_track(), 1.0, DEFAULT_ELLIPSE)
-        F = track.transition_matrix
-        vec = track.prior_mean.as_array()
-        for r in (1, 2, 7, 23):
-            iterated = vec.copy()
-            for _ in range(r - 1):
-                iterated = F @ iterated
-            assert np.allclose(multi_step_state(F, vec, r), iterated, atol=1e-10)
 
     def test_requires_predict_and_positive_steps(self):
         track = make_track()
