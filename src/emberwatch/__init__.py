@@ -58,10 +58,7 @@ from .routing import (
 from .tracking import (
     FilterConfig,
     FullState,
-    ObservationVector,
     TrackEstimate,
-    adapt_noise,
-    multi_step_predict,
     observation_jacobian,
     observe,
     predict,

@@ -212,11 +212,10 @@ def uncertainty_ratio(
     if track.prior_mean is None:
         raise ValueError("uncertainty_ratio requires a predicted track")
     steps = max(1, math.ceil(horizon_seconds / dt))
-    forecast = tracking.multi_step_predict(track, steps)
     H = tracking.observation_jacobian(track.prior_mean)
-    current = tracking.innovation_covariance(
-        track.prior_covariance, H, track.observation_noise
-    )
+    P, R = track.prior_covariance, track.observation_noise
+    forecast = tracking.multi_step_residual_cov(track.transition_matrix, H, P, R, steps)
+    current = tracking.innovation_covariance(P, H, R)
     if mode == "trace":
         num = float(np.trace(forecast))
         den = float(np.trace(current))

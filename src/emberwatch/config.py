@@ -15,6 +15,7 @@ from pathlib import Path
 import yaml
 
 from .baseline import GradientConfig
+from .bounds import FleetParams, fov_width
 from .errors import ConfigError, DomainError
 from .fire import EllipseParams, MAX_SPAWN_RATE, WindFuelState, calibrate_spread_rate
 from .tracking import FilterConfig
@@ -124,9 +125,6 @@ class ScenarioConfig:
             wind_azimuth=self.fire.wind_azimuth,
         )
 
-    def fov_width(self) -> float:
-        return 2.0 * self.uavs.altitude * math.tan(self.uavs.half_angle)
-
     def filter_config(self) -> FilterConfig:
         return FilterConfig(
             alpha_forget=self.filter.alpha_forget,
@@ -134,7 +132,7 @@ class ScenarioConfig:
         )
 
     def gradient_config(self) -> GradientConfig:
-        g = self.fov_width()
+        g = fov_width(FleetParams(self.uavs.speed, self.uavs.altitude, self.uavs.half_angle))
         radius = self.gradient.separation_radius
         return GradientConfig(
             step_size=self.gradient.step_size,

@@ -145,7 +145,6 @@ def feasibility_test(
     confidence_level: float,
     dt: float,
     params: EllipseParams,
-    max_group: int | None = SAFETY_MAX_GROUP,
     ratio_mode: str = "trace",
 ) -> FeasibilityReport:
     """Can this single UAV keep every given track fresh over one tour?
@@ -160,7 +159,7 @@ def feasibility_test(
     fleet = uav.fleet()
     g = fov_width(fleet)
     positions = np.array([tracks[f].mean.fire_position for f in fire_ids])
-    waypoints = steiner_reduce(positions, g, ids=fire_ids, max_members=max_group)
+    waypoints = steiner_reduce(positions, g, ids=fire_ids, max_members=SAFETY_MAX_GROUP)
     segment = SafetySegment(uav_id=uav.id, waypoints=waypoints, fire_ids=fire_ids)
     return _segment_report(segment, tracks, fleet, case, confidence_level, dt, params, ratio_mode)
 
@@ -209,7 +208,6 @@ def plan_safety_tour(
     params: EllipseParams,
     team: HumanTeam | None = None,
     uav_supply: Callable[[], UavAgent] | None = None,
-    max_group: int | None = SAFETY_MAX_GROUP,
     ratio_mode: str = "trace",
 ) -> tuple[MissionPlan, list[UavAgent]]:
     """Build or rebuild a team's safety plan, recruiting as needed.
@@ -238,7 +236,7 @@ def plan_safety_tour(
     fleet = assigned[0].fleet()
     g = fov_width(fleet)
     positions = np.array([tracks[f].mean.fire_position for f in fire_ids])
-    waypoints = steiner_reduce(positions, g, ids=list(fire_ids), max_members=max_group)
+    waypoints = steiner_reduce(positions, g, ids=list(fire_ids), max_members=SAFETY_MAX_GROUP)
     centers = np.array([w.position for w in waypoints])
     mst_edges, _ = build_mst(centers)
     tour = k_opt_improve(tour_from_mst(centers, mst_edges), centers)

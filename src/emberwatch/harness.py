@@ -33,7 +33,7 @@ from .coordination import (
     plan_safety_tour,
     vicinity_fires,
 )
-from .errors import NoUavAvailable
+from .errors import NoUavAvailable, SingularResidual
 from .fire import (
     FireMap,
     WindFuelState,
@@ -41,7 +41,7 @@ from .fire import (
     simulate_step,
     substream_key,
 )
-from .tracking import FullState, ObservationVector, TrackEstimate, predict, step_track
+from .tracking import FullState, TrackEstimate, predict, step_track
 
 # Substream purposes.
 _S_LAYOUT = 1
@@ -244,15 +244,17 @@ def _init_track(front, cfg: ScenarioConfig, wind: WindFuelState, staging_pose: n
 
 def _make_observation(
     front, pose: np.ndarray, wind: WindFuelState, cfg: ScenarioConfig, rng: np.random.Generator
-) -> ObservationVector:
+) -> np.ndarray:
     fl = cfg.filter
     noise = rng.normal(size=5)
-    return ObservationVector(
-        look_angle_x=math.atan((front.position[0] - pose[0]) / pose[2]) + noise[0] * fl.obs_angle_std,
-        look_angle_y=math.atan((front.position[1] - pose[1]) / pose[2]) + noise[1] * fl.obs_angle_std,
-        spread_rate=wind.spread_rate + noise[2] * fl.obs_weather_std[0],
-        wind_speed=wind.wind_speed + noise[3] * fl.obs_weather_std[1],
-        wind_azimuth=wind.wind_azimuth + noise[4] * fl.obs_weather_std[2],
+    return np.array(
+        [
+            math.atan((front.position[0] - pose[0]) / pose[2]) + noise[0] * fl.obs_angle_std,
+            math.atan((front.position[1] - pose[1]) / pose[2]) + noise[1] * fl.obs_angle_std,
+            wind.spread_rate + noise[2] * fl.obs_weather_std[0],
+            wind.wind_speed + noise[3] * fl.obs_weather_std[1],
+            wind.wind_azimuth + noise[4] * fl.obs_weather_std[2],
+        ]
     )
 
 
@@ -360,9 +362,11 @@ def run_scenario(
                 z = _make_observation(
                     fronts_by_id[fid], agent.pose, wind, cfg, _stream(cfg.rng_seed, _S_OBS, step, fid)
                 )
-                tracks[fid], _ = step_track(
-                    tracks[fid], z, dt, fcfg, params, uav_pose=agent.pose, step=step
-                )
+                try:
+                    tracks[fid] = step_track(tracks[fid], z, dt, fcfg, params, uav_pose=agent.pose)
+                except SingularResidual:
+                    # a filter fault skips this update rather than the run
+                    tracks[fid] = predict(tracks[fid], dt, params, uav_pose=agent.pose)
             else:
                 tracks[fid] = predict(tracks[fid], dt, params)
 

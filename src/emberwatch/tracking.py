@@ -2,17 +2,22 @@
 
 The state vector is fixed as
     [fire_x, fire_y, uav_x, uav_y, uav_z, spread_rate, wind_speed, wind_azimuth]
-and every matrix in this module indexes against that ordering. The
-observation is the camera look angle per planar axis plus the directly
-sensed weather triple.
+and every matrix in this module indexes against that ordering. An
+observation is a (5,) array
+    [look_angle_x, look_angle_y, spread_rate, wind_speed, wind_azimuth]:
+the camera look angle per planar axis plus the directly sensed weather
+triple.
 
 The UAV pose is a control input: the transition keeps (or overwrites) it
 but its rows in the transition Jacobian are zero, because the next pose
 comes from the flight controller rather than from the previous state.
 
-The filter is a pure state machine; every operation takes a TrackEstimate
-and returns a new one, so distinct fires can be filtered concurrently as
-long as each track is advanced sequentially.
+There are two filter operations: `predict` (time update) and `update`
+(measurement update plus forgetting-factor adaptation of Q and R);
+`step_track` is one observed cycle of both. The filter is a pure state
+machine: every operation takes a TrackEstimate and returns a new one
+without touching its input's arrays, so distinct fires can be filtered
+concurrently as long as each track is advanced sequentially.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ OBS_DIM = 5
 FIRE_X, FIRE_Y, UAV_X, UAV_Y, UAV_Z, SPREAD_RATE, WIND_SPEED, WIND_AZIMUTH = range(8)
 
 _COND_LIMIT = 1e12
-_EIG_FLOOR = 0.0
 
 
 @dataclass(frozen=True)
@@ -77,33 +81,6 @@ class FullState:
 
 
 @dataclass(frozen=True)
-class ObservationVector:
-    """Camera look angles (rad) plus directly sensed weather values."""
-
-    look_angle_x: float
-    look_angle_y: float
-    spread_rate: float
-    wind_speed: float
-    wind_azimuth: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.look_angle_x,
-                self.look_angle_y,
-                self.spread_rate,
-                self.wind_speed,
-                self.wind_azimuth,
-            ]
-        )
-
-    @classmethod
-    def from_array(cls, vec) -> "ObservationVector":
-        vec = np.asarray(vec, dtype=float)
-        return cls(*(float(x) for x in vec))
-
-
-@dataclass(frozen=True)
 class FilterConfig:
     """Knobs of the adaptive filter."""
 
@@ -130,8 +107,6 @@ class TrackEstimate:
     covariance: np.ndarray  # P, 8x8
     process_noise: np.ndarray  # Q, 8x8
     observation_noise: np.ndarray  # R_obs, 5x5
-    residual_covariance: np.ndarray | None = None  # S of the latest update
-    last_update: int = 0
     prior_mean: FullState | None = None
     prior_covariance: np.ndarray | None = None
     transition_matrix: np.ndarray | None = None
@@ -140,17 +115,6 @@ class TrackEstimate:
         object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float))
         object.__setattr__(self, "process_noise", np.asarray(self.process_noise, dtype=float))
         object.__setattr__(self, "observation_noise", np.asarray(self.observation_noise, dtype=float))
-
-
-@dataclass(frozen=True)
-class UpdateInfo:
-    """By-products of one update step, needed for noise adaptation."""
-
-    innovation: np.ndarray  # (5,)
-    residual_covariance: np.ndarray  # S, 5x5
-    gain: np.ndarray  # K, 8x5
-    observation_matrix: np.ndarray  # H, 5x8
-    prior_covariance: np.ndarray  # P before the update, 8x8
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +172,18 @@ def transition_jacobian(state: FullState, dt: float, params: fire.EllipseParams)
     return F
 
 
-def observe(state: FullState) -> ObservationVector:
+def observe(state: FullState) -> np.ndarray:
     """Project the state to look angles and pass the weather through."""
     if state.uav_z <= 0:
         raise DomainError(f"uav_z must be > 0 to observe, got {state.uav_z}")
-    return ObservationVector(
-        look_angle_x=math.atan((state.fire_x - state.uav_x) / state.uav_z),
-        look_angle_y=math.atan((state.fire_y - state.uav_y) / state.uav_z),
-        spread_rate=state.spread_rate,
-        wind_speed=state.wind_speed,
-        wind_azimuth=state.wind_azimuth,
+    return np.array(
+        [
+            math.atan((state.fire_x - state.uav_x) / state.uav_z),
+            math.atan((state.fire_y - state.uav_y) / state.uav_z),
+            state.spread_rate,
+            state.wind_speed,
+            state.wind_azimuth,
+        ]
     )
 
 
@@ -249,13 +215,13 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.T) / 2.0
 
 
-def floor_psd(matrix: np.ndarray, floor: float = _EIG_FLOOR) -> np.ndarray:
-    """Clip eigenvalues from below; keeps covariances positive semidefinite."""
+def floor_psd(matrix: np.ndarray) -> np.ndarray:
+    """Clip negative eigenvalues to zero; keeps covariances positive semidefinite."""
     sym = symmetrize(matrix)
     vals, vecs = np.linalg.eigh(sym)
-    if vals.min() >= floor:
+    if vals.min() >= 0.0:
         return sym
-    vals = np.maximum(vals, floor)
+    vals = np.maximum(vals, 0.0)
     return symmetrize((vecs * vals) @ vecs.T)
 
 
@@ -276,13 +242,15 @@ def kalman_gain(P: np.ndarray, H: np.ndarray, S: np.ndarray) -> np.ndarray:
 def multi_step_residual_cov(
     F: np.ndarray, H: np.ndarray, P: np.ndarray, R: np.ndarray, steps: int
 ) -> np.ndarray:
-    """Residual covariance forecast H F^(r-1) P (H F^(r-1))^T + R."""
-    M = H @ np.linalg.matrix_power(F, steps - 1)
+    """Residual covariance forecast `steps` ahead: H F^(r-1) P (H F^(r-1))^T + R.
+
+    F, H and P are those of the latest predict; there is no
+    re-linearization along the horizon.
+    """
+    if steps < 1 or steps != int(steps):
+        raise ValueError(f"steps must be a positive integer, got {steps}")
+    M = H @ np.linalg.matrix_power(F, int(steps) - 1)
     return symmetrize(M @ P @ M.T + R)
-
-
-def wrap_angle(angle: float) -> float:
-    return (angle + math.pi) % (2 * math.pi) - math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -309,94 +277,50 @@ def predict(
     )
 
 
-def update(track: TrackEstimate, z: ObservationVector) -> tuple[TrackEstimate, UpdateInfo]:
-    """Measurement update. Requires predict to have run for this step."""
+def _residual(z: np.ndarray, state: FullState) -> np.ndarray:
+    """z - h(state), with the wind-azimuth component wrapped to [-pi, pi)."""
+    d = z - observe(state)
+    d[4] = (d[4] + math.pi) % (2 * math.pi) - math.pi
+    return d
+
+
+def update(track: TrackEstimate, z: np.ndarray, cfg: FilterConfig) -> TrackEstimate:
+    """Measurement update, then forgetting-factor adaptation of Q and R.
+
+    Requires predict to have run for this step. With a = alpha_forget,
+    y the innovation and P the predicted covariance:
+        Q <- a Q + (1-a) (K d)(K d)^T,  d the residual_source residual;
+        R <- a R + (1-a) (y y^T + H P H^T).
+    """
     if track.prior_mean is None or track.transition_matrix is None:
         raise ValueError("update requires a predicted track (call predict first)")
     P = track.covariance
     H = observation_jacobian(track.mean)
-    innovation = z.as_array() - observe(track.mean).as_array()
-    innovation[4] = wrap_angle(innovation[4])
-    S = innovation_covariance(P, H, track.observation_noise)
-    K = kalman_gain(P, H, S)
+    innovation = _residual(z, track.mean)
+    K = kalman_gain(P, H, innovation_covariance(P, H, track.observation_noise))
     mean = FullState.from_array(track.mean.as_array() + K @ innovation)
-    P_post = floor_psd((np.eye(STATE_DIM) - K @ H) @ P)
-    info = UpdateInfo(
-        innovation=innovation,
-        residual_covariance=S,
-        gain=K,
-        observation_matrix=H,
-        prior_covariance=P,
+    residual = _residual(z, mean) if cfg.residual_source == "posterior" else innovation
+    kd = K @ residual
+    a = cfg.alpha_forget
+    return replace(
+        track,
+        mean=mean,
+        covariance=floor_psd((np.eye(STATE_DIM) - K @ H) @ P),
+        process_noise=symmetrize(a * track.process_noise + (1 - a) * np.outer(kd, kd)),
+        observation_noise=symmetrize(
+            a * track.observation_noise
+            + (1 - a) * (np.outer(innovation, innovation) + H @ P @ H.T)
+        ),
     )
-    return replace(track, mean=mean, covariance=P_post, residual_covariance=S), info
-
-
-def adapt_noise(
-    track: TrackEstimate,
-    innovation: np.ndarray,
-    post_fit_residual: np.ndarray,
-    gain: np.ndarray,
-    obs_matrix: np.ndarray,
-    prior_covariance: np.ndarray,
-    alpha_forget: float,
-) -> TrackEstimate:
-    """Forgetting-factor updates of the process and observation noise.
-
-    Q <- a Q + (1-a) (K d)(K d)^T with d the supplied residual;
-    R <- a R + (1-a) (y y^T + H P_prior H^T) with y the innovation.
-    """
-    a = alpha_forget
-    kd = gain @ post_fit_residual
-    Q = symmetrize(a * track.process_noise + (1 - a) * np.outer(kd, kd))
-    R = symmetrize(
-        a * track.observation_noise
-        + (1 - a) * (np.outer(innovation, innovation) + obs_matrix @ prior_covariance @ obs_matrix.T)
-    )
-    return replace(track, process_noise=Q, observation_noise=R)
-
-
-def multi_step_predict(track: TrackEstimate, steps: int) -> np.ndarray:
-    """Forecast the residual covariance `steps` ahead.
-
-    Uses the frozen transition/observation matrices of the latest predict;
-    there is no re-linearization along the horizon.
-    """
-    if steps < 1 or steps != int(steps):
-        raise ValueError(f"steps must be a positive integer, got {steps}")
-    if track.prior_mean is None or track.transition_matrix is None:
-        raise ValueError("multi_step_predict requires a predicted track")
-    steps = int(steps)
-    F = track.transition_matrix
-    H = observation_jacobian(track.prior_mean)
-    return multi_step_residual_cov(F, H, track.prior_covariance, track.observation_noise, steps)
 
 
 def step_track(
     track: TrackEstimate,
-    z: ObservationVector,
+    z: np.ndarray,
     dt: float,
     cfg: FilterConfig,
     params: fire.EllipseParams,
     uav_pose=None,
-    step: int | None = None,
-) -> tuple[TrackEstimate, UpdateInfo]:
-    """Predict, update, and adapt in one call."""
-    track = predict(track, dt, params, uav_pose=uav_pose)
-    track, info = update(track, z)
-    if cfg.residual_source == "posterior":
-        residual = z.as_array() - observe(track.mean).as_array()
-        residual[4] = wrap_angle(residual[4])
-    else:
-        residual = info.innovation
-    track = adapt_noise(
-        track,
-        info.innovation,
-        residual,
-        info.gain,
-        info.observation_matrix,
-        info.prior_covariance,
-        cfg.alpha_forget,
-    )
-    if step is not None:
-        track = replace(track, last_update=step)
-    return track, info
+) -> TrackEstimate:
+    """One observed filter cycle: predict, then update."""
+    return update(predict(track, dt, params, uav_pose=uav_pose), z, cfg)

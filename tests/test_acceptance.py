@@ -32,7 +32,6 @@ from emberwatch.routing import build_mst, k_opt_improve, steiner_reduce, tour_fr
 from emberwatch.tracking import (
     FilterConfig,
     FullState,
-    ObservationVector,
     TrackEstimate,
     observation_jacobian,
     observe,
@@ -86,7 +85,7 @@ def test_criterion_1_jacobian_fidelity():
             ).as_array()
 
         def h(vec):
-            return observe(FullState.from_array(vec)).as_array()
+            return observe(FullState.from_array(vec))
 
         worst_f = max(
             worst_f,
@@ -329,10 +328,8 @@ def test_criterion_8_filter_sanity():
         observation_noise=np.diag([1e-12] * 5),
     )
     cfg = FilterConfig(alpha_forget=1.0)
-    for step in range(50):
-        track, _ = step_track(
-            track, observe(truth), 1.0, cfg, DEFAULT_ELLIPSE, uav_pose=truth.uav_pose, step=step
-        )
+    for _ in range(50):
+        track = step_track(track, observe(truth), 1.0, cfg, DEFAULT_ELLIPSE, uav_pose=truth.uav_pose)
     err = math.hypot(track.mean.fire_x - truth.fire_x, track.mean.fire_y - truth.fire_y)
     assert err < 1e-6
 
@@ -347,9 +344,9 @@ def test_criterion_8_filter_sanity():
         observation_noise=np.diag((true_std * 2.0) ** 2),
     )
     cfg2 = FilterConfig(alpha_forget=0.97)
-    for step in range(500):
-        z = ObservationVector.from_array(observe(truth2).as_array() + rng.normal(size=5) * true_std)
-        track2, _ = step_track(track2, z, 1.0, cfg2, DEFAULT_ELLIPSE, step=step)
+    for _ in range(500):
+        z = observe(truth2) + rng.normal(size=5) * true_std
+        track2 = step_track(track2, z, 1.0, cfg2, DEFAULT_ELLIPSE)
     estimated = float(np.trace(track2.observation_noise))
     expected = float(np.sum(true_std**2))
     rel = abs(estimated - expected) / expected

@@ -141,5 +141,8 @@ def test_altitude_must_fit_gradient_band():
 
 
 def test_fov_width():
+    # the gradient baseline's default radius and bandwidth come from the 20 m footprint
     cfg = scenario_from_dict({"uavs": {"altitude": 10.0, "half_angle": math.pi / 4}})
-    assert cfg.fov_width() == pytest.approx(20.0)
+    gcfg = cfg.gradient_config()
+    assert gcfg.separation_radius == pytest.approx(20.0)
+    assert gcfg.kernel_bandwidth == pytest.approx(10.0)

@@ -73,6 +73,34 @@ class TestRunScenario:
             a.mean_trace_covariance != c.mean_trace_covariance
         )
 
+    def test_filter_fault_skips_one_update_not_the_run(self, monkeypatch):
+        import emberwatch.tracking as tracking
+        from emberwatch.errors import SingularResidual
+
+        cfg = replace(load_config(CONFIG_DIR / "case3.yaml"), duration=40)
+        clean = run_scenario(cfg)
+        gain = tracking.kalman_gain
+
+        def run_with_fault():
+            calls = 0
+
+            def faulty(*args):
+                nonlocal calls
+                calls += 1
+                if calls == 3:
+                    raise SingularResidual("injected")
+                return gain(*args)
+
+            monkeypatch.setattr(tracking, "kalman_gain", faulty)
+            return run_scenario(cfg), calls
+
+        a, calls = run_with_fault()
+        b, _ = run_with_fault()
+        assert calls > 3  # the fault fired and filtering went on
+        assert len(a.uncovered) == cfg.duration
+        assert a.to_csv() == b.to_csv()
+        assert a.to_csv() != clean.to_csv()  # the faulted track was only predicted
+
     def test_uav_eventually_covers_single_cluster(self):
         cfg = coverage_config(
             fire=FireConfigSection(initial_count=3, layout="clusters", cluster_count=1, cluster_spread=5.0),

@@ -1,9 +1,10 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from emberwatch.bounds import uncertainty_ratio
 from emberwatch.errors import DomainError, SingularResidual
 from emberwatch.fire import (
     DEFAULT_ELLIPSE,
@@ -16,12 +17,9 @@ from emberwatch.fire import (
 from emberwatch.tracking import (
     FilterConfig,
     FullState,
-    ObservationVector,
     TrackEstimate,
-    adapt_noise,
     innovation_covariance,
     kalman_gain,
-    multi_step_predict,
     multi_step_residual_cov,
     observation_jacobian,
     observe,
@@ -134,21 +132,21 @@ class TestObservation:
     def test_nadir_angles_zero(self):
         s = FullState(10, 20, 10, 20, 40, 1, 5, 0.3)
         z = observe(s)
-        assert z.look_angle_x == 0.0
-        assert z.look_angle_y == 0.0
-        assert (z.spread_rate, z.wind_speed, z.wind_azimuth) == (1, 5, 0.3)
+        assert z[0] == 0.0
+        assert z[1] == 0.0
+        assert tuple(z[2:]) == (1, 5, 0.3)
 
     def test_forty_five_degrees(self):
         s = FullState(50, 0, 0, 0, 50, 1, 5, 0.3)
-        assert observe(s).look_angle_x == pytest.approx(math.pi / 4)
+        assert observe(s)[0] == pytest.approx(math.pi / 4)
 
     def test_round_trip_inversion(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             s = random_state(rng)
             z = observe(s)
-            qx = s.uav_x + s.uav_z * math.tan(z.look_angle_x)
-            qy = s.uav_y + s.uav_z * math.tan(z.look_angle_y)
+            qx = s.uav_x + s.uav_z * math.tan(z[0])
+            qy = s.uav_y + s.uav_z * math.tan(z[1])
             assert qx == pytest.approx(s.fire_x, abs=1e-9)
             assert qy == pytest.approx(s.fire_y, abs=1e-9)
 
@@ -166,7 +164,7 @@ class TestObservation:
             s = random_state(rng)
 
             def h(vec):
-                return observe(FullState.from_array(vec)).as_array()
+                return observe(FullState.from_array(vec))
 
             analytic = observation_jacobian(s)
             numeric = finite_difference_jacobian(h, s.as_array(), h=1e-6)
@@ -228,25 +226,25 @@ class TestPredictUpdate:
     def test_exact_observation_keeps_mean(self):
         track = predict(make_track(), 1.0, DEFAULT_ELLIPSE)
         z = observe(track.mean)
-        out, info = update(track, z)
-        assert np.allclose(info.innovation, 0.0, atol=1e-12)
+        out = update(track, z, FilterConfig(alpha_forget=0.0))
+        # with alpha 0 the adapted R is y y^T + H P H^T, so R == H P H^T means y == 0
+        H = observation_jacobian(track.mean)
+        assert np.allclose(out.observation_noise, H @ track.covariance @ H.T, rtol=0.0, atol=1e-12)
         assert np.allclose(out.mean.as_array(), track.mean.as_array(), atol=1e-9)
 
     def test_posterior_never_exceeds_prior(self):
         rng = np.random.default_rng(37)
         for _ in range(20):
             track = predict(make_track(rng), 1.0, DEFAULT_ELLIPSE)
-            z = ObservationVector.from_array(
-                observe(track.mean).as_array() + rng.normal(0, 0.05, size=5)
-            )
-            out, info = update(track, z)
-            gap = np.linalg.eigvalsh(info.prior_covariance - out.covariance)
+            z = observe(track.mean) + rng.normal(0, 0.05, size=5)
+            out = update(track, z, FilterConfig())
+            gap = np.linalg.eigvalsh(out.prior_covariance - out.covariance)
             assert gap.min() >= -1e-9
 
     def test_update_requires_predict(self):
         track = make_track()
         with pytest.raises(ValueError):
-            update(track, observe(track.mean))
+            update(track, observe(track.mean), FilterConfig())
 
     def test_singular_residual_detected(self):
         track = predict(make_track(), 1.0, DEFAULT_ELLIPSE)
@@ -257,31 +255,65 @@ class TestPredictUpdate:
             observation_noise=np.zeros((5, 5)),
         )
         with pytest.raises(SingularResidual):
-            update(bad, observe(bad.mean))
+            update(bad, observe(bad.mean), FilterConfig())
 
     def test_covariances_stay_symmetric_psd(self):
         rng = np.random.default_rng(41)
         track = make_track(rng)
         cfg = FilterConfig(alpha_forget=0.9)
         wf = WindFuelState(2.0, 5.0, 1.0)
-        for step in range(30):
+        for _ in range(30):
             pose = track.mean.uav_pose
-            z = ObservationVector.from_array(
-                observe(track.mean).as_array() + rng.normal(0, 0.02, size=5)
-            )
-            track, _ = step_track(track, z, 1.0, cfg, DEFAULT_ELLIPSE, uav_pose=pose, step=step)
+            z = observe(track.mean) + rng.normal(0, 0.02, size=5)
+            track = step_track(track, z, 1.0, cfg, DEFAULT_ELLIPSE, uav_pose=pose)
             for mat in (track.covariance, track.process_noise, track.observation_noise):
                 assert np.allclose(mat, mat.T, atol=1e-12)
                 assert np.linalg.eigvalsh(mat).min() >= -1e-9
+
+
+def _array_fields(track: TrackEstimate) -> dict[str, np.ndarray]:
+    out = {"mean": track.mean.as_array()}
+    for f in fields(track):
+        value = getattr(track, f.name)
+        if isinstance(value, np.ndarray):
+            out[f.name] = value.copy()
+    return out
+
+
+class TestPurity:
+    """predict, update and step_track return new tracks; their inputs stay as they were."""
+
+    def test_inputs_left_unchanged(self):
+        rng = np.random.default_rng(59)
+        cfg = FilterConfig(alpha_forget=0.9)
+        track = make_track(rng)
+        predicted = predict(track, 1.0, DEFAULT_ELLIPSE)
+        z = observe(predicted.mean) + rng.normal(0, 0.05, size=5)
+        pose = predicted.mean.uav_pose + 1.0
+        operations = [
+            (track, lambda t: predict(t, 1.0, DEFAULT_ELLIPSE, uav_pose=pose)),
+            (predicted, lambda t: update(t, z, cfg)),
+            (predicted, lambda t: step_track(t, z, 1.0, cfg, DEFAULT_ELLIPSE, uav_pose=pose)),
+        ]
+        for before, operation in operations:
+            arrays, z_copy, pose_copy = _array_fields(before), z.copy(), pose.copy()
+            after = operation(before)
+            assert after is not before
+            for name, value in _array_fields(before).items():
+                assert np.array_equal(value, arrays[name]), name
+            assert np.array_equal(z, z_copy)
+            assert np.array_equal(pose, pose_copy)
 
 
 class TestMultiStep:
     def test_one_step_equals_current_residual(self):
         track = predict(make_track(), 1.0, DEFAULT_ELLIPSE)
         H = observation_jacobian(track.prior_mean)
-        expected = innovation_covariance(track.prior_covariance, H, track.observation_noise)
-        S = multi_step_predict(track, 1)
+        P, R = track.prior_covariance, track.observation_noise
+        expected = innovation_covariance(P, H, R)
+        S = multi_step_residual_cov(track.transition_matrix, H, P, R, 1)
         assert np.allclose(S, expected, atol=1e-12)
+        assert uncertainty_ratio(track, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_scalar_identity_dynamics(self):
         F = np.array([[1.0]])
@@ -300,40 +332,33 @@ class TestMultiStep:
         assert multi_step_residual_cov(F, H, P, R, 3)[0, 0] == pytest.approx(17.0)
 
     def test_requires_predict_and_positive_steps(self):
-        track = make_track()
         with pytest.raises(ValueError):
-            multi_step_predict(track, 1)
-        track = predict(track, 1.0, DEFAULT_ELLIPSE)
-        with pytest.raises(ValueError):
-            multi_step_predict(track, 0)
+            uncertainty_ratio(make_track(), 1.0, 1.0)
+        one = np.array([[1.0]])
+        for steps in (0, -1, 1.5):
+            with pytest.raises(ValueError):
+                multi_step_residual_cov(one, one, one, one, steps)
 
 
 class TestAdaptNoise:
     def _pieces(self, rng):
         track = predict(make_track(rng), 1.0, DEFAULT_ELLIPSE)
-        z = ObservationVector.from_array(
-            observe(track.mean).as_array() + rng.normal(0, 0.05, size=5)
-        )
-        post, info = update(track, z)
-        residual = z.as_array() - observe(post.mean).as_array()
-        return post, info, residual
+        z = observe(track.mean) + rng.normal(0, 0.05, size=5)
+        return track, z
 
     def test_alpha_one_is_frozen(self):
-        post, info, residual = self._pieces(np.random.default_rng(43))
-        out = adapt_noise(
-            post, info.innovation, residual, info.gain, info.observation_matrix,
-            info.prior_covariance, alpha_forget=1.0,
-        )
-        assert np.array_equal(out.process_noise, post.process_noise)
-        assert np.array_equal(out.observation_noise, post.observation_noise)
+        track, z = self._pieces(np.random.default_rng(43))
+        out = update(track, z, FilterConfig(alpha_forget=1.0))
+        assert np.array_equal(out.process_noise, track.process_noise)
+        assert np.array_equal(out.observation_noise, track.observation_noise)
 
     def test_alpha_zero_is_pure_residual(self):
-        post, info, residual = self._pieces(np.random.default_rng(47))
-        out = adapt_noise(
-            post, info.innovation, residual, info.gain, info.observation_matrix,
-            info.prior_covariance, alpha_forget=0.0,
-        )
-        kd = info.gain @ residual
+        track, z = self._pieces(np.random.default_rng(47))
+        out = update(track, z, FilterConfig(alpha_forget=0.0))
+        P, H = track.covariance, observation_jacobian(track.mean)
+        gain = kalman_gain(P, H, innovation_covariance(P, H, track.observation_noise))
+        residual = z - observe(out.mean)
+        kd = gain @ residual
         assert np.allclose(out.process_noise, np.outer(kd, kd), atol=1e-12)
 
     def test_observation_noise_converges_on_static_scene(self):
@@ -349,11 +374,9 @@ class TestAdaptNoise:
         )
         cfg = FilterConfig(alpha_forget=0.97)
         truth = FullState(5.0, -3.0, 0.0, 0.0, 60.0, 0.0, 5.0, 1.0)
-        for step in range(500):
-            z = ObservationVector.from_array(
-                observe(truth).as_array() + rng.normal(size=5) * true_std
-            )
-            track, _ = step_track(track, z, 1.0, cfg, DEFAULT_ELLIPSE, step=step)
+        for _ in range(500):
+            z = observe(truth) + rng.normal(size=5) * true_std
+            track = step_track(track, z, 1.0, cfg, DEFAULT_ELLIPSE)
         estimated = np.trace(track.observation_noise)
         expected = float(np.sum(true_std**2))
         assert abs(estimated - expected) / expected < 0.25
@@ -372,11 +395,9 @@ class TestZeroNoiseConvergence:
             observation_noise=np.diag([1e-12] * 5),
         )
         cfg = FilterConfig(alpha_forget=1.0)
-        for step in range(50):
+        for _ in range(50):
             z = observe(truth)
-            track, _ = step_track(
-                track, z, 1.0, cfg, DEFAULT_ELLIPSE, uav_pose=truth.uav_pose, step=step
-            )
+            track = step_track(track, z, 1.0, cfg, DEFAULT_ELLIPSE, uav_pose=truth.uav_pose)
         err = np.hypot(track.mean.fire_x - truth.fire_x, track.mean.fire_y - truth.fire_y)
         assert err < 1e-6
 
@@ -386,11 +407,9 @@ def test_filter_runs_are_deterministic():
         rng = np.random.default_rng(99)
         track = make_track(np.random.default_rng(7))
         cfg = FilterConfig()
-        for step in range(20):
-            z = ObservationVector.from_array(
-                observe(track.mean).as_array() + rng.normal(0, 0.01, size=5)
-            )
-            track, _ = step_track(track, z, 1.0, cfg, DEFAULT_ELLIPSE, step=step)
+        for _ in range(20):
+            z = observe(track.mean) + rng.normal(0, 0.01, size=5)
+            track = step_track(track, z, 1.0, cfg, DEFAULT_ELLIPSE)
         return track
 
     a, b = run(), run()
