@@ -21,7 +21,6 @@ from .coordination import (
     UavAgent,
     cluster_and_assign,
     coverage_step,
-    feasibility_test,
     patrol_step,
     plan_safety_tour,
     vicinity_fires,

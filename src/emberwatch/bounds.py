@@ -198,14 +198,20 @@ def uncertainty_ratio(
     track: tracking.TrackEstimate,
     horizon_seconds: float,
     dt: float,
-    mode: str = "trace",
 ) -> float:
-    """Forecast residual covariance over the horizon divided by the current one.
+    """Trace of the forecast residual covariance over the horizon divided by
+    the trace of the current one.
 
     The horizon is converted to steps with ceil (conservative) and floored
     at one step. A value <= 1 certifies that the track will not have
     degraded by the time the tour returns; +inf signals an infeasible
-    horizon.
+    horizon. What that certifies, exactly:
+    - a horizon of at most dt is one step, whose forecast is the current
+      residual H P H^T + R itself, so the ratio is exactly 1.0;
+    - for r >= 2 steps the forecast is H F^(r-1) P (H F^(r-1))^T + R. The
+      UAV-pose columns of F are zero, so the forecast ignores the pose
+      block of P, which the current residual includes; a ratio below 1
+      can come from that block alone.
     """
     if not math.isfinite(horizon_seconds):
         return math.inf
@@ -215,15 +221,7 @@ def uncertainty_ratio(
     H = tracking.observation_jacobian(track.prior_mean)
     P, R = track.prior_covariance, track.observation_noise
     forecast = tracking.multi_step_residual_cov(track.transition_matrix, H, P, R, steps)
-    current = tracking.innovation_covariance(P, H, R)
-    if mode == "trace":
-        num = float(np.trace(forecast))
-        den = float(np.trace(current))
-    elif mode == "max_eig":
-        num = float(np.linalg.eigvalsh(forecast).max())
-        den = float(np.linalg.eigvalsh(current).max())
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    den = float(np.trace(tracking.innovation_covariance(P, H, R)))
     if den <= 0:
         return math.inf
-    return num / den
+    return float(np.trace(forecast)) / den

@@ -1,8 +1,8 @@
 """Command-line harness: simulate, sweep-safety, compare.
 
-All commands exit 0 on success and 2 on configuration errors. Output
-files contain no timestamps, so reruns with the same config and seed are
-byte-identical.
+All commands exit 0 on success and 2 on a bad config or a bad flag
+value. Output files contain no timestamps, so reruns with the same config
+and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -63,14 +63,22 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             _run_simulate(cfg, out, args.format)
         elif args.command == "sweep-safety":
+            _check_positive("--max-teams", args.max_teams)
+            _check_positive("--trials", args.trials)
             _run_sweep(cfg, out, args.max_teams, args.trials)
         elif args.command == "compare":
             drones = _parse_drones(args.drones)
+            _check_positive("--trials", args.trials)
             _run_compare(cfg, out, drones, args.trials)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+def _check_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ConfigError(flag, f"must be >= 1, got {value}")
 
 
 def _parse_drones(text: str) -> list[int]:

@@ -75,7 +75,6 @@ class UavConfigSection:
 @dataclass(frozen=True)
 class FilterSection:
     alpha_forget: float = 0.97
-    residual_source: str = "posterior"
     init_position_std: float = 3.0
     init_pose_std: float = 2.0
     init_weather_std: tuple[float, float, float] = (0.08, 0.15, 0.04)
@@ -110,7 +109,6 @@ class ScenarioConfig:
     duration: int = 500
     rng_seed: int = 0
     controller: str = "proposed"
-    ratio_mode: str = "trace"  # or "max_eig": stricter safety ratio
 
     @property
     def fire_speed(self) -> float:
@@ -126,10 +124,7 @@ class ScenarioConfig:
         )
 
     def filter_config(self) -> FilterConfig:
-        return FilterConfig(
-            alpha_forget=self.filter.alpha_forget,
-            residual_source=self.filter.residual_source,
-        )
+        return FilterConfig(alpha_forget=self.filter.alpha_forget)
 
     def gradient_config(self) -> GradientConfig:
         g = fov_width(FleetParams(self.uavs.speed, self.uavs.altitude, self.uavs.half_angle))
@@ -156,11 +151,6 @@ class ScenarioConfig:
             self.controller in CONTROLLERS,
             "controller",
             f"must be one of {CONTROLLERS}, got {self.controller!r}",
-        )
-        _check(
-            self.ratio_mode in ("trace", "max_eig"),
-            "ratio_mode",
-            f"must be 'trace' or 'max_eig', got {self.ratio_mode!r}",
         )
 
         f = self.fire
@@ -215,11 +205,6 @@ class ScenarioConfig:
 
         fl = self.filter
         _check(0 <= fl.alpha_forget <= 1, "filter.alpha_forget", "must be in [0, 1]")
-        _check(
-            fl.residual_source in ("posterior", "innovation"),
-            "filter.residual_source",
-            "must be 'posterior' or 'innovation'",
-        )
         for name in (
             "init_position_std",
             "init_pose_std",

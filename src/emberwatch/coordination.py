@@ -25,7 +25,6 @@ from .bounds import (
     RATIO_PASS_TOL,
     BoundInputs,
     FleetParams,
-    TraverseBound,
     fov_width,
     traverse_bound,
     uncertainty_ratio,
@@ -85,15 +84,6 @@ class SafetySegment:
     fire_ids: list[int]
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    passed: bool
-    uncertainty_ratios: dict[int, float]
-    bound: TraverseBound
-    worst_speed: float
-    waypoints: list[SteinerWaypoint]
-
-
 @dataclass
 class MissionPlan:
     """Safety assignment for one team's vicinity fires."""
@@ -101,9 +91,7 @@ class MissionPlan:
     team_id: int
     segments: list[SafetySegment]
     uncertainty_ratios: dict[int, float]
-    bounds: list[TraverseBound]
     feasible: bool
-    fire_ids: tuple[int, ...]  # membership snapshot used to build the plan
 
     @property
     def recruited(self) -> int:
@@ -138,30 +126,9 @@ def fov_covers(pose: np.ndarray, half_angle: float, point: np.ndarray) -> bool:
 SAFETY_MAX_GROUP = 3
 
 
-def feasibility_test(
-    tracks: Mapping[int, tracking.TrackEstimate],
-    uav: UavAgent,
-    case: int,
-    confidence_level: float,
-    dt: float,
-    params: EllipseParams,
-    ratio_mode: str = "trace",
-) -> FeasibilityReport:
-    """Can this single UAV keep every given track fresh over one tour?
-
-    Builds the reduced waypoints and MST for the whole track set, computes
-    the traverse bound for the scenario case, and evaluates each fire's
-    uncertainty ratio over that horizon. Failure is a result, not an error.
-    """
-    if not tracks:
-        raise ValueError("feasibility_test needs at least one track")
-    fire_ids = sorted(tracks)
-    fleet = uav.fleet()
-    g = fov_width(fleet)
-    positions = np.array([tracks[f].mean.fire_position for f in fire_ids])
-    waypoints = steiner_reduce(positions, g, ids=fire_ids, max_members=SAFETY_MAX_GROUP)
-    segment = SafetySegment(uav_id=uav.id, waypoints=waypoints, fire_ids=fire_ids)
-    return _segment_report(segment, tracks, fleet, case, confidence_level, dt, params, ratio_mode)
+def _segment(uav_id: int, waypoints: list[SteinerWaypoint]) -> SafetySegment:
+    fire_ids = sorted(m for w in waypoints for m in w.members)
+    return SafetySegment(uav_id=uav_id, waypoints=waypoints, fire_ids=fire_ids)
 
 
 def _segment_report(
@@ -172,30 +139,24 @@ def _segment_report(
     confidence_level: float,
     dt: float,
     params: EllipseParams,
-    ratio_mode: str = "trace",
-) -> FeasibilityReport:
+) -> tuple[bool, dict[int, float]]:
+    """(passed, uncertainty ratio per fire) for one UAV's share of the tour."""
     if not segment.fire_ids:
-        bound = TraverseBound(seconds=0.0, case=case)
-        return FeasibilityReport(True, {}, bound, 0.0, segment.waypoints)
-    g = fov_width(fleet)
+        return True, {}
     centers = np.array([w.position for w in segment.waypoints])
     _, mst_length = build_mst(centers)
     segment_tracks = [tracks[f] for f in segment.fire_ids]
-    speed = worst_case_speed(segment_tracks, confidence_level, params)
     inputs = BoundInputs(
         mst_length=mst_length,
         fire_count=len(segment.fire_ids),
-        worst_speed=speed,
-        fov_width=g,
+        worst_speed=worst_case_speed(segment_tracks, confidence_level, params),
+        fov_width=fov_width(fleet),
         confidence_level=confidence_level,
     )
     bound = traverse_bound(case, inputs, fleet)
-    ratios = {
-        f: uncertainty_ratio(tracks[f], bound.seconds, dt, mode=ratio_mode)
-        for f in segment.fire_ids
-    }
+    ratios = {f: uncertainty_ratio(tracks[f], bound.seconds, dt) for f in segment.fire_ids}
     passed = bound.feasible and all(v <= 1.0 + RATIO_PASS_TOL for v in ratios.values())
-    return FeasibilityReport(passed, ratios, bound, speed, segment.waypoints)
+    return passed, ratios
 
 
 def plan_safety_tour(
@@ -208,7 +169,6 @@ def plan_safety_tour(
     params: EllipseParams,
     team: HumanTeam | None = None,
     uav_supply: Callable[[], UavAgent] | None = None,
-    ratio_mode: str = "trace",
 ) -> tuple[MissionPlan, list[UavAgent]]:
     """Build or rebuild a team's safety plan, recruiting as needed.
 
@@ -217,12 +177,13 @@ def plan_safety_tour(
     `uav_supply` when given. Returns the plan and the full list of UAVs
     now assigned. Splitting stops when every failing segment is down to a
     single waypoint or no UAV can be recruited; the plan is then marked
-    infeasible.
+    infeasible. With one assigned UAV, no idle pool and no supply, the
+    plan answers whether that UAV alone can keep every track fresh.
     """
     team_id = team.id if team is not None else -1
-    fire_ids = tuple(sorted(tracks))
+    fire_ids = sorted(tracks)
     if not fire_ids:
-        return MissionPlan(team_id, [], {}, [], True, fire_ids), list(assigned)
+        return MissionPlan(team_id, [], {}, True), list(assigned)
 
     assigned = list(assigned)
     idle = sorted(idle, key=lambda a: a.id)
@@ -236,7 +197,7 @@ def plan_safety_tour(
     fleet = assigned[0].fleet()
     g = fov_width(fleet)
     positions = np.array([tracks[f].mean.fire_position for f in fire_ids])
-    waypoints = steiner_reduce(positions, g, ids=list(fire_ids), max_members=SAFETY_MAX_GROUP)
+    waypoints = steiner_reduce(positions, g, ids=fire_ids, max_members=SAFETY_MAX_GROUP)
     centers = np.array([w.position for w in waypoints])
     mst_edges, _ = build_mst(centers)
     tour = k_opt_improve(tour_from_mst(centers, mst_edges), centers)
@@ -244,31 +205,25 @@ def plan_safety_tour(
     parts = min(len(assigned), len(waypoints))
     chunks = split_sequence(list(tour.order), centers, parts, cyclic=True)
     segments = [
-        SafetySegment(
-            uav_id=assigned[i].id,
-            waypoints=[waypoints[k] for k in chunk],
-            fire_ids=sorted(m for k in chunk for m in waypoints[k].members),
-        )
-        for i, chunk in enumerate(chunks)
+        _segment(assigned[i].id, [waypoints[k] for k in chunk]) for i, chunk in enumerate(chunks)
     ]
     # Agents beyond the waypoint count hold with an empty share.
-    for agent in assigned[parts:]:
-        segments.append(SafetySegment(uav_id=agent.id, waypoints=[], fire_ids=[]))
+    segments += [_segment(agent.id, []) for agent in assigned[parts:]]
 
     feasible = True
     while True:
         reports = [
-            _segment_report(seg, tracks, fleet, case, confidence_level, dt, params, ratio_mode)
+            _segment_report(seg, tracks, fleet, case, confidence_level, dt, params)
             for seg in segments
         ]
-        failing = [i for i, r in enumerate(reports) if not r.passed]
+        failing = [i for i, (passed, _) in enumerate(reports) if not passed]
         if not failing:
             break
         splittable = [i for i in failing if len(segments[i].waypoints) >= 2]
         if not splittable:
             feasible = False
             break
-        worst = max(splittable, key=lambda i: (max(reports[i].uncertainty_ratios.values()), -i))
+        worst = max(splittable, key=lambda i: (max(reports[i][1].values()), -i))
         seg = segments[worst]
         seg_centers = np.array([w.position for w in seg.waypoints])
         halves = split_sequence(list(range(len(seg.waypoints))), seg_centers, 2, cyclic=False)
@@ -278,32 +233,13 @@ def plan_safety_tour(
             feasible = False
             break
         assigned.append(recruit)
-        segments[worst] = SafetySegment(
-            uav_id=seg.uav_id,
-            waypoints=[seg.waypoints[k] for k in halves[0]],
-            fire_ids=sorted(m for k in halves[0] for w in [seg.waypoints[k]] for m in w.members),
-        )
-        segments.insert(
-            worst + 1,
-            SafetySegment(
-                uav_id=recruit.id,
-                waypoints=new_waypoints,
-                fire_ids=sorted(m for w in new_waypoints for m in w.members),
-            ),
-        )
+        segments[worst] = _segment(seg.uav_id, [seg.waypoints[k] for k in halves[0]])
+        segments.insert(worst + 1, _segment(recruit.id, new_waypoints))
 
     uncertainty_ratios: dict[int, float] = {}
-    for report in reports:
-        uncertainty_ratios.update(report.uncertainty_ratios)
-    plan = MissionPlan(
-        team_id=team_id,
-        segments=segments,
-        uncertainty_ratios=uncertainty_ratios,
-        bounds=[r.bound for r in reports],
-        feasible=feasible,
-        fire_ids=fire_ids,
-    )
-    return plan, assigned
+    for _, ratios in reports:
+        uncertainty_ratios.update(ratios)
+    return MissionPlan(team_id, segments, uncertainty_ratios, feasible), assigned
 
 
 def apply_safety_plan(plan: MissionPlan, agents_by_id: Mapping[int, UavAgent]) -> None:

@@ -258,16 +258,12 @@ def _make_observation(
     )
 
 
-def run_scenario(
-    cfg: ScenarioConfig,
-    safety_only: bool = False,
-    unlimited_safety_pool: bool = False,
-) -> RunMetrics:
+def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
     """Run one closed-loop scenario and return its metrics.
 
     safety_only drops the coverage controller and starts with an empty
-    fleet (used by the safety sweep, where recruited UAVs come from an
-    unlimited staging pool per team).
+    fleet; every safety UAV is minted from an unlimited staging pool per
+    team (the safety sweep).
     """
     cfg.validate()
     params = cfg.fire.ellipse
@@ -315,7 +311,7 @@ def run_scenario(
             agents.append(agent)
             return agent
 
-        return mint if unlimited_safety_pool else None
+        return mint if safety_only else None
 
     tracks: dict[int, TrackEstimate] = {
         f.id: _init_track(f, cfg, wind, staging) for f in fire_map.fronts
@@ -394,10 +390,9 @@ def run_scenario(
                         params,
                         team=team,
                         uav_supply=_supply_for(team),
-                        ratio_mode=cfg.ratio_mode,
                     )
                 except NoUavAvailable:
-                    plan = MissionPlan(team.id, [], {}, [], False, tuple(sorted(vicinity)))
+                    plan = MissionPlan(team.id, [], {}, False)
                 if any(a.mode == "coverage" for a in assigned):
                     dismissed = True
                 apply_safety_plan(plan, {a.id: a for a in assigned})
@@ -475,7 +470,7 @@ def min_drones_for_run(cfg: ScenarioConfig) -> tuple[int, bool]:
     recruited, which is the smallest pool a scan over sizes would accept.
     Returns (min_drones, feasible).
     """
-    metrics = run_scenario(cfg, safety_only=True, unlimited_safety_pool=True)
+    metrics = run_scenario(cfg, safety_only=True)
     return sum(metrics.drones_recruited.values()), metrics.plans_feasible
 
 

@@ -85,13 +85,10 @@ class FilterConfig:
     """Knobs of the adaptive filter."""
 
     alpha_forget: float = 0.97
-    residual_source: str = "posterior"  # or "innovation", for the Q update
 
     def __post_init__(self):
         if not 0.0 <= self.alpha_forget <= 1.0:
             raise DomainError(f"alpha_forget must be in [0, 1], got {self.alpha_forget}")
-        if self.residual_source not in ("posterior", "innovation"):
-            raise DomainError(f"unknown residual_source {self.residual_source!r}")
 
 
 @dataclass(frozen=True)
@@ -289,7 +286,7 @@ def update(track: TrackEstimate, z: np.ndarray, cfg: FilterConfig) -> TrackEstim
 
     Requires predict to have run for this step. With a = alpha_forget,
     y the innovation and P the predicted covariance:
-        Q <- a Q + (1-a) (K d)(K d)^T,  d the residual_source residual;
+        Q <- a Q + (1-a) (K d)(K d)^T,  d the post-update residual;
         R <- a R + (1-a) (y y^T + H P H^T).
     """
     if track.prior_mean is None or track.transition_matrix is None:
@@ -299,8 +296,7 @@ def update(track: TrackEstimate, z: np.ndarray, cfg: FilterConfig) -> TrackEstim
     innovation = _residual(z, track.mean)
     K = kalman_gain(P, H, innovation_covariance(P, H, track.observation_noise))
     mean = FullState.from_array(track.mean.as_array() + K @ innovation)
-    residual = _residual(z, mean) if cfg.residual_source == "posterior" else innovation
-    kd = K @ residual
+    kd = K @ _residual(z, mean)
     a = cfg.alpha_forget
     return replace(
         track,

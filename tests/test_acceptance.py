@@ -25,7 +25,7 @@ from emberwatch.bounds import (
     fov_width,
 )
 from emberwatch.config import FilterSection, load_config
-from emberwatch.coordination import UavAgent, feasibility_test
+from emberwatch.coordination import UavAgent, plan_safety_tour
 from emberwatch.fire import DEFAULT_ELLIPSE, calibrate_spread_rate, front_velocity_jacobian
 from emberwatch.harness import compare_controllers, run_scenario, sweep_safety
 from emberwatch.routing import build_mst, k_opt_improve, steiner_reduce, tour_from_mst
@@ -176,8 +176,10 @@ def test_criterion_3_urr_guarantee_monte_carlo():
         attempts += 1
         rng = np.random.default_rng(10_000 + attempts)
         tracks = _mc_tracks(rng, int(rng.integers(3, 6)))
-        report = feasibility_test(tracks, uav, case=2, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE)
-        if not report.passed:
+        plan, _ = plan_safety_tour(
+            tracks, [uav], [], case=2, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE
+        )
+        if not plan.feasible:
             continue
         passes += 1
 
@@ -197,10 +199,7 @@ def test_criterion_3_urr_guarantee_monte_carlo():
             velocities[fid] = rng.multivariate_normal(mean_vel, vel_cov)
 
         # fly the planned tour against the realized motion
-        centers = np.array([w.position for w in report.waypoints])
-        edges, _ = build_mst(centers)
-        tour = k_opt_improve(tour_from_mst(centers, edges), centers)
-        fire_sequence = [m for i in tour.order for m in report.waypoints[i].members]
+        fire_sequence = [m for w in plan.segments[0].waypoints for m in w.members]
         targets = [tracks[f].mean.fire_position for f in fire_sequence]
         vels = [velocities[f] for f in fire_sequence]
         t_real = chase_moving_targets(
@@ -260,6 +259,7 @@ def test_criterion_4_tsp_suite():
     _report("4 tsp suite", f"worst 2-opt/optimum ratio {worst_ratio:.3f} <= 2")
 
 
+@pytest.mark.slow
 def test_criterion_5_safety_sweep_ordinal():
     tic = time.perf_counter()
     cfg = load_config(CONFIG_DIR / "sweep.yaml")
@@ -281,12 +281,15 @@ def test_criterion_5_safety_sweep_ordinal():
     _report("5 safety sweep ordinal", f"{elapsed:.0f}s; mean min drones {summary}")
 
 
+# Only the slow criteria 6 and 7 request this fixture, so deselecting
+# them with -m "not slow" also skips building it.
 @pytest.fixture(scope="module")
 def comparison_result():
     cfg = load_config(CONFIG_DIR / "compare.yaml")
     return compare_controllers(cfg, [1, 2, 4, 8], trials=10)
 
 
+@pytest.mark.slow
 def test_criterion_6_fleet_size_ordinal(comparison_result):
     for case in (1, 2, 3):
         means = [
@@ -301,6 +304,7 @@ def test_criterion_6_fleet_size_ordinal(comparison_result):
     _report("6 fleet size ordinal", detail)
 
 
+@pytest.mark.slow
 def test_criterion_7_controller_comparison(comparison_result):
     rows = comparison_result.rows
     detail = []

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from emberwatch import harness
 from emberwatch.bounds import (
     BoundInputs,
     FleetParams,
@@ -15,9 +18,20 @@ from emberwatch.bounds import (
     uncertainty_ratio,
     worst_case_speed,
 )
+from emberwatch.config import load_config
 from emberwatch.errors import DomainError
 from emberwatch.fire import DEFAULT_ELLIPSE, calibrate_spread_rate
-from emberwatch.tracking import FullState, TrackEstimate, predict
+from emberwatch.tracking import (
+    UAV_X,
+    UAV_Z,
+    FullState,
+    TrackEstimate,
+    multi_step_residual_cov,
+    observation_jacobian,
+    predict,
+)
+
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
 FLEET = FleetParams(speed=10.0, altitude=50.0, half_angle=0.3)
 
@@ -273,8 +287,6 @@ class TestUncertaintyRatio:
     def test_scalar_ratio_with_growing_dynamics(self):
         # F=2, P=1, R=1: a two-step horizon forecasts F^1 P F^1 + R = 5,
         # so the ratio against the current residual (P + R = 2) is 2.5
-        from emberwatch.tracking import multi_step_residual_cov
-
         F = np.array([[2.0]])
         H = np.array([[1.0]])
         P = np.array([[1.0]])
@@ -284,9 +296,51 @@ class TestUncertaintyRatio:
         assert num / den == pytest.approx(2.5)
         assert num / den > 1.0  # a growing track fails the safety check
 
-    def test_max_eig_mode_is_stricter_here(self):
-        track = self._predicted_track()
-        trace_ratio = uncertainty_ratio(track, 60.0, 1.0, mode="trace")
-        eig_ratio = uncertainty_ratio(track, 60.0, 1.0, mode="max_eig")
-        assert eig_ratio >= trace_ratio * 0.5  # both well-defined and positive
-        assert eig_ratio > 0 and trace_ratio > 0
+
+class TestCertificateScope:
+    """What a passing ratio certifies, on the tracks of a closed-loop run."""
+
+    @pytest.fixture(scope="class")
+    def run_tracks(self):
+        cfg = load_config(CONFIG_DIR / "case3.yaml")
+        seen = []
+
+        def keep(fn):
+            def wrapped(*args, **kwargs):
+                track = fn(*args, **kwargs)
+                seen.append(track)
+                return track
+
+            return wrapped
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "predict", keep(harness.predict))
+            mp.setattr(harness, "step_track", keep(harness.step_track))
+            harness.run_scenario(replace(cfg, duration=15))
+        return cfg.dt, seen
+
+    def test_one_step_horizon_is_exactly_one(self, run_tracks):
+        dt, tracks = run_tracks
+        assert len(tracks) > 100
+        for track in tracks:
+            assert uncertainty_ratio(track, dt, dt) == 1.0
+            assert uncertainty_ratio(track, 0.5 * dt, dt) == 1.0
+
+    def test_forecast_ignores_uav_pose_block(self, run_tracks):
+        _, tracks = run_tracks
+        pose = slice(UAV_X, UAV_Z + 1)
+        for track in tracks:
+            H = observation_jacobian(track.prior_mean)
+            P = track.prior_covariance
+            assert np.any(P[pose, pose] != 0)
+            no_pose = P.copy()
+            no_pose[pose, :] = 0.0
+            no_pose[:, pose] = 0.0
+            for steps in (2, 5, 20):
+                with_pose = multi_step_residual_cov(
+                    track.transition_matrix, H, P, track.observation_noise, steps
+                )
+                without = multi_step_residual_cov(
+                    track.transition_matrix, H, no_pose, track.observation_noise, steps
+                )
+                assert np.array_equal(with_pose, without)

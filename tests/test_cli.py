@@ -139,6 +139,22 @@ def test_bad_drone_list_exits_two(tmp_path):
                  "--drones", "1,zero"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag, extra",
+    [
+        ("sweep-safety", "--trials", ["--trials", "0"]),
+        ("sweep-safety", "--max-teams", ["--max-teams", "0"]),
+        ("compare", "--trials", ["--drones", "1", "--trials", "0"]),
+    ],
+)
+def test_bad_count_flag_exits_two_naming_it(tmp_path, capsys, command, flag, extra):
+    cfg = write_tiny_config(tmp_path / "cfg.yaml")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 2
+    assert f"{flag}: must be >= 1" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cfg = write_tiny_config(tmp_path / "cfg.yaml", teams=1)
     outs = []

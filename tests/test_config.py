@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from emberwatch.cli import main
 from emberwatch.config import (
     CASE_SPEEDS,
     ScenarioConfig,
@@ -59,6 +60,24 @@ def test_unknown_nested_key(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert "fire.wat" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        pytest.param("ratio_mode: max_eig\n", "ratio_mode", id="ratio_mode"),
+        pytest.param(
+            "filter:\n  residual_source: innovation\n",
+            "filter.residual_source",
+            id="filter.residual_source",
+        ),
+    ],
+)
+def test_removed_modes_are_unknown_keys(tmp_path, capsys, text, path):
+    cfg = tmp_path / "old.yaml"
+    cfg.write_text("case: 1\n" + text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}: unknown key" in capsys.readouterr().err
 
 
 def test_missing_file():

@@ -5,19 +5,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from emberwatch.bounds import BoundInputs, fov_width, traverse_bound, worst_case_speed
 from emberwatch.coordination import (
     HumanTeam,
     UavAgent,
     apply_safety_plan,
     cluster_and_assign,
     coverage_step,
-    feasibility_test,
     fov_covers,
     plan_safety_tour,
     vicinity_fires,
 )
 from emberwatch.errors import NoUavAvailable
 from emberwatch.fire import DEFAULT_ELLIPSE, calibrate_spread_rate
+from emberwatch.routing import build_mst
 from emberwatch.tracking import FullState, TrackEstimate, multi_step_residual_cov, observation_jacobian, innovation_covariance, predict
 
 
@@ -151,13 +152,21 @@ class TestClusterAndAssign:
         assert a == b
 
 
+def solo_plan(tracks, uav, case):
+    """Can this one UAV keep every track fresh? No pool, so no recruiting."""
+    plan, _ = plan_safety_tour(
+        tracks, [uav], [], case=case, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE
+    )
+    return plan
+
+
 class TestFeasibility:
     def test_single_stationary_fire_passes(self):
         tracks = {1: make_track((20.0, 20.0))}
         uav = make_agent(0, xy=(20.0, 15.0))
-        report = feasibility_test(tracks, uav, case=1, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE)
-        assert report.passed
-        assert report.uncertainty_ratios[1] <= 1.0 + 1e-12
+        plan = solo_plan(tracks, uav, case=1)
+        assert plan.feasible
+        assert plan.uncertainty_ratios[1] <= 1.0 + 1e-12
 
     def test_infeasible_bound_fails_with_infinite_ratio(self):
         # fast spreading fires spread over a wide area: growth outruns one UAV
@@ -166,10 +175,12 @@ class TestFeasibility:
             for fid in range(1, 7)
         }
         uav = make_agent(0)
-        report = feasibility_test(tracks, uav, case=3, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE)
-        assert not report.passed
-        assert not report.bound.feasible
-        assert all(v == math.inf for v in report.uncertainty_ratios.values())
+        plan = solo_plan(tracks, uav, case=3)
+        assert not plan.feasible
+        assert plan.recruited == 1
+        # an infeasible traverse bound gives every fire an infinite ratio
+        assert sorted(plan.uncertainty_ratios) == sorted(tracks)
+        assert all(v == math.inf for v in plan.uncertainty_ratios.values())
 
     def test_case2_matches_stepwise_residual_simulation(self):
         # oracle: iterate the frozen transition step by step instead of
@@ -180,17 +191,23 @@ class TestFeasibility:
                 for fid in (1, 2, 3)
             }
             uav = make_agent(0)
-            report = feasibility_test(
-                tracks, uav, case=2, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE
+            plan = solo_plan(tracks, uav, case=2)
+            centers = np.array([w.position for w in plan.segments[0].waypoints])
+            inputs = BoundInputs(
+                mst_length=build_mst(centers)[1],
+                fire_count=len(tracks),
+                worst_speed=worst_case_speed(tracks.values(), 0.05, DEFAULT_ELLIPSE),
+                fov_width=fov_width(uav.fleet()),
+                confidence_level=0.05,
             )
-            if not report.bound.feasible:
+            bound = traverse_bound(2, inputs, uav.fleet())
+            if not bound.feasible:
                 continue
-            steps = max(1, math.ceil(report.bound.seconds / 1.0))
+            steps = max(1, math.ceil(bound.seconds / 1.0))
             oracle_pass = True
             for track in tracks.values():
                 F = track.transition_matrix
                 H = observation_jacobian(track.prior_mean)
-                ratios = []
                 M = H.copy()
                 for _ in range(steps - 1):
                     M = M @ F
@@ -200,7 +217,7 @@ class TestFeasibility:
                 )
                 if num / den > 1.0 + 1e-12:
                     oracle_pass = False
-            assert report.passed == oracle_pass
+            assert plan.feasible == oracle_pass
 
 
 def plan_from_pool(tracks, pool, case):
@@ -237,10 +254,7 @@ class TestRecruitment:
 
     def test_engineered_split_recruits_exactly_two(self):
         tracks = self._hard_case2_tracks()
-        solo_report = feasibility_test(
-            tracks, make_agent(0), case=2, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE
-        )
-        assert not solo_report.passed  # one UAV is not enough here
+        assert not solo_plan(tracks, make_agent(0), case=2).feasible  # one UAV is not enough here
         pool = [make_agent(i, xy=(130.0 * i, -20.0)) for i in range(4)]
         plan = plan_from_pool(tracks, pool, case=2)
         assert plan.feasible

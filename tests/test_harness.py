@@ -126,7 +126,7 @@ class TestRunScenario:
             assert metrics.final_cum_uncertainty == 0
 
     def test_safety_run_recruits_and_reports(self):
-        metrics = run_scenario(safety_config(), safety_only=True, unlimited_safety_pool=True)
+        metrics = run_scenario(safety_config(), safety_only=True)
         assert metrics.drones_recruited[0] >= 1
         assert 0 in metrics.bound_confidence
         joint, complement = metrics.bound_confidence[0]
