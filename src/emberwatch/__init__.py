@@ -56,7 +56,6 @@ from .routing import (
 )
 from .tracking import (
     FilterConfig,
-    FullState,
     TrackEstimate,
     observation_jacobian,
     observe,

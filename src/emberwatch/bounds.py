@@ -21,7 +21,7 @@ from scipy.stats import norm
 
 from . import tracking
 from .errors import DomainError
-from .fire import EllipseParams, WindFuelState, front_velocity, front_velocity_jacobian
+from .fire import EllipseParams, front_velocity_jacobian
 
 # Slack when comparing an uncertainty ratio against 1.
 RATIO_PASS_TOL = 1e-12
@@ -52,7 +52,6 @@ class BoundInputs:
     fire_count: int
     worst_speed: float  # confidence-bounded fastest fire speed, m/s
     fov_width: float  # ground footprint side, m
-    confidence_level: float
 
     def __post_init__(self):
         if self.mst_length < 0:
@@ -61,10 +60,6 @@ class BoundInputs:
             raise DomainError(f"fire_count must be >= 1, got {self.fire_count}")
         if self.worst_speed < 0:
             raise DomainError(f"worst_speed must be >= 0, got {self.worst_speed}")
-        if not 0 < self.confidence_level < 1:
-            raise DomainError(
-                f"confidence_level must be in (0, 1), got {self.confidence_level}"
-            )
 
 
 @dataclass(frozen=True)
@@ -112,18 +107,11 @@ def worst_case_speed(
     x_bound = 0.0
     y_bound = 0.0
     for track in tracks:
-        s = track.mean
-        jac = front_velocity_jacobian(s.spread_rate, s.wind_speed, s.wind_azimuth, params)
-        weather_cov = track.covariance[5:8, 5:8]
+        weather = track.mean[tracking.SPREAD_RATE:]
+        jac = front_velocity_jacobian(*weather, params)
+        weather_cov = track.covariance[tracking.SPREAD_RATE:, tracking.SPREAD_RATE:]
         vel_cov = jac @ weather_cov @ jac.T
-        vel = front_velocity(
-            WindFuelState(
-                spread_rate=max(s.spread_rate, 0.0),
-                wind_speed=max(s.wind_speed, 0.0),
-                wind_azimuth=s.wind_azimuth,
-            ),
-            params,
-        )
+        vel = tracking.fire_velocity(track.mean, params)
         x_bound = max(x_bound, abs(vel[0]) + z * math.sqrt(max(vel_cov[0, 0], 0.0)))
         y_bound = max(y_bound, abs(vel[1]) + z * math.sqrt(max(vel_cov[1, 1], 0.0)))
     return math.hypot(x_bound, y_bound)

@@ -54,21 +54,27 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed", f"must be >= 0, got {args.seed}")
             cfg = replace(cfg, rng_seed=args.seed)
         if args.controller is not None:
             cfg = replace(cfg, controller=args.controller)
+        cfg.validate()
+        if args.command == "sweep-safety":
+            _check_positive("--max-teams", args.max_teams)
+            _check_positive("--trials", args.trials)
+        elif args.command == "compare":
+            drones = _parse_drones(args.drones)
+            _check_positive("--trials", args.trials)
+        # Only a run that passed every check leaves an output directory.
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
 
         if args.command == "simulate":
             _run_simulate(cfg, out, args.format)
         elif args.command == "sweep-safety":
-            _check_positive("--max-teams", args.max_teams)
-            _check_positive("--trials", args.trials)
             _run_sweep(cfg, out, args.max_teams, args.trials)
         elif args.command == "compare":
-            drones = _parse_drones(args.drones)
-            _check_positive("--trials", args.trials)
             _run_compare(cfg, out, drones, args.trials)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

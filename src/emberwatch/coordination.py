@@ -88,7 +88,6 @@ class SafetySegment:
 class MissionPlan:
     """Safety assignment for one team's vicinity fires."""
 
-    team_id: int
     segments: list[SafetySegment]
     uncertainty_ratios: dict[int, float]
     feasible: bool
@@ -104,7 +103,7 @@ def vicinity_fires(
     """Tracks whose estimated position lies within the team's vicinity."""
     out: dict[int, tracking.TrackEstimate] = {}
     for fid in sorted(tracks):
-        pos = tracks[fid].mean.fire_position
+        pos = tracks[fid].mean[:2]
         if float(np.linalg.norm(pos - team.position)) <= team.vicinity_radius:
             out[fid] = tracks[fid]
     return out
@@ -151,7 +150,6 @@ def _segment_report(
         fire_count=len(segment.fire_ids),
         worst_speed=worst_case_speed(segment_tracks, confidence_level, params),
         fov_width=fov_width(fleet),
-        confidence_level=confidence_level,
     )
     bound = traverse_bound(case, inputs, fleet)
     ratios = {f: uncertainty_ratio(tracks[f], bound.seconds, dt) for f in segment.fire_ids}
@@ -180,14 +178,13 @@ def plan_safety_tour(
     infeasible. With one assigned UAV, no idle pool and no supply, the
     plan answers whether that UAV alone can keep every track fresh.
     """
-    team_id = team.id if team is not None else -1
     fire_ids = sorted(tracks)
     if not fire_ids:
-        return MissionPlan(team_id, [], {}, True), list(assigned)
+        return MissionPlan([], {}, True), list(assigned)
 
     assigned = list(assigned)
     idle = sorted(idle, key=lambda a: a.id)
-    anchor = team.position if team is not None else tracks[fire_ids[0]].mean.fire_position
+    anchor = team.position if team is not None else tracks[fire_ids[0]].mean[:2]
     if not assigned:
         first = _take_nearest(idle, anchor, uav_supply)
         if first is None:
@@ -196,7 +193,7 @@ def plan_safety_tour(
 
     fleet = assigned[0].fleet()
     g = fov_width(fleet)
-    positions = np.array([tracks[f].mean.fire_position for f in fire_ids])
+    positions = np.array([tracks[f].mean[:2] for f in fire_ids])
     waypoints = steiner_reduce(positions, g, ids=fire_ids, max_members=SAFETY_MAX_GROUP)
     centers = np.array([w.position for w in waypoints])
     mst_edges, _ = build_mst(centers)
@@ -239,7 +236,7 @@ def plan_safety_tour(
     uncertainty_ratios: dict[int, float] = {}
     for _, ratios in reports:
         uncertainty_ratios.update(ratios)
-    return MissionPlan(team_id, segments, uncertainty_ratios, feasible), assigned
+    return MissionPlan(segments, uncertainty_ratios, feasible), assigned
 
 
 def apply_safety_plan(plan: MissionPlan, agents_by_id: Mapping[int, UavAgent]) -> None:
@@ -389,7 +386,7 @@ def _replan_coverage(
     step: int,
 ) -> None:
     g = fov_width(cov[0].fleet())
-    positions = np.array([tracks[f].mean.fire_position for f in fire_ids])
+    positions = np.array([tracks[f].mean[:2] for f in fire_ids])
     waypoints = steiner_reduce(positions, g, ids=fire_ids)
     centers = np.array([w.position for w in waypoints])
     clusters = cluster_and_assign(centers, cov, rng)
@@ -417,7 +414,6 @@ def _replan_coverage(
                 fire_count=len(member_fires),
                 worst_speed=speed,
                 fov_width=g,
-                confidence_level=confidence_level,
             ),
             agent.fleet(),
         )

@@ -98,7 +98,6 @@ class FireFront:
     id: int
     position: np.ndarray  # (2,) meters
     velocity: np.ndarray  # (2,) m/s
-    born_at: int = 0
     lineage: int = 0  # id of the initial ancestor, used for spawn caps
 
     def __post_init__(self):
@@ -247,7 +246,6 @@ def spawn_fronts(
     wind_fuel: WindFuelState,
     params: EllipseParams,
     rng: np.random.Generator,
-    born_at: int,
     id_base: int | None = None,
 ) -> list[FireFront]:
     """Draw 0..spawn_rate_max children inside the parent's per-step growth box.
@@ -272,7 +270,6 @@ def spawn_fronts(
                 id=id_base + k,
                 position=front.position + offset,
                 velocity=velocity,
-                born_at=born_at,
                 lineage=front.lineage,
             )
         )
@@ -317,7 +314,6 @@ def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
                 fire_map.wind_fuel,
                 fire_map.params,
                 _front_stream(fire_map.rng_seed, step, front.id, 1),
-                born_at=new_step,
                 id_base=base,
             )
             if fire_map.max_per_lineage:

@@ -41,7 +41,7 @@ from .fire import (
     simulate_step,
     substream_key,
 )
-from .tracking import FullState, TrackEstimate, predict, step_track
+from .tracking import TrackEstimate, observe, predict, step_track
 
 # Substream purposes.
 _S_LAYOUT = 1
@@ -196,15 +196,15 @@ def _init_track(front, cfg: ScenarioConfig, wind: WindFuelState, staging_pose: n
     fl = cfg.filter
     rng = _stream(cfg.rng_seed, _S_DETECT, front.id)
     noise = rng.normal(size=5)
-    mean = FullState(
-        fire_x=front.position[0] + noise[0] * fl.init_position_std,
-        fire_y=front.position[1] + noise[1] * fl.init_position_std,
-        uav_x=float(staging_pose[0]),
-        uav_y=float(staging_pose[1]),
-        uav_z=float(staging_pose[2]),
-        spread_rate=max(wind.spread_rate + noise[2] * fl.init_weather_std[0], 0.0),
-        wind_speed=max(wind.wind_speed + noise[3] * fl.init_weather_std[1], 0.0),
-        wind_azimuth=wind.wind_azimuth + noise[4] * fl.init_weather_std[2],
+    mean = np.array(
+        [
+            front.position[0] + noise[0] * fl.init_position_std,
+            front.position[1] + noise[1] * fl.init_position_std,
+            *staging_pose,
+            max(wind.spread_rate + noise[2] * fl.init_weather_std[0], 0.0),
+            max(wind.wind_speed + noise[3] * fl.init_weather_std[1], 0.0),
+            wind.wind_azimuth + noise[4] * fl.init_weather_std[2],
+        ]
     )
     p0 = np.diag(
         [
@@ -245,17 +245,11 @@ def _init_track(front, cfg: ScenarioConfig, wind: WindFuelState, staging_pose: n
 def _make_observation(
     front, pose: np.ndarray, wind: WindFuelState, cfg: ScenarioConfig, rng: np.random.Generator
 ) -> np.ndarray:
+    """The sensor model `observe` at the true state, plus Gaussian noise."""
     fl = cfg.filter
-    noise = rng.normal(size=5)
-    return np.array(
-        [
-            math.atan((front.position[0] - pose[0]) / pose[2]) + noise[0] * fl.obs_angle_std,
-            math.atan((front.position[1] - pose[1]) / pose[2]) + noise[1] * fl.obs_angle_std,
-            wind.spread_rate + noise[2] * fl.obs_weather_std[0],
-            wind.wind_speed + noise[3] * fl.obs_weather_std[1],
-            wind.wind_azimuth + noise[4] * fl.obs_weather_std[2],
-        ]
-    )
+    truth = np.array([*front.position, *pose, wind.spread_rate, wind.wind_speed, wind.wind_azimuth])
+    sigma = np.array([fl.obs_angle_std, fl.obs_angle_std, *fl.obs_weather_std])
+    return observe(truth) + rng.normal(size=5) * sigma
 
 
 def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
@@ -392,7 +386,7 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
                         uav_supply=_supply_for(team),
                     )
                 except NoUavAvailable:
-                    plan = MissionPlan(team.id, [], {}, False)
+                    plan = MissionPlan([], {}, False)
                 if any(a.mode == "coverage" for a in assigned):
                     dismissed = True
                 apply_safety_plan(plan, {a.id: a for a in assigned})
@@ -420,7 +414,7 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
                 )
         else:
             fire_positions = np.array(
-                [tracks[f].mean.fire_position for f in sorted(tracks)]
+                [tracks[f].mean[:2] for f in sorted(tracks)]
             )
             movers = [a for a in agents if a.mode == "coverage"]
             gradient_coverage_step(movers, fire_positions, gcfg, dt)

@@ -1,8 +1,9 @@
 """Adaptive extended Kalman filter over the joint fire/UAV state.
 
-The state vector is fixed as
+The state is one (8,) float array
     [fire_x, fire_y, uav_x, uav_y, uav_z, spread_rate, wind_speed, wind_azimuth]
-and every matrix in this module indexes against that ordering. An
+indexed by the constants FIRE_X ... WIND_AZIMUTH; the mean and every
+matrix in this module index against that ordering. An
 observation is a (5,) array
     [look_angle_x, look_angle_y, spread_rate, wind_speed, wind_azimuth]:
 the camera look angle per planar axis plus the directly sensed weather
@@ -40,47 +41,6 @@ _COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
-class FullState:
-    """Joint fire/UAV/weather state."""
-
-    fire_x: float
-    fire_y: float
-    uav_x: float
-    uav_y: float
-    uav_z: float
-    spread_rate: float
-    wind_speed: float
-    wind_azimuth: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.fire_x,
-                self.fire_y,
-                self.uav_x,
-                self.uav_y,
-                self.uav_z,
-                self.spread_rate,
-                self.wind_speed,
-                self.wind_azimuth,
-            ]
-        )
-
-    @classmethod
-    def from_array(cls, vec) -> "FullState":
-        vec = np.asarray(vec, dtype=float)
-        return cls(*(float(x) for x in vec))
-
-    @property
-    def fire_position(self) -> np.ndarray:
-        return np.array([self.fire_x, self.fire_y])
-
-    @property
-    def uav_pose(self) -> np.ndarray:
-        return np.array([self.uav_x, self.uav_y, self.uav_z])
-
-
-@dataclass(frozen=True)
 class FilterConfig:
     """Knobs of the adaptive filter."""
 
@@ -100,15 +60,16 @@ class TrackEstimate:
     reuses them without re-linearizing along the horizon.
     """
 
-    mean: FullState
+    mean: np.ndarray  # (8,), indexed by FIRE_X ... WIND_AZIMUTH
     covariance: np.ndarray  # P, 8x8
     process_noise: np.ndarray  # Q, 8x8
     observation_noise: np.ndarray  # R_obs, 5x5
-    prior_mean: FullState | None = None
+    prior_mean: np.ndarray | None = None
     prior_covariance: np.ndarray | None = None
     transition_matrix: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float))
         object.__setattr__(self, "process_noise", np.asarray(self.process_noise, dtype=float))
         object.__setattr__(self, "observation_noise", np.asarray(self.observation_noise, dtype=float))
@@ -118,39 +79,37 @@ class TrackEstimate:
 # models
 
 
+def fire_velocity(state: np.ndarray, params: fire.EllipseParams) -> np.ndarray:
+    """Spread velocity of the state's weather, negative rate and wind clamped to 0."""
+    return fire.front_velocity(
+        fire.WindFuelState(
+            spread_rate=max(state[SPREAD_RATE], 0.0),
+            wind_speed=max(state[WIND_SPEED], 0.0),
+            wind_azimuth=state[WIND_AZIMUTH],
+        ),
+        params,
+    )
+
+
 def state_transition(
-    state: FullState,
+    state: np.ndarray,
     dt: float,
     params: fire.EllipseParams,
     uav_pose=None,
-) -> FullState:
+) -> np.ndarray:
     """Advance the fire position by its spread velocity; weather is constant.
 
     `uav_pose`, when given, overwrites the pose components (control
     input); otherwise the pose is carried over unchanged.
     """
-    vel = fire.front_velocity(
-        fire.WindFuelState(
-            spread_rate=max(state.spread_rate, 0.0),
-            wind_speed=max(state.wind_speed, 0.0),
-            wind_azimuth=state.wind_azimuth,
-        ),
-        params,
-    )
-    pose = state.uav_pose if uav_pose is None else np.asarray(uav_pose, dtype=float)
-    return FullState(
-        fire_x=state.fire_x + vel[0] * dt,
-        fire_y=state.fire_y + vel[1] * dt,
-        uav_x=float(pose[0]),
-        uav_y=float(pose[1]),
-        uav_z=float(pose[2]),
-        spread_rate=state.spread_rate,
-        wind_speed=state.wind_speed,
-        wind_azimuth=state.wind_azimuth,
-    )
+    out = np.array(state, dtype=float)
+    out[FIRE_X:FIRE_Y + 1] += fire_velocity(state, params) * dt
+    if uav_pose is not None:
+        out[UAV_X:UAV_Z + 1] = uav_pose
+    return out
 
 
-def transition_jacobian(state: FullState, dt: float, params: fire.EllipseParams) -> np.ndarray:
+def transition_jacobian(state: np.ndarray, dt: float, params: fire.EllipseParams) -> np.ndarray:
     """8x8 Jacobian of the transition with respect to the previous state.
 
     Fire rows: identity in position plus dt-scaled velocity sensitivities
@@ -161,7 +120,8 @@ def transition_jacobian(state: FullState, dt: float, params: fire.EllipseParams)
     F[FIRE_X, FIRE_X] = 1.0
     F[FIRE_Y, FIRE_Y] = 1.0
     F[FIRE_X:FIRE_Y + 1, SPREAD_RATE:] = (
-        fire.front_velocity_jacobian(state.spread_rate, state.wind_speed, state.wind_azimuth, params) * dt
+        fire.front_velocity_jacobian(state[SPREAD_RATE], state[WIND_SPEED], state[WIND_AZIMUTH], params)
+        * dt
     )
     F[SPREAD_RATE, SPREAD_RATE] = 1.0
     F[WIND_SPEED, WIND_SPEED] = 1.0
@@ -169,30 +129,30 @@ def transition_jacobian(state: FullState, dt: float, params: fire.EllipseParams)
     return F
 
 
-def observe(state: FullState) -> np.ndarray:
+def observe(state: np.ndarray) -> np.ndarray:
     """Project the state to look angles and pass the weather through."""
-    if state.uav_z <= 0:
-        raise DomainError(f"uav_z must be > 0 to observe, got {state.uav_z}")
+    pz = state[UAV_Z]
+    if pz <= 0:
+        raise DomainError(f"uav_z must be > 0 to observe, got {pz}")
     return np.array(
         [
-            math.atan((state.fire_x - state.uav_x) / state.uav_z),
-            math.atan((state.fire_y - state.uav_y) / state.uav_z),
-            state.spread_rate,
-            state.wind_speed,
-            state.wind_azimuth,
+            math.atan((state[FIRE_X] - state[UAV_X]) / pz),
+            math.atan((state[FIRE_Y] - state[UAV_Y]) / pz),
+            state[SPREAD_RATE],
+            state[WIND_SPEED],
+            state[WIND_AZIMUTH],
         ]
     )
 
 
-def observation_jacobian(state: FullState) -> np.ndarray:
+def observation_jacobian(state: np.ndarray) -> np.ndarray:
     """5x8 Jacobian of the observation at the given state."""
-    if state.uav_z <= 0:
-        raise DomainError(f"uav_z must be > 0 to observe, got {state.uav_z}")
+    pz = state[UAV_Z]
+    if pz <= 0:
+        raise DomainError(f"uav_z must be > 0 to observe, got {pz}")
     H = np.zeros((OBS_DIM, STATE_DIM))
-    pz = state.uav_z
-    for row, (q, pcol, qcol) in enumerate(
-        [(state.fire_x - state.uav_x, UAV_X, FIRE_X), (state.fire_y - state.uav_y, UAV_Y, FIRE_Y)]
-    ):
+    for row, (qcol, pcol) in enumerate([(FIRE_X, UAV_X), (FIRE_Y, UAV_Y)]):
+        q = state[qcol] - state[pcol]
         u = q / pz
         w = 1.0 / (1.0 + u * u)
         H[row, qcol] = w / pz
@@ -274,7 +234,7 @@ def predict(
     )
 
 
-def _residual(z: np.ndarray, state: FullState) -> np.ndarray:
+def _residual(z: np.ndarray, state: np.ndarray) -> np.ndarray:
     """z - h(state), with the wind-azimuth component wrapped to [-pi, pi)."""
     d = z - observe(state)
     d[4] = (d[4] + math.pi) % (2 * math.pi) - math.pi
@@ -295,7 +255,7 @@ def update(track: TrackEstimate, z: np.ndarray, cfg: FilterConfig) -> TrackEstim
     H = observation_jacobian(track.mean)
     innovation = _residual(z, track.mean)
     K = kalman_gain(P, H, innovation_covariance(P, H, track.observation_noise))
-    mean = FullState.from_array(track.mean.as_array() + K @ innovation)
+    mean = track.mean + K @ innovation
     kd = K @ _residual(z, mean)
     a = cfg.alpha_forget
     return replace(

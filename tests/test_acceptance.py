@@ -30,8 +30,14 @@ from emberwatch.fire import DEFAULT_ELLIPSE, calibrate_spread_rate, front_veloci
 from emberwatch.harness import compare_controllers, run_scenario, sweep_safety
 from emberwatch.routing import build_mst, k_opt_improve, steiner_reduce, tour_from_mst
 from emberwatch.tracking import (
+    FIRE_X,
+    FIRE_Y,
+    SPREAD_RATE,
+    UAV_X,
+    UAV_Z,
+    WIND_AZIMUTH,
+    WIND_SPEED,
     FilterConfig,
-    FullState,
     TrackEstimate,
     observation_jacobian,
     observe,
@@ -56,16 +62,18 @@ def _report(criterion: str, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS ({detail})")
 
 
-def _random_state(rng) -> FullState:
-    return FullState(
-        fire_x=float(rng.uniform(-500, 500)),
-        fire_y=float(rng.uniform(-500, 500)),
-        uav_x=float(rng.uniform(-500, 500)),
-        uav_y=float(rng.uniform(-500, 500)),
-        uav_z=float(rng.uniform(10, 200)),
-        spread_rate=float(rng.uniform(0.1, 3.0)),
-        wind_speed=float(rng.uniform(0.5, 12.0)),
-        wind_azimuth=float(rng.uniform(0, 2 * math.pi)),
+def _random_state(rng) -> np.ndarray:
+    return np.array(
+        [
+            rng.uniform(-500, 500),  # fire_x
+            rng.uniform(-500, 500),  # fire_y
+            rng.uniform(-500, 500),  # uav_x
+            rng.uniform(-500, 500),  # uav_y
+            rng.uniform(10, 200),  # uav_z
+            rng.uniform(0.1, 3.0),  # spread_rate
+            rng.uniform(0.5, 12.0),  # wind_speed
+            rng.uniform(0, 2 * math.pi),  # wind_azimuth
+        ]
     )
 
 
@@ -77,27 +85,22 @@ def test_criterion_1_jacobian_fidelity():
     worst_h = 0.0
     for _ in range(100):
         s = _random_state(rng)
-        pose = s.uav_pose
+        pose = s[UAV_X:UAV_Z + 1].copy()
 
         def f(vec):
-            return state_transition(
-                FullState.from_array(vec), dt, DEFAULT_ELLIPSE, uav_pose=pose
-            ).as_array()
-
-        def h(vec):
-            return observe(FullState.from_array(vec))
+            return state_transition(vec, dt, DEFAULT_ELLIPSE, uav_pose=pose)
 
         worst_f = max(
             worst_f,
             jacobian_mismatch(
                 transition_jacobian(s, dt, DEFAULT_ELLIPSE),
-                finite_difference_jacobian(f, s.as_array(), h=1e-6),
+                finite_difference_jacobian(f, s, h=1e-6),
             ),
         )
         worst_h = max(
             worst_h,
             jacobian_mismatch(
-                observation_jacobian(s), finite_difference_jacobian(h, s.as_array(), h=1e-6)
+                observation_jacobian(s), finite_difference_jacobian(observe, s, h=1e-6)
             ),
         )
     elapsed = time.perf_counter() - tic
@@ -111,7 +114,7 @@ def test_criterion_2_bound_self_consistency():
     fleet = FleetParams(speed=10.0, altitude=50.0, half_angle=0.3)
     rng = np.random.default_rng(7)
 
-    tiny = BoundInputs(150.0, 5, 1e-8, 40.0, 0.05)
+    tiny = BoundInputs(150.0, 5, 1e-8, 40.0)
     c1 = bound_stationary(tiny, fleet).seconds
     c2 = bound_moving(tiny, fleet).seconds
     assert abs(c2 - c1) / c1 < 1e-6
@@ -124,7 +127,6 @@ def test_criterion_2_bound_self_consistency():
             fire_count=int(rng.integers(1, 10)),
             worst_speed=float(rng.uniform(0, 1.5)),
             fov_width=float(rng.uniform(5, 100)),
-            confidence_level=0.05,
         )
         spreading = bound_spreading(inputs, fleet)
         if not spreading.feasible:
@@ -154,7 +156,7 @@ def _mc_tracks(rng, count):
         pos = rng.uniform(0, 150, size=2)
         azimuth = float(rng.uniform(0, 2 * math.pi))
         rate = calibrate_spread_rate(0.5, 5.0, DEFAULT_ELLIPSE)
-        mean = FullState(pos[0], pos[1], pos[0], pos[1], 40.0, rate, 5.0, azimuth)
+        mean = np.array([pos[0], pos[1], pos[0], pos[1], 40.0, rate, 5.0, azimuth])
         track = TrackEstimate(
             mean=mean,
             covariance=np.diag([1.0, 1.0, 4.0, 4.0, 4.0, 4e-4, 9e-4, 1e-4]),
@@ -188,19 +190,19 @@ def test_criterion_3_urr_guarantee_monte_carlo():
         velocities = {}
         for fid in ids:
             s = tracks[fid].mean
-            jac = front_velocity_jacobian(s.spread_rate, s.wind_speed, s.wind_azimuth, DEFAULT_ELLIPSE)
+            jac = front_velocity_jacobian(s[SPREAD_RATE], s[WIND_SPEED], s[WIND_AZIMUTH], DEFAULT_ELLIPSE)
             vel_cov = jac @ tracks[fid].covariance[5:8, 5:8] @ jac.T
             mean_vel = np.array(
                 [
-                    0.5 * math.sin(s.wind_azimuth),
-                    0.5 * math.cos(s.wind_azimuth),
+                    0.5 * math.sin(s[WIND_AZIMUTH]),
+                    0.5 * math.cos(s[WIND_AZIMUTH]),
                 ]
             )
             velocities[fid] = rng.multivariate_normal(mean_vel, vel_cov)
 
         # fly the planned tour against the realized motion
         fire_sequence = [m for w in plan.segments[0].waypoints for m in w.members]
-        targets = [tracks[f].mean.fire_position for f in fire_sequence]
+        targets = [tracks[f].mean[:2] for f in fire_sequence]
         vels = [velocities[f] for f in fire_sequence]
         t_real = chase_moving_targets(
             start=targets[0], targets=targets, velocities=vels,
@@ -323,8 +325,8 @@ def test_criterion_7_controller_comparison(comparison_result):
 
 def test_criterion_8_filter_sanity():
     # zero-noise lock-on
-    truth = FullState(120.0, 80.0, 100.0, 90.0, 50.0, 0.0, 5.0, 0.8)
-    start = FullState(117.0, 84.0, 100.0, 90.0, 50.0, 0.05, 4.8, 0.7)
+    truth = np.array([120.0, 80.0, 100.0, 90.0, 50.0, 0.0, 5.0, 0.8])
+    start = np.array([117.0, 84.0, 100.0, 90.0, 50.0, 0.05, 4.8, 0.7])
     track = TrackEstimate(
         mean=start,
         covariance=np.diag([25.0, 25.0, 1e-6, 1e-6, 1e-6, 0.01, 0.04, 0.0025]),
@@ -333,14 +335,16 @@ def test_criterion_8_filter_sanity():
     )
     cfg = FilterConfig(alpha_forget=1.0)
     for _ in range(50):
-        track = step_track(track, observe(truth), 1.0, cfg, DEFAULT_ELLIPSE, uav_pose=truth.uav_pose)
-    err = math.hypot(track.mean.fire_x - truth.fire_x, track.mean.fire_y - truth.fire_y)
+        track = step_track(
+            track, observe(truth), 1.0, cfg, DEFAULT_ELLIPSE, uav_pose=truth[UAV_X:UAV_Z + 1]
+        )
+    err = math.hypot(track.mean[FIRE_X] - truth[FIRE_X], track.mean[FIRE_Y] - truth[FIRE_Y])
     assert err < 1e-6
 
     # adaptive observation-noise recovery on a static scene
     rng = np.random.default_rng(808)
     true_std = np.array([0.01, 0.01, 0.05, 0.1, 0.02])
-    truth2 = FullState(5.0, -3.0, 0.0, 0.0, 60.0, 0.0, 5.0, 1.0)
+    truth2 = np.array([5.0, -3.0, 0.0, 0.0, 60.0, 0.0, 5.0, 1.0])
     track2 = TrackEstimate(
         mean=truth2,
         covariance=np.diag([4.0, 4.0, 1.0, 1.0, 1.0, 0.01, 0.04, 0.0025]),

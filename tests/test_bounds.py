@@ -24,7 +24,6 @@ from emberwatch.fire import DEFAULT_ELLIPSE, calibrate_spread_rate
 from emberwatch.tracking import (
     UAV_X,
     UAV_Z,
-    FullState,
     TrackEstimate,
     multi_step_residual_cov,
     observation_jacobian,
@@ -36,17 +35,15 @@ CONFIG_DIR = Path(__file__).parent.parent / "configs"
 FLEET = FleetParams(speed=10.0, altitude=50.0, half_angle=0.3)
 
 
-def make_inputs(mst=100.0, count=3, speed=0.5, g=20.0, alpha=0.05):
-    return BoundInputs(
-        mst_length=mst, fire_count=count, worst_speed=speed, fov_width=g, confidence_level=alpha
-    )
+def make_inputs(mst=100.0, count=3, speed=0.5, g=20.0):
+    return BoundInputs(mst_length=mst, fire_count=count, worst_speed=speed, fov_width=g)
 
 
 def track_with_velocity(
     azimuth, target_speed, weather_var=(0.0, 0.0, 0.0), pos=(0.0, 0.0)
 ) -> TrackEstimate:
     rate = calibrate_spread_rate(target_speed, 5.0, DEFAULT_ELLIPSE)
-    mean = FullState(pos[0], pos[1], 0.0, 0.0, 50.0, rate, 5.0, azimuth)
+    mean = np.array([pos[0], pos[1], 0.0, 0.0, 50.0, rate, 5.0, azimuth])
     P = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, weather_var[0], weather_var[1], weather_var[2]])
     return TrackEstimate(
         mean=mean,
@@ -246,7 +243,7 @@ class TestJointConfidence:
 
 class TestUncertaintyRatio:
     def _predicted_track(self):
-        mean = FullState(30.0, -10.0, 0.0, 0.0, 50.0, 1.0, 5.0, 0.8)
+        mean = np.array([30.0, -10.0, 0.0, 0.0, 50.0, 1.0, 5.0, 0.8])
         track = TrackEstimate(
             mean=mean,
             covariance=np.diag([4.0, 4.0, 1.0, 1.0, 1.0, 0.01, 0.02, 0.005]),

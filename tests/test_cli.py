@@ -152,7 +152,15 @@ def test_bad_count_flag_exits_two_naming_it(tmp_path, capsys, command, flag, ext
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 2
     assert f"{flag}: must be >= 1" in capsys.readouterr().err
-    assert not list(out.glob("*"))
+    assert not out.exists()
+
+
+def test_negative_seed_exits_two_naming_the_flag(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path / "cfg.yaml")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+    assert "--seed: must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -19,7 +19,7 @@ from emberwatch.coordination import (
 from emberwatch.errors import NoUavAvailable
 from emberwatch.fire import DEFAULT_ELLIPSE, calibrate_spread_rate
 from emberwatch.routing import build_mst
-from emberwatch.tracking import FullState, TrackEstimate, multi_step_residual_cov, observation_jacobian, innovation_covariance, predict
+from emberwatch.tracking import TrackEstimate, multi_step_residual_cov, observation_jacobian, innovation_covariance, predict
 
 
 def make_agent(agent_id=0, xy=(0.0, 0.0), z=40.0, speed=10.0, mode="idle"):
@@ -42,7 +42,7 @@ def make_track(
     predicted=True,
 ):
     rate = calibrate_spread_rate(target_speed, 5.0, DEFAULT_ELLIPSE)
-    mean = FullState(pos[0], pos[1], pos[0], pos[1], 40.0, rate, 5.0, azimuth)
+    mean = np.array([pos[0], pos[1], pos[0], pos[1], 40.0, rate, 5.0, azimuth])
     track = TrackEstimate(
         mean=mean,
         covariance=np.diag(
@@ -77,7 +77,7 @@ class TestVicinity:
         expected = {
             fid
             for fid, tr in tracks.items()
-            if np.linalg.norm(tr.mean.fire_position - team.position) <= 200.0
+            if np.linalg.norm(tr.mean[:2] - team.position) <= 200.0
         }
         assert got == expected
 
@@ -198,7 +198,6 @@ class TestFeasibility:
                 fire_count=len(tracks),
                 worst_speed=worst_case_speed(tracks.values(), 0.05, DEFAULT_ELLIPSE),
                 fov_width=fov_width(uav.fleet()),
-                confidence_level=0.05,
             )
             bound = traverse_bound(2, inputs, uav.fleet())
             if not bound.feasible:
@@ -354,6 +353,6 @@ def _route_fires(agent, tracks):
     hits = set()
     for wp in agent.route:
         for fid, tr in tracks.items():
-            if np.linalg.norm(tr.mean.fire_position - wp) < 30.0:
+            if np.linalg.norm(tr.mean[:2] - wp) < 30.0:
                 hits.add(fid)
     return hits

@@ -170,13 +170,13 @@ class TestSpawning:
     def test_zero_rate_spawns_nothing(self):
         parent, wf = self._parent()
         rng = np.random.default_rng(0)
-        assert spawn_fronts(parent, 0, 1.0, wf, DEFAULT_ELLIPSE, rng, born_at=1) == []
+        assert spawn_fronts(parent, 0, 1.0, wf, DEFAULT_ELLIPSE, rng) == []
 
     def test_count_bounded(self):
         parent, wf = self._parent()
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            kids = spawn_fronts(parent, 3, 1.0, wf, DEFAULT_ELLIPSE, rng, born_at=1)
+            kids = spawn_fronts(parent, 3, 1.0, wf, DEFAULT_ELLIPSE, rng)
             assert 0 <= len(kids) <= 3
 
     def test_children_inside_growth_box(self):
@@ -185,7 +185,7 @@ class TestSpawning:
         seen = 0
         for seed in range(1000):
             rng = np.random.default_rng(seed)
-            for kid in spawn_fronts(parent, 3, 1.0, wf, DEFAULT_ELLIPSE, rng, born_at=1):
+            for kid in spawn_fronts(parent, 3, 1.0, wf, DEFAULT_ELLIPSE, rng):
                 seen += 1
                 offset = kid.position - parent.position
                 assert abs(offset[0]) <= half[0] + 1e-12
@@ -195,7 +195,7 @@ class TestSpawning:
     def test_child_ids_are_unique_and_disjoint(self):
         parent, wf = self._parent()
         rng = np.random.default_rng(12)
-        kids = spawn_fronts(parent, 3, 1.0, wf, DEFAULT_ELLIPSE, rng, born_at=1)
+        kids = spawn_fronts(parent, 3, 1.0, wf, DEFAULT_ELLIPSE, rng)
         ids = [k.id for k in kids]
         assert len(set(ids)) == len(ids)
         assert all(i != parent.id and i >= (1 << 32) for i in ids)

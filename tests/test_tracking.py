@@ -15,8 +15,13 @@ from emberwatch.fire import (
     spread_coefficient,
 )
 from emberwatch.tracking import (
+    FIRE_X,
+    FIRE_Y,
+    SPREAD_RATE,
+    UAV_X,
+    UAV_Y,
+    UAV_Z,
     FilterConfig,
-    FullState,
     TrackEstimate,
     innovation_covariance,
     kalman_gain,
@@ -33,17 +38,23 @@ from emberwatch.tracking import (
 from oracles import finite_difference_jacobian, jacobian_mismatch
 
 
-def random_state(rng) -> FullState:
-    return FullState(
-        fire_x=float(rng.uniform(-500, 500)),
-        fire_y=float(rng.uniform(-500, 500)),
-        uav_x=float(rng.uniform(-500, 500)),
-        uav_y=float(rng.uniform(-500, 500)),
-        uav_z=float(rng.uniform(10, 200)),
-        spread_rate=float(rng.uniform(0.1, 3.0)),
-        wind_speed=float(rng.uniform(0.5, 12.0)),
-        wind_azimuth=float(rng.uniform(0, 2 * math.pi)),
+def random_state(rng) -> np.ndarray:
+    return np.array(
+        [
+            rng.uniform(-500, 500),  # fire_x
+            rng.uniform(-500, 500),  # fire_y
+            rng.uniform(-500, 500),  # uav_x
+            rng.uniform(-500, 500),  # uav_y
+            rng.uniform(10, 200),  # uav_z
+            rng.uniform(0.1, 3.0),  # spread_rate
+            rng.uniform(0.5, 12.0),  # wind_speed
+            rng.uniform(0, 2 * math.pi),  # wind_azimuth
+        ]
     )
+
+
+def pose_of(state: np.ndarray) -> np.ndarray:
+    return state[UAV_X:UAV_Z + 1].copy()
 
 
 def make_track(rng=None, pos_var=4.0, pose_var=1.0, weather_var=0.01) -> TrackEstimate:
@@ -58,19 +69,19 @@ def make_track(rng=None, pos_var=4.0, pose_var=1.0, weather_var=0.01) -> TrackEs
 class TestStateTransition:
     def test_flat_spread_leaves_position(self):
         flat = replace(DEFAULT_ELLIPSE, a=1.0, b=0.0, c=0.0, d=0.0, l=0.0)  # LB == 1
-        s = FullState(1, 2, 3, 4, 50, 2.0, 5.0, 0.7)
+        s = np.array([1, 2, 3, 4, 50, 2.0, 5.0, 0.7], dtype=float)
         out = state_transition(s, 1.0, flat)
-        assert (out.fire_x, out.fire_y) == (1, 2)
+        assert (out[FIRE_X], out[FIRE_Y]) == (1, 2)
 
     def test_unit_speed_north(self):
         rate = calibrate_spread_rate(1.0, 5.0, DEFAULT_ELLIPSE)
-        s = FullState(0, 0, 3, 4, 50, rate, 5.0, 0.0)
+        s = np.array([0, 0, 3, 4, 50, rate, 5.0, 0.0], dtype=float)
         out = state_transition(s, 1.0, DEFAULT_ELLIPSE)
-        assert out.fire_x == pytest.approx(0.0, abs=1e-15)
-        assert out.fire_y == pytest.approx(1.0)
+        assert out[FIRE_X] == pytest.approx(0.0, abs=1e-15)
+        assert out[FIRE_Y] == pytest.approx(1.0)
         # everything else untouched
-        assert (out.uav_x, out.uav_y, out.uav_z) == (3, 4, 50)
-        assert (out.spread_rate, out.wind_speed, out.wind_azimuth) == (rate, 5.0, 0.0)
+        assert tuple(pose_of(out)) == (3, 4, 50)
+        assert tuple(out[SPREAD_RATE:]) == (rate, 5.0, 0.0)
 
     def test_matches_fire_propagation(self):
         # cross-module check against the ground-truth propagator
@@ -81,15 +92,15 @@ class TestStateTransition:
 
         front = replace(front, velocity=fire.front_velocity(wf, DEFAULT_ELLIPSE))
         moved = propagate_front(front, 0.5, 0.0, wf, DEFAULT_ELLIPSE, np.random.default_rng(0))
-        s = FullState(7.0, -2.0, 0, 0, 40, 2.0, 5.0, math.pi / 3)
+        s = np.array([7.0, -2.0, 0, 0, 40, 2.0, 5.0, math.pi / 3], dtype=float)
         out = state_transition(s, 0.5, DEFAULT_ELLIPSE)
-        assert out.fire_x == pytest.approx(moved.position[0])
-        assert out.fire_y == pytest.approx(moved.position[1])
+        assert out[FIRE_X] == pytest.approx(moved.position[0])
+        assert out[FIRE_Y] == pytest.approx(moved.position[1])
 
     def test_uav_pose_control(self):
-        s = FullState(0, 0, 3, 4, 50, 0.0, 5.0, 0.0)
+        s = np.array([0, 0, 3, 4, 50, 0.0, 5.0, 0.0], dtype=float)
         out = state_transition(s, 1.0, DEFAULT_ELLIPSE, uav_pose=(9.0, 8.0, 70.0))
-        assert (out.uav_x, out.uav_y, out.uav_z) == (9.0, 8.0, 70.0)
+        assert tuple(pose_of(out)) == (9.0, 8.0, 70.0)
 
 
 class TestTransitionJacobian:
@@ -99,20 +110,19 @@ class TestTransitionJacobian:
         worst = 0.0
         for _ in range(100):
             s = random_state(rng)
-            pose = s.uav_pose
+            pose = pose_of(s)
 
             def f(vec):
-                out = state_transition(FullState.from_array(vec), dt, DEFAULT_ELLIPSE, uav_pose=pose)
-                return out.as_array()
+                return state_transition(vec, dt, DEFAULT_ELLIPSE, uav_pose=pose)
 
             analytic = transition_jacobian(s, dt, DEFAULT_ELLIPSE)
-            numeric = finite_difference_jacobian(f, s.as_array(), h=1e-6)
+            numeric = finite_difference_jacobian(f, s, h=1e-6)
             worst = max(worst, jacobian_mismatch(analytic, numeric))
         assert worst < 1e-4
 
     def test_azimuth_sensitivity_at_zero(self):
         rate = calibrate_spread_rate(1.3, 5.0, DEFAULT_ELLIPSE)
-        s = FullState(0, 0, 0, 0, 40, rate, 5.0, 0.0)
+        s = np.array([0, 0, 0, 0, 40, rate, 5.0, 0.0], dtype=float)
         dt = 0.5
         F = transition_jacobian(s, dt, DEFAULT_ELLIPSE)
         c = spread_coefficient(rate, 5.0, DEFAULT_ELLIPSE)
@@ -130,14 +140,14 @@ class TestTransitionJacobian:
 
 class TestObservation:
     def test_nadir_angles_zero(self):
-        s = FullState(10, 20, 10, 20, 40, 1, 5, 0.3)
+        s = np.array([10, 20, 10, 20, 40, 1, 5, 0.3], dtype=float)
         z = observe(s)
         assert z[0] == 0.0
         assert z[1] == 0.0
         assert tuple(z[2:]) == (1, 5, 0.3)
 
     def test_forty_five_degrees(self):
-        s = FullState(50, 0, 0, 0, 50, 1, 5, 0.3)
+        s = np.array([50, 0, 0, 0, 50, 1, 5, 0.3], dtype=float)
         assert observe(s)[0] == pytest.approx(math.pi / 4)
 
     def test_round_trip_inversion(self):
@@ -145,13 +155,13 @@ class TestObservation:
         for _ in range(50):
             s = random_state(rng)
             z = observe(s)
-            qx = s.uav_x + s.uav_z * math.tan(z[0])
-            qy = s.uav_y + s.uav_z * math.tan(z[1])
-            assert qx == pytest.approx(s.fire_x, abs=1e-9)
-            assert qy == pytest.approx(s.fire_y, abs=1e-9)
+            qx = s[UAV_X] + s[UAV_Z] * math.tan(z[0])
+            qy = s[UAV_Y] + s[UAV_Z] * math.tan(z[1])
+            assert qx == pytest.approx(s[FIRE_X], abs=1e-9)
+            assert qy == pytest.approx(s[FIRE_Y], abs=1e-9)
 
     def test_grounded_uav_rejected(self):
-        s = FullState(0, 0, 0, 0, 0.0, 1, 5, 0.3)
+        s = np.array([0, 0, 0, 0, 0.0, 1, 5, 0.3], dtype=float)
         with pytest.raises(DomainError):
             observe(s)
         with pytest.raises(DomainError):
@@ -163,16 +173,13 @@ class TestObservation:
         for _ in range(100):
             s = random_state(rng)
 
-            def h(vec):
-                return observe(FullState.from_array(vec))
-
             analytic = observation_jacobian(s)
-            numeric = finite_difference_jacobian(h, s.as_array(), h=1e-6)
+            numeric = finite_difference_jacobian(observe, s, h=1e-6)
             worst = max(worst, jacobian_mismatch(analytic, numeric))
         assert worst < 1e-4
 
     def test_nadir_position_sensitivity(self):
-        s = FullState(10, 20, 10, 20, 40, 1, 5, 0.3)
+        s = np.array([10, 20, 10, 20, 40, 1, 5, 0.3], dtype=float)
         H = observation_jacobian(s)
         assert H[0, 0] == pytest.approx(1 / 40)
 
@@ -230,7 +237,7 @@ class TestPredictUpdate:
         # with alpha 0 the adapted R is y y^T + H P H^T, so R == H P H^T means y == 0
         H = observation_jacobian(track.mean)
         assert np.allclose(out.observation_noise, H @ track.covariance @ H.T, rtol=0.0, atol=1e-12)
-        assert np.allclose(out.mean.as_array(), track.mean.as_array(), atol=1e-9)
+        assert np.allclose(out.mean, track.mean, atol=1e-9)
 
     def test_posterior_never_exceeds_prior(self):
         rng = np.random.default_rng(37)
@@ -263,7 +270,7 @@ class TestPredictUpdate:
         cfg = FilterConfig(alpha_forget=0.9)
         wf = WindFuelState(2.0, 5.0, 1.0)
         for _ in range(30):
-            pose = track.mean.uav_pose
+            pose = pose_of(track.mean)
             z = observe(track.mean) + rng.normal(0, 0.02, size=5)
             track = step_track(track, z, 1.0, cfg, DEFAULT_ELLIPSE, uav_pose=pose)
             for mat in (track.covariance, track.process_noise, track.observation_noise):
@@ -272,7 +279,7 @@ class TestPredictUpdate:
 
 
 def _array_fields(track: TrackEstimate) -> dict[str, np.ndarray]:
-    out = {"mean": track.mean.as_array()}
+    out = {}
     for f in fields(track):
         value = getattr(track, f.name)
         if isinstance(value, np.ndarray):
@@ -289,7 +296,7 @@ class TestPurity:
         track = make_track(rng)
         predicted = predict(track, 1.0, DEFAULT_ELLIPSE)
         z = observe(predicted.mean) + rng.normal(0, 0.05, size=5)
-        pose = predicted.mean.uav_pose + 1.0
+        pose = pose_of(predicted.mean) + 1.0
         operations = [
             (track, lambda t: predict(t, 1.0, DEFAULT_ELLIPSE, uav_pose=pose)),
             (predicted, lambda t: update(t, z, cfg)),
@@ -365,7 +372,7 @@ class TestAdaptNoise:
         # stationary fire, fixed UAV, noisy measurements with known covariance
         rng = np.random.default_rng(53)
         true_std = np.array([0.01, 0.01, 0.05, 0.1, 0.02])
-        mean = FullState(5.0, -3.0, 0.0, 0.0, 60.0, 0.0, 5.0, 1.0)
+        mean = np.array([5.0, -3.0, 0.0, 0.0, 60.0, 0.0, 5.0, 1.0])
         track = TrackEstimate(
             mean=mean,
             covariance=np.diag([4.0, 4.0, 1.0, 1.0, 1.0, 0.01, 0.04, 0.0025]),
@@ -373,7 +380,7 @@ class TestAdaptNoise:
             observation_noise=np.diag((true_std * 2.0) ** 2),  # start 4x off
         )
         cfg = FilterConfig(alpha_forget=0.97)
-        truth = FullState(5.0, -3.0, 0.0, 0.0, 60.0, 0.0, 5.0, 1.0)
+        truth = np.array([5.0, -3.0, 0.0, 0.0, 60.0, 0.0, 5.0, 1.0])
         for _ in range(500):
             z = observe(truth) + rng.normal(size=5) * true_std
             track = step_track(track, z, 1.0, cfg, DEFAULT_ELLIPSE)
@@ -385,8 +392,8 @@ class TestAdaptNoise:
 class TestZeroNoiseConvergence:
     def test_stationary_fire_position_locks_on(self):
         # exact measurements, tiny covariances: position error < 1e-6 m
-        truth = FullState(120.0, 80.0, 100.0, 90.0, 50.0, 0.0, 5.0, 0.8)
-        start = FullState(117.0, 84.0, 100.0, 90.0, 50.0, 0.05, 4.8, 0.7)
+        truth = np.array([120.0, 80.0, 100.0, 90.0, 50.0, 0.0, 5.0, 0.8])
+        start = np.array([117.0, 84.0, 100.0, 90.0, 50.0, 0.05, 4.8, 0.7])
         # tiny covariance floors keep the gain alive; measurements are exact
         track = TrackEstimate(
             mean=start,
@@ -397,8 +404,8 @@ class TestZeroNoiseConvergence:
         cfg = FilterConfig(alpha_forget=1.0)
         for _ in range(50):
             z = observe(truth)
-            track = step_track(track, z, 1.0, cfg, DEFAULT_ELLIPSE, uav_pose=truth.uav_pose)
-        err = np.hypot(track.mean.fire_x - truth.fire_x, track.mean.fire_y - truth.fire_y)
+            track = step_track(track, z, 1.0, cfg, DEFAULT_ELLIPSE, uav_pose=pose_of(truth))
+        err = np.hypot(track.mean[FIRE_X] - truth[FIRE_X], track.mean[FIRE_Y] - truth[FIRE_Y])
         assert err < 1e-6
 
 
@@ -413,5 +420,5 @@ def test_filter_runs_are_deterministic():
         return track
 
     a, b = run(), run()
-    assert np.array_equal(a.mean.as_array(), b.mean.as_array())
+    assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.covariance, b.covariance)
