@@ -12,6 +12,7 @@ trigger UAV recruitment.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -90,6 +91,12 @@ def fov_width(fleet: FleetParams) -> float:
     return 2.0 * fleet.altitude * math.tan(fleet.half_angle)
 
 
+@functools.lru_cache(maxsize=16)
+def _upper_quantile(alpha: float) -> float:
+    """The standard normal quantile z with P(Z > z) = alpha."""
+    return float(norm.ppf(1.0 - alpha))
+
+
 def worst_case_speed(
     tracks: Iterable[tracking.TrackEstimate],
     confidence_level: float,
@@ -103,7 +110,7 @@ def worst_case_speed(
     the result can combine the x-bound of one fire with the y-bound of
     another.
     """
-    z = float(norm.ppf(1.0 - confidence_level))
+    z = _upper_quantile(confidence_level)
     x_bound = 0.0
     y_bound = 0.0
     for track in tracks:

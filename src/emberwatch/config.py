@@ -177,7 +177,16 @@ class ScenarioConfig:
             _check(shift.step >= 0, f"fire.schedule[{i}].step", "must be >= 0")
             _check(shift.wind_speed >= 0, f"fire.schedule[{i}].wind_speed", "must be >= 0")
 
-        wind_range = max([f.wind_speed] + [s.wind_speed for s in f.schedule]) * 1.5 + 1.0
+        winds = {"fire.wind_speed": f.wind_speed}
+        winds.update((f"fire.schedule[{i}].wind_speed", s.wind_speed) for i, s in enumerate(f.schedule))
+        fastest = max(winds, key=winds.get)
+        wind_range = winds[fastest] * 1.5 + 1.0
+        try:
+            f.ellipse.length_to_breadth(wind_range)
+        except OverflowError:
+            raise ConfigError(
+                fastest, f"too large: the length-to-breadth ratio overflows at {wind_range!r} m/s"
+            ) from None
         try:
             f.ellipse.validate_range(wind_range)
         except DomainError as exc:
@@ -213,6 +222,7 @@ class ScenarioConfig:
             "obs_angle_std",
         ):
             _check(getattr(fl, name) > 0, f"filter.{name}", "must be > 0")
+            _check(_square_finite(getattr(fl, name)), f"filter.{name}", "too large: its square overflows")
         for name in ("init_weather_std", "process_weather_std", "obs_weather_std"):
             triple = getattr(fl, name)
             _check(
@@ -220,6 +230,7 @@ class ScenarioConfig:
                 f"filter.{name}",
                 "must be three positive values",
             )
+            _check(all(map(_square_finite, triple)), f"filter.{name}", "too large: a square overflows")
 
         g = self.gradient
         _check(g.step_size > 0, "gradient.step_size", "must be > 0")
@@ -236,6 +247,11 @@ class ScenarioConfig:
             "uavs.altitude",
             "must lie inside the gradient altitude band",
         )
+
+
+def _square_finite(std: float) -> bool:
+    """Whether a standard deviation's variance is a finite float."""
+    return std * std < math.inf
 
 
 def _check(condition: bool, path: str, message: str) -> None:

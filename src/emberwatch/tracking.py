@@ -24,7 +24,7 @@ concurrently as long as each track is advanced sequentially.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,14 @@ OBS_DIM = 5
 FIRE_X, FIRE_Y, UAV_X, UAV_Y, UAV_Z, SPREAD_RATE, WIND_SPEED, WIND_AZIMUTH = range(8)
 
 _COND_LIMIT = 1e12
+
+_IDENTITY = np.eye(STATE_DIM)
+_IDENTITY.flags.writeable = False
+
+# Transition Jacobian without its velocity-sensitivity block: identity on
+# the fire position and the weather triple, zero on the UAV pose.
+_F_BASE = np.diag([1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+_F_BASE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -80,15 +88,14 @@ class TrackEstimate:
 
 
 def fire_velocity(state: np.ndarray, params: fire.EllipseParams) -> np.ndarray:
-    """Spread velocity of the state's weather, negative rate and wind clamped to 0."""
-    return fire.front_velocity(
-        fire.WindFuelState(
-            spread_rate=max(state[SPREAD_RATE], 0.0),
-            wind_speed=max(state[WIND_SPEED], 0.0),
-            wind_azimuth=state[WIND_AZIMUTH],
-        ),
-        params,
-    )
+    """Spread velocity of the state's weather, negative rate and wind clamped to 0.
+
+    The same floats as `fire.front_velocity` of the clamped
+    `WindFuelState`, without building one per call.
+    """
+    c = fire.spread_coefficient(state[SPREAD_RATE], state[WIND_SPEED], params)
+    azimuth = state[WIND_AZIMUTH] % (2 * math.pi)
+    return np.array([c * math.sin(azimuth), c * math.cos(azimuth)])
 
 
 def state_transition(
@@ -116,16 +123,11 @@ def transition_jacobian(state: np.ndarray, dt: float, params: fire.EllipseParams
     to the weather triple. Weather rows: identity. UAV rows: zero (the
     pose is a control input).
     """
-    F = np.zeros((STATE_DIM, STATE_DIM))
-    F[FIRE_X, FIRE_X] = 1.0
-    F[FIRE_Y, FIRE_Y] = 1.0
+    F = _F_BASE.copy()
     F[FIRE_X:FIRE_Y + 1, SPREAD_RATE:] = (
         fire.front_velocity_jacobian(state[SPREAD_RATE], state[WIND_SPEED], state[WIND_AZIMUTH], params)
         * dt
     )
-    F[SPREAD_RATE, SPREAD_RATE] = 1.0
-    F[WIND_SPEED, WIND_SPEED] = 1.0
-    F[WIND_AZIMUTH, WIND_AZIMUTH] = 1.0
     return F
 
 
@@ -173,8 +175,23 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
 
 
 def floor_psd(matrix: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues to zero; keeps covariances positive semidefinite."""
+    """Clip negative eigenvalues to zero; keeps covariances positive semidefinite.
+
+    Fast path: a Cholesky factorisation of the symmetrized matrix succeeds
+    when that matrix is numerically positive definite, and such a matrix
+    has no negative eigenvalue to clip, so it is returned as it is: the
+    same array the `eigh` test returns when its smallest eigenvalue is
+    >= 0. The `eigh` clip runs only when Cholesky fails (a zero, negative
+    or NaN pivot). The two tests can disagree only on a matrix whose
+    smallest eigenvalue is within rounding error of zero. Cholesky costs
+    about a quarter of `eigh` on an 8x8 matrix.
+    """
     sym = symmetrize(matrix)
+    try:
+        np.linalg.cholesky(sym)
+        return sym
+    except np.linalg.LinAlgError:
+        pass
     vals, vecs = np.linalg.eigh(sym)
     if vals.min() >= 0.0:
         return sym
@@ -191,7 +208,21 @@ def innovation_covariance(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.nda
 
 
 def kalman_gain(P: np.ndarray, H: np.ndarray, S: np.ndarray) -> np.ndarray:
-    if np.linalg.cond(S) > _COND_LIMIT:
+    """K = P H^T S^-1; refuses an S whose 2-norm condition number exceeds 1e12.
+
+    S is symmetric, so its singular values are the absolute values of its
+    eigenvalues and its condition number, as `np.linalg.cond` computes it
+    by SVD, is max|lambda| / min|lambda|. The check takes the eigenvalues
+    from `eigvalsh` instead, at about a third of the cost, and passes only
+    when the smallest is positive and the largest is at most 1e12 times
+    it. An indefinite, zero or rank-deficient S is refused, as `cond`
+    refuses it with an infinite or huge value; the two can disagree only
+    on an S within rounding error of the limit. K itself is still solved
+    from S, so its bits do not depend on the check.
+    """
+    vals = np.linalg.eigvalsh(S)
+    lo, hi = vals[0], vals[-1]
+    if not (lo > 0 and hi <= _COND_LIMIT * lo):
         raise SingularResidual(f"residual covariance condition number exceeds {_COND_LIMIT:g}")
     return np.linalg.solve(S, H @ P).T
 
@@ -224,10 +255,11 @@ def predict(
     F = transition_jacobian(track.mean, dt, params)
     mean = state_transition(track.mean, dt, params, uav_pose=uav_pose)
     P = propagate_covariance(track.covariance, F, track.process_noise)
-    return replace(
-        track,
+    return TrackEstimate(
         mean=mean,
         covariance=P,
+        process_noise=track.process_noise,
+        observation_noise=track.observation_noise,
         prior_mean=mean,
         prior_covariance=P,
         transition_matrix=F,
@@ -254,19 +286,21 @@ def update(track: TrackEstimate, z: np.ndarray, cfg: FilterConfig) -> TrackEstim
     P = track.covariance
     H = observation_jacobian(track.mean)
     innovation = _residual(z, track.mean)
-    K = kalman_gain(P, H, innovation_covariance(P, H, track.observation_noise))
+    HPHt = H @ P @ H.T
+    K = kalman_gain(P, H, symmetrize(HPHt + track.observation_noise))
     mean = track.mean + K @ innovation
     kd = K @ _residual(z, mean)
     a = cfg.alpha_forget
-    return replace(
-        track,
+    return TrackEstimate(
         mean=mean,
-        covariance=floor_psd((np.eye(STATE_DIM) - K @ H) @ P),
+        covariance=floor_psd((_IDENTITY - K @ H) @ P),
         process_noise=symmetrize(a * track.process_noise + (1 - a) * np.outer(kd, kd)),
         observation_noise=symmetrize(
-            a * track.observation_noise
-            + (1 - a) * (np.outer(innovation, innovation) + H @ P @ H.T)
+            a * track.observation_noise + (1 - a) * (np.outer(innovation, innovation) + HPHt)
         ),
+        prior_mean=track.prior_mean,
+        prior_covariance=track.prior_covariance,
+        transition_matrix=track.transition_matrix,
     )
 
 

@@ -114,6 +114,11 @@ BAD_VALUES = [
         {"fire": {"schedule": [{"step": 1.5, "wind_speed": 5.0, "wind_azimuth": 0.5}]}},
         id="schedule-step-float",
     ),
+    pytest.param("fire.wind_speed", {"fire": {"wind_speed": 1.0e300}}, id="wind-speed-overflow"),
+    pytest.param("filter.obs_angle_std", {"filter": {"obs_angle_std": 1.0e300}}, id="obs-angle-std-overflow"),
+    pytest.param(
+        "filter.init_position_std", {"filter": {"init_position_std": 1.0e200}}, id="init-position-std-overflow"
+    ),
 ]
 
 

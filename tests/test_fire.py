@@ -17,6 +17,7 @@ from emberwatch.fire import (
     simulate_step,
     spawn_fronts,
     spread_coefficient,
+    substream_key,
     _front_stream,
 )
 
@@ -292,6 +293,14 @@ class TestSimulateStep:
         c = _front_stream(9, 4, 34, 0).normal(size=3)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 9, 2**128 + 3])
+    def test_substream_key_matches_the_spawn_key_form(self, seed):
+        keys = [(), (0,), (4, 33, 0), (1, 17, 100_005, 1), (2**32 + 1, 5), (2**63, 2**64 + 3), (2**70,)]
+        for key in keys:
+            words = tuple(w for k in key for w in (k >> 32, k & 0xFFFFFFFF))
+            expected = np.random.SeedSequence(entropy=seed, spawn_key=words)
+            assert np.array_equal(substream_key(seed, *key).generate_state(8), expected.generate_state(8)), key
 
 
 class TestValidation:

@@ -11,6 +11,7 @@ from emberwatch.fire import (
     FireFront,
     WindFuelState,
     calibrate_spread_rate,
+    front_velocity,
     propagate_front,
     spread_coefficient,
 )
@@ -23,6 +24,8 @@ from emberwatch.tracking import (
     UAV_Z,
     FilterConfig,
     TrackEstimate,
+    fire_velocity,
+    floor_psd,
     innovation_covariance,
     kalman_gain,
     multi_step_residual_cov,
@@ -32,6 +35,7 @@ from emberwatch.tracking import (
     propagate_covariance,
     state_transition,
     step_track,
+    symmetrize,
     transition_jacobian,
     update,
 )
@@ -422,3 +426,71 @@ def test_filter_runs_are_deterministic():
     a, b = run(), run()
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.covariance, b.covariance)
+
+
+def _spd(rng, condition: float, n: int = 5) -> np.ndarray:
+    """Seeded symmetric positive definite matrix with the given condition number."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    scale = 10.0 ** rng.uniform(-4, 2)
+    vals = scale * np.logspace(0.0, -math.log10(condition), n)
+    return symmetrize((q * vals) @ q.T)
+
+
+def _floor_psd_by_eigh(matrix: np.ndarray) -> np.ndarray:
+    """The eigenvalue clip with no fast path."""
+    sym = symmetrize(matrix)
+    vals, vecs = np.linalg.eigh(sym)
+    if vals.min() >= 0.0:
+        return sym
+    return symmetrize((vecs * np.maximum(vals, 0.0)) @ vecs.T)
+
+
+class TestFastPaths:
+    """The cheap tests in the filter step agree with the textbook ones they stand for."""
+
+    # A condition number of exactly 1e12 sits on the limit, where rounding decides.
+    EXPONENTS = [e for e in np.arange(0.0, 16.5, 0.5) if e != 12.0]
+
+    def test_kalman_gain_refuses_exactly_what_cond_refuses(self):
+        rng = np.random.default_rng(2024)
+        H = observation_jacobian(random_state(rng))
+        P = make_track(rng).covariance
+        cases = [_spd(rng, 10.0**e) for e in self.EXPONENTS for _ in range(4)]
+        low_rank = rng.normal(size=(5, 3))
+        cases += [np.zeros((5, 5)), low_rank @ low_rank.T]
+        refused = 0
+        for S in cases:
+            if np.linalg.cond(S) > 1e12:
+                refused += 1
+                with pytest.raises(SingularResidual):
+                    kalman_gain(P, H, S)
+            else:
+                assert np.array_equal(kalman_gain(P, H, S), np.linalg.solve(S, H @ P).T)
+        assert 0 < refused < len(cases)
+
+    def test_floor_psd_returns_positive_definite_input_symmetrized(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            M = _spd(rng, 10.0 ** rng.uniform(0, 6), n=8)
+            M = M + rng.normal(scale=1e-12 * np.abs(M).max(), size=M.shape)  # slightly asymmetric
+            out = floor_psd(M)
+            assert np.array_equal(out, symmetrize(M))
+            assert np.array_equal(out, _floor_psd_by_eigh(M))
+
+    def test_floor_psd_clips_a_negative_eigenvalue(self):
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+        M = (q * np.array([-0.5, 0.0, 1e-3, 0.1, 1.0, 2.0, 5.0, 9.0])) @ q.T
+        out = floor_psd(M)
+        assert np.array_equal(out, _floor_psd_by_eigh(M))
+        assert np.array_equal(out, out.T)
+        assert np.linalg.eigvalsh(out).min() >= -1e-12
+        assert not np.allclose(out, symmetrize(M))
+
+    def test_fire_velocity_matches_front_velocity_of_clamped_weather(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            state = random_state(rng)
+            state[SPREAD_RATE:] = rng.uniform([-1.0, -3.0, -20.0], [3.0, 12.0, 20.0])
+            weather = WindFuelState(max(state[SPREAD_RATE], 0.0), max(state[SPREAD_RATE + 1], 0.0), state[-1])
+            assert np.array_equal(fire_velocity(state, DEFAULT_ELLIPSE), front_velocity(weather, DEFAULT_ELLIPSE))
