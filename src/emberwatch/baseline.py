@@ -32,14 +32,13 @@ class GradientConfig:
     kernel_bandwidth: float = 25.0  # m; typically half the footprint width
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise DomainError(f"step_size must be > 0, got {self.step_size}")
-        if self.separation_radius <= 0:
-            raise DomainError(f"separation_radius must be > 0, got {self.separation_radius}")
-        if self.kernel_bandwidth <= 0:
-            raise DomainError(f"kernel_bandwidth must be > 0, got {self.kernel_bandwidth}")
+        for name in ("step_size", "separation_radius", "kernel_bandwidth"):
+            if not getattr(self, name) > 0:
+                raise DomainError(name, f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.separation_weight >= 0:
+            raise DomainError("separation_weight", "separation_weight must be >= 0")
         if self.altitude_min <= 0 or self.altitude_max < self.altitude_min:
-            raise DomainError("altitude band must satisfy 0 < min <= max")
+            raise DomainError("altitude_min", "altitude band must satisfy 0 < min <= max")
 
 
 def gradient_coverage_step(

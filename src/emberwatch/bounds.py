@@ -38,11 +38,13 @@ class FleetParams:
 
     def __post_init__(self):
         if self.speed <= 0:
-            raise DomainError(f"speed must be > 0, got {self.speed}")
+            raise DomainError("speed", f"speed must be > 0, got {self.speed}")
         if self.altitude <= 0:
-            raise DomainError(f"altitude must be > 0, got {self.altitude}")
+            raise DomainError("altitude", f"altitude must be > 0, got {self.altitude}")
         if not 0 < self.half_angle < math.pi / 2:
-            raise DomainError(f"half_angle must be in (0, pi/2), got {self.half_angle}")
+            raise DomainError("half_angle", f"half_angle must be in (0, pi/2), got {self.half_angle}")
+        if not 0 < fov_width(self) / 2.0 < math.inf:  # the half is the gradient kernel bandwidth
+            raise DomainError("altitude", f"altitude {self.altitude!r} gives footprint {fov_width(self)!r}")
 
 
 @dataclass(frozen=True)
@@ -56,11 +58,11 @@ class BoundInputs:
 
     def __post_init__(self):
         if self.mst_length < 0:
-            raise DomainError(f"mst_length must be >= 0, got {self.mst_length}")
+            raise DomainError("mst_length", f"mst_length must be >= 0, got {self.mst_length}")
         if self.fire_count < 1:
-            raise DomainError(f"fire_count must be >= 1, got {self.fire_count}")
+            raise DomainError("fire_count", f"fire_count must be >= 1, got {self.fire_count}")
         if self.worst_speed < 0:
-            raise DomainError(f"worst_speed must be >= 0, got {self.worst_speed}")
+            raise DomainError("worst_speed", f"worst_speed must be >= 0, got {self.worst_speed}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ def bound_spreading(inputs: BoundInputs, fleet: FleetParams) -> TraverseBound:
     fleet cannot outrun the growth (a >= 1 or negative discriminant).
     """
     if inputs.fov_width <= 0:
-        raise DomainError(f"fov_width must be > 0, got {inputs.fov_width}")
+        raise DomainError("fov_width", f"fov_width must be > 0, got {inputs.fov_width}")
     moving = bound_moving(inputs, fleet)
     if not moving.feasible:
         return _infeasible(3)
@@ -178,13 +180,13 @@ def traverse_bound(case: int, inputs: BoundInputs, fleet: FleetParams) -> Traver
         return bound_moving(inputs, fleet)
     if case == 3:
         return bound_spreading(inputs, fleet)
-    raise DomainError(f"case must be 1, 2 or 3, got {case}")
+    raise DomainError("case", f"case must be 1, 2 or 3, got {case}")
 
 
 def joint_confidence(fire_count: int, confidence_level: float) -> tuple[float, float]:
     """((1-alpha)^n, 1 - (1-alpha)^n): joint confidence and its complement."""
     if fire_count < 0:
-        raise DomainError(f"fire_count must be >= 0, got {fire_count}")
+        raise DomainError("fire_count", f"fire_count must be >= 0, got {fire_count}")
     joint = (1.0 - confidence_level) ** fire_count
     return joint, 1.0 - joint
 
@@ -200,7 +202,7 @@ def uncertainty_ratio(
     The horizon is converted to steps with ceil (conservative) and floored
     at one step. A value <= 1 certifies that the track will not have
     degraded by the time the tour returns; +inf signals an infeasible
-    horizon. What that certifies, exactly:
+    horizon, or one of more steps than a float counts. What that certifies, exactly:
     - a horizon of at most dt is one step, whose forecast is the current
       residual H P H^T + R itself, so the ratio is exactly 1.0;
     - for r >= 2 steps the forecast is H F^(r-1) P (H F^(r-1))^T + R. The
@@ -208,7 +210,7 @@ def uncertainty_ratio(
       block of P, which the current residual includes; a ratio below 1
       can come from that block alone.
     """
-    if not math.isfinite(horizon_seconds):
+    if not math.isfinite(horizon_seconds / dt):
         return math.inf
     if track.prior_mean is None:
         raise ValueError("uncertainty_ratio requires a predicted track")

@@ -4,23 +4,39 @@ Config files are nested key/value documents (YAML; JSON works too since
 it parses as YAML). Unknown keys and values whose type does not match
 the field's annotation are errors, and every error carries the dotted
 path of the offending field.
+
+Domain objects own their range rules: validation builds them once,
+reports a DomainError at the config field at fault, and hands them to
+the run. The rules written here are those no object owns, among them
+the extent rule that keeps a run's squared distances finite.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
 import yaml
 
-from .baseline import GradientConfig
+from .baseline import _GOLDEN_ANGLE, GradientConfig
 from .bounds import FleetParams, fov_width
+from .coordination import HumanTeam
 from .errors import ConfigError, DomainError
-from .fire import EllipseParams, MAX_SPAWN_RATE, WindFuelState, calibrate_spread_rate
+from .fire import EllipseParams, FireMap, WindFuelState, calibrate_spread_rate
 from .tracking import FilterConfig
 
 CASE_SPEEDS = {1: 0.0, 2: 0.5, 3: 1.0}
+
+# In the team_clusters layout, fire j of team t has id t * TEAM_FIRE_IDS + j + 1.
+TEAM_FIRE_IDS = 100_000
+
+# Largest distance, in metres, over which a run's positions may spread. Its
+# square leaves room for sums of squares over fires (the k-means++ weights)
+# and for noise tails before a float overflows.
+MAX_EXTENT = 1e100
 
 LAYOUTS = ("uniform", "clusters", "ring", "team_clusters")
 CONTROLLERS = ("proposed", "gradient")
@@ -114,31 +130,8 @@ class ScenarioConfig:
     def fire_speed(self) -> float:
         return self.fire.speed if self.fire.speed is not None else CASE_SPEEDS[self.case]
 
-    def wind_fuel(self) -> WindFuelState:
-        """Wind/fuel state with the spread rate calibrated to the fire speed."""
-        rate = calibrate_spread_rate(self.fire_speed, self.fire.wind_speed, self.fire.ellipse)
-        return WindFuelState(
-            spread_rate=rate,
-            wind_speed=self.fire.wind_speed,
-            wind_azimuth=self.fire.wind_azimuth,
-        )
-
-    def filter_config(self) -> FilterConfig:
-        return FilterConfig(alpha_forget=self.filter.alpha_forget)
-
-    def gradient_config(self) -> GradientConfig:
-        g = fov_width(FleetParams(self.uavs.speed, self.uavs.altitude, self.uavs.half_angle))
-        radius = self.gradient.separation_radius
-        return GradientConfig(
-            step_size=self.gradient.step_size,
-            separation_weight=self.gradient.separation_weight,
-            separation_radius=radius if radius is not None else g,
-            altitude_min=self.gradient.altitude_min,
-            altitude_max=self.gradient.altitude_max,
-            kernel_bandwidth=g / 2.0,
-        )
-
-    def validate(self) -> None:
+    def validate(self) -> RunObjects:
+        """Check every field and build the domain objects of a run from them."""
         _check(self.case in (1, 2, 3), "case", f"must be 1, 2 or 3, got {self.case}")
         _check(self.area.width > 0, "area.width", "must be > 0")
         _check(self.area.height > 0, "area.height", "must be > 0")
@@ -146,7 +139,6 @@ class ScenarioConfig:
         _check(self.duration >= 1, "duration", "must be >= 1")
         _check(self.rng_seed >= 0, "rng_seed", "must be >= 0")
         _check(0 < self.alpha_conf < 1, "alpha_conf", "must be in (0, 1)")
-        _check(self.vicinity_radius > 0, "vicinity_radius", "must be > 0")
         _check(
             self.controller in CONTROLLERS,
             "controller",
@@ -155,47 +147,43 @@ class ScenarioConfig:
 
         f = self.fire
         _check(f.layout in LAYOUTS, "fire.layout", f"must be one of {LAYOUTS}, got {f.layout!r}")
-        _check(f.wind_speed >= 0, "fire.wind_speed", "must be >= 0")
         _check(f.initial_count >= 0, "fire.initial_count", "must be >= 0")
         _check(f.cluster_count >= 1, "fire.cluster_count", "must be >= 1")
         _check(f.cluster_spread > 0, "fire.cluster_spread", "must be > 0")
-        _check(f.spawn_interval >= 1, "fire.spawn_interval", "must be >= 1")
         _check(f.process_noise_std >= 0, "fire.process_noise_std", "must be >= 0")
         _check(f.max_per_lineage >= 0, "fire.max_per_lineage", "must be >= 0")
-        _check(
-            0 <= f.spawn_rate_max <= MAX_SPAWN_RATE,
-            "fire.spawn_rate_max",
-            f"must be in [0, {MAX_SPAWN_RATE}]",
-        )
-        if self.case == 3:
-            _check(f.spawn_rate_max >= 1, "fire.spawn_rate_max", "case 3 requires >= 1")
-        speed = self.fire_speed
-        _check(speed >= 0, "fire.speed", "must be >= 0")
-        if self.case == 1:
-            _check(speed == 0, "fire.speed", f"case 1 requires fire speed 0, got {speed}")
         for i, shift in enumerate(f.schedule):
             _check(shift.step >= 0, f"fire.schedule[{i}].step", "must be >= 0")
-            _check(shift.wind_speed >= 0, f"fire.schedule[{i}].wind_speed", "must be >= 0")
 
         winds = {"fire.wind_speed": f.wind_speed}
         winds.update((f"fire.schedule[{i}].wind_speed", s.wind_speed) for i, s in enumerate(f.schedule))
         fastest = max(winds, key=winds.get)
-        wind_range = winds[fastest] * 1.5 + 1.0
+        wind_range = max(winds[fastest], 0.0) * 1.5 + 1.0
         try:
             f.ellipse.length_to_breadth(wind_range)
         except OverflowError:
             raise ConfigError(
                 fastest, f"too large: the length-to-breadth ratio overflows at {wind_range!r} m/s"
             ) from None
-        try:
+        with _fields_of("fire"):
             f.ellipse.validate_range(wind_range)
-        except DomainError as exc:
-            raise ConfigError("fire.ellipse", str(exc)) from exc
-        if speed > 0:
-            try:
-                calibrate_spread_rate(speed, f.wind_speed, f.ellipse)
-            except DomainError as exc:
-                raise ConfigError("fire.speed", str(exc)) from exc
+            rate = calibrate_spread_rate(self.fire_speed, f.wind_speed, f.ellipse)
+            wind = WindFuelState(rate, f.wind_speed, f.wind_azimuth)
+            fire_map = FireMap(
+                (),
+                wind,
+                self.case,
+                spawn_rate_max=f.spawn_rate_max,
+                spawn_interval=f.spawn_interval,
+                rng_seed=self.rng_seed,
+                params=f.ellipse,
+                noise_std=f.process_noise_std,
+                max_per_lineage=f.max_per_lineage,
+            )
+        schedule = {}
+        for i, shift in enumerate(f.schedule):
+            with _fields_of(f"fire.schedule[{i}]"):
+                schedule[shift.step] = WindFuelState(rate, shift.wind_speed, shift.wind_azimuth)
 
         t = self.teams
         _check(t.count >= 0, "teams.count", "must be >= 0")
@@ -205,15 +193,26 @@ class ScenarioConfig:
                 "teams.positions",
                 f"expected {t.count} positions, got {len(t.positions)}",
             )
+        if f.layout == "team_clusters":
+            # Fire ids are team * TEAM_FIRE_IDS + index, and must stay below 2**32.
+            _check(f.initial_count <= TEAM_FIRE_IDS, "fire.initial_count", f"team_clusters allows at most {TEAM_FIRE_IDS}")
+            _check(t.count * TEAM_FIRE_IDS < 2**32, "teams.count", f"team_clusters allows at most {2**32 // TEAM_FIRE_IDS}")
+        with _fields_of(""):
+            teams = tuple(
+                HumanTeam(k, pos, vicinity_radius=self.vicinity_radius)
+                for k, pos in enumerate(team_positions(self))
+            )
+            if not teams:  # the radius is checked even when no team uses it
+                HumanTeam(0, (0.0, 0.0), vicinity_radius=self.vicinity_radius)
 
         u = self.uavs
         _check(u.count >= 0, "uavs.count", "must be >= 0")
-        _check(u.speed > 0, "uavs.speed", "must be > 0")
-        _check(u.altitude > 0, "uavs.altitude", "must be > 0")
-        _check(0 < u.half_angle < math.pi / 2, "uavs.half_angle", "must be in (0, pi/2)")
+        with _fields_of("uavs"):
+            fleet = FleetParams(u.speed, u.altitude, u.half_angle)
 
         fl = self.filter
-        _check(0 <= fl.alpha_forget <= 1, "filter.alpha_forget", "must be in [0, 1]")
+        with _fields_of("filter"):
+            filter_config = FilterConfig(alpha_forget=fl.alpha_forget)
         for name in (
             "init_position_std",
             "init_pose_std",
@@ -231,22 +230,94 @@ class ScenarioConfig:
                 "must be three positive values",
             )
             _check(all(map(_square_finite, triple)), f"filter.{name}", "too large: a square overflows")
+        # Diagonal P0, Q0 and R of every new track.
+        priors = tuple(
+            np.diag([std**2 for std in stds])
+            for stds in (
+                (fl.init_position_std,) * 2 + (fl.init_pose_std,) * 3 + fl.init_weather_std,
+                (fl.process_position_std,) * 2 + (fl.process_pose_std,) * 3 + fl.process_weather_std,
+                (fl.obs_angle_std,) * 2 + fl.obs_weather_std,
+            )
+        )
+        try:  # a new track's first wind estimate, 10 sigma off
+            f.ellipse.validate_range(max(winds[fastest], 0.0) + 10.0 * fl.init_weather_std[1])
+        except DomainError as exc:
+            raise ConfigError("filter.init_weather_std", f"too large: {exc}") from None
 
         g = self.gradient
-        _check(g.step_size > 0, "gradient.step_size", "must be > 0")
-        _check(g.separation_weight >= 0, "gradient.separation_weight", "must be >= 0")
-        if g.separation_radius is not None:
-            _check(g.separation_radius > 0, "gradient.separation_radius", "must be > 0")
+        width = fov_width(fleet)
+        with _fields_of("gradient"):
+            gradient = GradientConfig(
+                step_size=g.step_size,
+                separation_weight=g.separation_weight,
+                separation_radius=g.separation_radius if g.separation_radius is not None else width,
+                altitude_min=g.altitude_min,
+                altitude_max=g.altitude_max,
+                kernel_bandwidth=width / 2.0,
+            )
         _check(
-            0 < g.altitude_min <= g.altitude_max,
-            "gradient.altitude_min",
-            "band must satisfy 0 < min <= max",
-        )
-        _check(
-            g.altitude_min <= self.uavs.altitude <= g.altitude_max,
+            g.altitude_min <= u.altitude <= g.altitude_max,
             "uavs.altitude",
             "must lie inside the gradient altitude band",
         )
+
+        # How far each field can spread the run's positions, in metres. For
+        # dt * duration seconds fronts move at most at their spread rate,
+        # estimates at that plus the initial rate error, and UAVs at their
+        # speed; the travel is charged to dt when dt exceeds every speed.
+        speeds = {"fire.speed": rate, "filter.init_weather_std": fl.init_weather_std[0], "uavs.speed": u.speed}
+        quickest = max(speeds, key=speeds.get)
+        reach = {
+            "area.width": self.area.width,
+            "area.height": self.area.height,
+            "teams.positions": max((abs(c) for team in teams for c in team.position), default=0.0),
+            "vicinity_radius": self.vicinity_radius,
+            "fire.cluster_spread": f.cluster_spread,
+            "fire.process_noise_std": f.process_noise_std * math.sqrt(self.duration),
+            "filter.init_position_std": fl.init_position_std,
+            "uavs.altitude": width,
+            "dt" if self.dt > speeds[quickest] else quickest: sum(speeds.values()) * self.dt * self.duration,
+        }
+        extent = sum(reach.values())
+        _check(extent <= MAX_EXTENT, max(reach, key=reach.get), f"too large: the run could spread over {extent:.3g} m")
+        return RunObjects(schedule, fire_map, filter_config, priors, gradient, teams)
+
+
+@dataclass(frozen=True)
+class RunObjects:
+    """The domain objects that validation builds from a config, once, for a run."""
+
+    schedule: dict[int, WindFuelState]  # step -> wind from that step on
+    fire_map: FireMap  # without fronts
+    filter: FilterConfig
+    priors: tuple[np.ndarray, np.ndarray, np.ndarray]  # P0, Q0 and R of a new track
+    gradient: GradientConfig
+    teams: tuple[HumanTeam, ...]
+
+
+def team_positions(cfg: ScenarioConfig) -> list[np.ndarray]:
+    """Configured team positions, or a deterministic golden-angle circle.
+
+    Position t depends only on t, so adding teams leaves the existing
+    ones (and everything keyed to them) untouched.
+    """
+    if cfg.teams.positions is not None:
+        return [np.asarray(p, dtype=float) for p in cfg.teams.positions]
+    center = np.array([cfg.area.width / 2.0, cfg.area.height / 2.0])
+    radius = 0.35 * min(cfg.area.width, cfg.area.height)
+    return [
+        center + radius * np.array([math.cos(_GOLDEN_ANGLE * t), math.sin(_GOLDEN_ANGLE * t)])
+        for t in range(cfg.teams.count)
+    ]
+
+
+@contextlib.contextmanager
+def _fields_of(section: str):
+    """Report a DomainError raised inside at its field of the config section."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(f"{section}.{exc.name}" if section else exc.name, str(exc)) from None
 
 
 def _square_finite(std: float) -> bool:

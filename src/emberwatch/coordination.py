@@ -30,7 +30,7 @@ from .bounds import (
     uncertainty_ratio,
     worst_case_speed,
 )
-from .errors import NoUavAvailable
+from .errors import DomainError, NoUavAvailable
 from .fire import EllipseParams
 from .routing import SteinerWaypoint, build_mst, k_opt_improve, split_sequence, steiner_reduce, tour_from_mst
 
@@ -50,7 +50,7 @@ class HumanTeam:
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
         if self.vicinity_radius <= 0:
-            raise ValueError(f"vicinity_radius must be > 0, got {self.vicinity_radius}")
+            raise DomainError("vicinity_radius", f"vicinity_radius must be > 0, got {self.vicinity_radius}")
 
 
 @dataclass
@@ -418,7 +418,7 @@ def _replan_coverage(
             agent.fleet(),
         )
         if bound.feasible and bound.seconds > 0:
-            horizon = min(max(math.ceil(bound.seconds / dt), 1), REPLAN_CAP)
+            horizon = max(math.ceil(min(bound.seconds / dt, REPLAN_CAP)), 1)
         else:
             horizon = REPLAN_FALLBACK
         agent.replan_deadline = step + horizon

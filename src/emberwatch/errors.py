@@ -6,7 +6,14 @@ class EmberwatchError(Exception):
 
 
 class DomainError(EmberwatchError):
-    """A physical quantity left the domain where the model is defined."""
+    """A physical quantity left the domain where the model is defined.
+
+    `name` is the quantity at fault, spelled as the config field that sets it.
+    """
+
+    def __init__(self, name: str, message: str):
+        self.name = name
+        super().__init__(message)
 
 
 class SingularResidual(EmberwatchError):

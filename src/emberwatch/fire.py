@@ -62,12 +62,18 @@ class EllipseParams:
         )
 
     def validate_range(self, max_wind_speed: float, samples: int = 257) -> None:
-        """Raise DomainError if LB < 1 anywhere on [0, max_wind_speed]."""
+        """Raise DomainError unless 1 <= LB and (2 LB)^2 is finite on [0, max_wind_speed].
+
+        The spread model and its Jacobian square LB + sqrt(LB^2 - 1).
+        """
         for u in np.linspace(0.0, max(max_wind_speed, 0.0), samples):
-            lb = self.length_to_breadth(float(u))
-            if not math.isfinite(lb) or lb < 1.0 - LB_TOLERANCE:
+            try:
+                lb = self.length_to_breadth(float(u))
+            except OverflowError:
+                lb = math.inf
+            if not 1.0 - LB_TOLERANCE <= lb < math.inf or 4.0 * lb * lb == math.inf:
                 raise DomainError(
-                    f"length-to-breadth ratio {lb!r} < 1 at wind speed {float(u)!r}"
+                    "ellipse", f"length-to-breadth ratio {lb!r} out of range at wind speed {float(u)!r}"
                 )
 
 
@@ -88,9 +94,9 @@ class WindFuelState:
 
     def __post_init__(self):
         if self.spread_rate < 0:
-            raise DomainError(f"spread_rate must be >= 0, got {self.spread_rate}")
+            raise DomainError("spread_rate", f"spread_rate must be >= 0, got {self.spread_rate}")
         if self.wind_speed < 0:
-            raise DomainError(f"wind_speed must be >= 0, got {self.wind_speed}")
+            raise DomainError("wind_speed", f"wind_speed must be >= 0, got {self.wind_speed}")
         tau = 2 * math.pi
         object.__setattr__(self, "wind_azimuth", self.wind_azimuth % tau)
 
@@ -127,22 +133,34 @@ class FireMap:
     def __post_init__(self):
         object.__setattr__(self, "fronts", tuple(self.fronts))
         if self.case not in (1, 2, 3):
-            raise DomainError(f"case must be 1, 2 or 3, got {self.case}")
+            raise DomainError("case", f"case must be 1, 2 or 3, got {self.case}")
         if self.case == 3 and self.spawn_rate_max < 1:
-            raise DomainError("case 3 requires spawn_rate_max >= 1")
-        if self.spawn_rate_max > MAX_SPAWN_RATE:
-            raise DomainError(f"spawn_rate_max must be <= {MAX_SPAWN_RATE}")
+            raise DomainError("spawn_rate_max", "case 3 requires spawn_rate_max >= 1")
+        if not 0 <= self.spawn_rate_max <= MAX_SPAWN_RATE:
+            raise DomainError("spawn_rate_max", f"spawn_rate_max must be in [0, {MAX_SPAWN_RATE}]")
         if self.spawn_interval < 1:
-            raise DomainError("spawn_interval must be >= 1")
+            raise DomainError("spawn_interval", "spawn_interval must be >= 1")
         ids = [f.id for f in self.fronts]
         if len(ids) != len(set(ids)):
-            raise DomainError("front ids must be unique")
+            raise DomainError("fronts", "front ids must be unique")
         if self.case == 1:
             speed = spread_coefficient(
                 self.wind_fuel.spread_rate, self.wind_fuel.wind_speed, self.params
             )
-            if speed > 1e-9:
-                raise DomainError(f"case 1 requires zero fire speed, got {speed!r}")
+            if speed > 0:
+                raise DomainError("speed", f"case 1 requires zero fire speed, got {speed!r}")
+
+    def with_fronts(self, positions: Sequence, ids: Sequence[int]) -> FireMap:
+        """This map with fronts at rest velocity; each id roots a spawn lineage."""
+        for i in ids:
+            if not 0 < int(i) < (1 << _LINEAGE_SHIFT):
+                raise DomainError("ids", f"initial front ids must be in (0, 2^{_LINEAGE_SHIFT}), got {i}")
+        velocity = front_velocity(self.wind_fuel, self.params)
+        fronts = [
+            FireFront(id=int(i), position=np.asarray(p, dtype=float), velocity=velocity, lineage=int(i))
+            for i, p in zip(ids, positions)
+        ]
+        return replace(self, fronts=tuple(fronts))
 
 
 def spread_coefficient(rate: float, wind_speed: float, params: EllipseParams) -> float:
@@ -155,25 +173,23 @@ def spread_coefficient(rate: float, wind_speed: float, params: EllipseParams) ->
     u = max(wind_speed, 0.0)
     lb = params.length_to_breadth(u)
     if lb < 1.0 - LB_TOLERANCE:
-        raise DomainError(f"length-to-breadth ratio {lb!r} < 1 at wind speed {u!r}")
+        raise DomainError("ellipse", f"length-to-breadth ratio {lb!r} < 1 at wind speed {u!r}")
     gb = max(lb * lb - 1.0, 0.0)
     return rate * (1.0 - lb / (lb + math.sqrt(gb)))
-
-
-def spread_rate_factor(wind_speed: float, params: EllipseParams) -> float:
-    """The wind-only factor C / R, in [0, 1)."""
-    return spread_coefficient(1.0, wind_speed, params)
 
 
 def calibrate_spread_rate(speed: float, wind_speed: float, params: EllipseParams) -> float:
     """Spread rate R such that the spread speed equals `speed` at this wind."""
     if speed < 0:
-        raise DomainError(f"target speed must be >= 0, got {speed}")
+        raise DomainError("speed", f"target speed must be >= 0, got {speed}")
+    if wind_speed < 0:
+        raise DomainError("wind_speed", f"wind_speed must be >= 0, got {wind_speed}")
     if speed == 0:
         return 0.0
-    factor = spread_rate_factor(wind_speed, params)
+    factor = spread_coefficient(1.0, wind_speed, params)
     if factor <= 0:
         raise DomainError(
+            "speed",
             f"wind speed {wind_speed!r} gives zero spread; cannot reach speed {speed!r}"
         )
     return speed / factor
@@ -203,7 +219,7 @@ def front_velocity_jacobian(
     u = max(wind_speed, 0.0)
     lb = params.length_to_breadth(u)
     if lb < 1.0 - LB_TOLERANCE:
-        raise DomainError(f"length-to-breadth ratio {lb!r} < 1 at wind speed {u!r}")
+        raise DomainError("ellipse", f"length-to-breadth ratio {lb!r} < 1 at wind speed {u!r}")
     gb = max(lb * lb - 1.0, 0.0)
     sq = math.sqrt(gb)
     factor = 1.0 - lb / (lb + sq)
@@ -235,7 +251,7 @@ def propagate_front(
 ) -> FireFront:
     """One Euler step q + v*dt plus optional per-axis Gaussian jitter."""
     if dt <= 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
+        raise DomainError("dt", f"dt must be > 0, got {dt}")
     velocity = front_velocity(wind_fuel, params)
     position = front.position + front.velocity * dt
     if noise_std > 0:
@@ -283,7 +299,7 @@ def spawn_fronts(
 def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
     """Advance every front one step; apply case-3 spawning on its interval."""
     if dt <= 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
+        raise DomainError("dt", f"dt must be > 0, got {dt}")
     step = fire_map.step
     fronts = [
         propagate_front(
@@ -329,28 +345,6 @@ def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
         fronts.extend(children)
 
     return replace(fire_map, fronts=tuple(fronts), step=new_step)
-
-
-def initial_fire_map(
-    positions: Sequence,
-    wind_fuel: WindFuelState,
-    case: int,
-    ids: Sequence[int] | None = None,
-    **kwargs,
-) -> FireMap:
-    """Build a FireMap with fronts at rest velocity for the given wind."""
-    params = kwargs.get("params", DEFAULT_ELLIPSE)
-    velocity = front_velocity(wind_fuel, params)
-    if ids is None:
-        ids = list(range(1, len(positions) + 1))
-    for i in ids:
-        if not 0 < int(i) < (1 << _LINEAGE_SHIFT):
-            raise DomainError(f"initial front ids must be in (0, 2^{_LINEAGE_SHIFT}), got {i}")
-    fronts = [
-        FireFront(id=int(i), position=np.asarray(p, dtype=float), velocity=velocity, lineage=int(i))
-        for i, p in zip(ids, positions)
-    ]
-    return FireMap(fronts=tuple(fronts), wind_fuel=wind_fuel, case=case, **kwargs)
 
 
 def _front_stream(seed: int, step: int, front_id: int, role: int) -> np.random.Generator:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .baseline import _GOLDEN_ANGLE, gradient_coverage_step
 from .bounds import joint_confidence
-from .config import ScenarioConfig
+from .config import TEAM_FIRE_IDS, ScenarioConfig
 from .coordination import (
     HumanTeam,
     MissionPlan,
@@ -34,13 +34,7 @@ from .coordination import (
     vicinity_fires,
 )
 from .errors import NoUavAvailable, SingularResidual
-from .fire import (
-    FireMap,
-    WindFuelState,
-    initial_fire_map,
-    simulate_step,
-    substream_key,
-)
+from .fire import WindFuelState, simulate_step, substream_key
 from .tracking import TrackEstimate, observe, predict, step_track
 
 # Substream purposes.
@@ -113,23 +107,7 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(substream_key(seed, *key))
 
 
-def team_positions(cfg: ScenarioConfig) -> list[np.ndarray]:
-    """Configured team positions, or a deterministic golden-angle circle.
-
-    Position t depends only on t, so adding teams leaves the existing
-    ones (and everything keyed to them) untouched.
-    """
-    if cfg.teams.positions is not None:
-        return [np.asarray(p, dtype=float) for p in cfg.teams.positions]
-    center = np.array([cfg.area.width / 2.0, cfg.area.height / 2.0])
-    radius = 0.35 * min(cfg.area.width, cfg.area.height)
-    return [
-        center + radius * np.array([math.cos(_GOLDEN_ANGLE * t), math.sin(_GOLDEN_ANGLE * t)])
-        for t in range(cfg.teams.count)
-    ]
-
-
-def _initial_layout(cfg: ScenarioConfig, teams: list[HumanTeam]) -> tuple[list, list[int]]:
+def _initial_layout(cfg: ScenarioConfig, teams: tuple[HumanTeam, ...]) -> tuple[list, list[int]]:
     """Initial fire positions and their ids (roots of the spawn lineages)."""
     w, h = cfg.area.width, cfg.area.height
     n = cfg.fire.initial_count
@@ -146,7 +124,7 @@ def _initial_layout(cfg: ScenarioConfig, teams: list[HumanTeam]) -> tuple[list, 
                 positions.append(
                     team.position + radius * np.array([math.cos(angle), math.sin(angle)])
                 )
-                ids.append(t * 100_000 + j + 1)
+                ids.append(t * TEAM_FIRE_IDS + j + 1)
         return positions, ids
 
     rng = _stream(cfg.rng_seed, _S_LAYOUT)
@@ -162,15 +140,13 @@ def _initial_layout(cfg: ScenarioConfig, teams: list[HumanTeam]) -> tuple[list, 
             centers[i % len(centers)] + rng.normal(0.0, cfg.fire.cluster_spread, size=2)
             for i in range(n)
         ]
-    elif layout == "ring":
+    else:  # ring
         center = np.array([w / 2.0, h / 2.0])
         radius = min(w, h) / 3.0
         positions = [
             center + radius * np.array([math.sin(2 * math.pi * k / max(n, 1)), math.cos(2 * math.pi * k / max(n, 1))])
             for k in range(n)
         ]
-    else:  # pragma: no cover - validated in config
-        raise ValueError(f"unknown layout {layout!r}")
     return positions, list(range(1, n + 1))
 
 
@@ -191,7 +167,7 @@ def _initial_agents(cfg: ScenarioConfig) -> list[UavAgent]:
     return agents
 
 
-def _init_track(front, cfg: ScenarioConfig, wind: WindFuelState, staging_pose: np.ndarray) -> TrackEstimate:
+def _init_track(front, cfg: ScenarioConfig, wind: WindFuelState, staging_pose: np.ndarray, priors) -> TrackEstimate:
     """Register a detected hotspot: ground truth plus detection noise."""
     fl = cfg.filter
     rng = _stream(cfg.rng_seed, _S_DETECT, front.id)
@@ -206,40 +182,7 @@ def _init_track(front, cfg: ScenarioConfig, wind: WindFuelState, staging_pose: n
             wind.wind_azimuth + noise[4] * fl.init_weather_std[2],
         ]
     )
-    p0 = np.diag(
-        [
-            fl.init_position_std**2,
-            fl.init_position_std**2,
-            fl.init_pose_std**2,
-            fl.init_pose_std**2,
-            fl.init_pose_std**2,
-            fl.init_weather_std[0] ** 2,
-            fl.init_weather_std[1] ** 2,
-            fl.init_weather_std[2] ** 2,
-        ]
-    )
-    q0 = np.diag(
-        [
-            fl.process_position_std**2,
-            fl.process_position_std**2,
-            fl.process_pose_std**2,
-            fl.process_pose_std**2,
-            fl.process_pose_std**2,
-            fl.process_weather_std[0] ** 2,
-            fl.process_weather_std[1] ** 2,
-            fl.process_weather_std[2] ** 2,
-        ]
-    )
-    r0 = np.diag(
-        [
-            fl.obs_angle_std**2,
-            fl.obs_angle_std**2,
-            fl.obs_weather_std[0] ** 2,
-            fl.obs_weather_std[1] ** 2,
-            fl.obs_weather_std[2] ** 2,
-        ]
-    )
-    return TrackEstimate(mean=mean, covariance=p0, process_noise=q0, observation_noise=r0)
+    return TrackEstimate(mean, *priors)
 
 
 def _make_observation(
@@ -259,32 +202,13 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
     fleet; every safety UAV is minted from an unlimited staging pool per
     team (the safety sweep).
     """
-    cfg.validate()
+    built = cfg.validate()
     params = cfg.fire.ellipse
-    wind = cfg.wind_fuel()
-    fcfg = cfg.filter_config()
-    gcfg = cfg.gradient_config()
+    wind = built.fire_map.wind_fuel
     case = cfg.case
     dt = cfg.dt
 
-    teams = [
-        HumanTeam(id=t, position=pos, vicinity_radius=cfg.vicinity_radius)
-        for t, pos in enumerate(team_positions(cfg))
-    ]
-    positions, ids = _initial_layout(cfg, teams)
-    fire_map = initial_fire_map(
-        positions,
-        wind,
-        case,
-        ids=ids,
-        spawn_rate_max=cfg.fire.spawn_rate_max if case == 3 else 0,
-        spawn_interval=cfg.fire.spawn_interval,
-        rng_seed=cfg.rng_seed,
-        params=params,
-        noise_std=cfg.fire.process_noise_std,
-        max_per_lineage=cfg.fire.max_per_lineage,
-    )
-    schedule = {shift.step: shift for shift in cfg.fire.schedule}
+    fire_map = built.fire_map.with_fronts(*_initial_layout(cfg, built.teams))
 
     agents: list[UavAgent] = [] if safety_only else _initial_agents(cfg)
     staging = np.array([cfg.area.width / 2.0, cfg.area.height / 2.0, cfg.uavs.altitude])
@@ -308,7 +232,7 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
         return mint if safety_only else None
 
     tracks: dict[int, TrackEstimate] = {
-        f.id: _init_track(f, cfg, wind, staging) for f in fire_map.fronts
+        f.id: _init_track(f, cfg, wind, staging, built.priors) for f in fire_map.fronts
     }
     team_assigned: dict[int, list[UavAgent]] = {}
     metrics = RunMetrics()
@@ -317,13 +241,8 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
     for step in range(cfg.duration):
         tic = time.perf_counter()
 
-        if step in schedule:
-            shift = schedule[step]
-            wind = WindFuelState(
-                spread_rate=wind.spread_rate,
-                wind_speed=shift.wind_speed,
-                wind_azimuth=shift.wind_azimuth,
-            )
+        if step in built.schedule:
+            wind = built.schedule[step]
             fire_map = replace(fire_map, wind_fuel=wind)
 
         fire_map = simulate_step(fire_map, dt)
@@ -331,7 +250,7 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
         fronts_by_id = {f.id: f for f in fronts}
         for front in fronts:
             if front.id not in tracks:
-                tracks[front.id] = _init_track(front, cfg, wind, staging)
+                tracks[front.id] = _init_track(front, cfg, wind, staging, built.priors)
 
         # Sensing against ground truth: lowest-id airborne agent wins.
         airborne = sorted(
@@ -353,7 +272,7 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
                     fronts_by_id[fid], agent.pose, wind, cfg, _stream(cfg.rng_seed, _S_OBS, step, fid)
                 )
                 try:
-                    tracks[fid] = step_track(tracks[fid], z, dt, fcfg, params, uav_pose=agent.pose)
+                    tracks[fid] = step_track(tracks[fid], z, dt, built.filter, params, uav_pose=agent.pose)
                 except SingularResidual:
                     # a filter fault skips this update rather than the run
                     tracks[fid] = predict(tracks[fid], dt, params, uav_pose=agent.pose)
@@ -362,7 +281,7 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
 
         dismissed = False
         if cfg.controller == "proposed":
-            for team in teams:
+            for team in built.teams:
                 vicinity = vicinity_fires(tracks, team)
                 if not vicinity:
                     continue
@@ -417,7 +336,7 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
                 [tracks[f].mean[:2] for f in sorted(tracks)]
             )
             movers = [a for a in agents if a.mode == "coverage"]
-            gradient_coverage_step(movers, fire_positions, gcfg, dt)
+            gradient_coverage_step(movers, fire_positions, built.gradient, dt)
 
         cum += uncovered
         metrics.uncovered.append(uncovered)

@@ -56,7 +56,7 @@ class FilterConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.alpha_forget <= 1.0:
-            raise DomainError(f"alpha_forget must be in [0, 1], got {self.alpha_forget}")
+            raise DomainError("alpha_forget", f"alpha_forget must be in [0, 1], got {self.alpha_forget}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def observe(state: np.ndarray) -> np.ndarray:
     """Project the state to look angles and pass the weather through."""
     pz = state[UAV_Z]
     if pz <= 0:
-        raise DomainError(f"uav_z must be > 0 to observe, got {pz}")
+        raise DomainError("uav_z", f"uav_z must be > 0 to observe, got {pz}")
     return np.array(
         [
             math.atan((state[FIRE_X] - state[UAV_X]) / pz),
@@ -151,7 +151,7 @@ def observation_jacobian(state: np.ndarray) -> np.ndarray:
     """5x8 Jacobian of the observation at the given state."""
     pz = state[UAV_Z]
     if pz <= 0:
-        raise DomainError(f"uav_z must be > 0 to observe, got {pz}")
+        raise DomainError("uav_z", f"uav_z must be > 0 to observe, got {pz}")
     H = np.zeros((OBS_DIM, STATE_DIM))
     for row, (qcol, pcol) in enumerate([(FIRE_X, UAV_X), (FIRE_Y, UAV_Y)]):
         q = state[qcol] - state[pcol]
@@ -210,6 +210,9 @@ def innovation_covariance(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.nda
 def kalman_gain(P: np.ndarray, H: np.ndarray, S: np.ndarray) -> np.ndarray:
     """K = P H^T S^-1; refuses an S whose 2-norm condition number exceeds 1e12.
 
+    An S that is not finite is refused too, so an overflowing covariance
+    is a filter fault that the caller handles like a singular one.
+
     S is symmetric, so its singular values are the absolute values of its
     eigenvalues and its condition number, as `np.linalg.cond` computes it
     by SVD, is max|lambda| / min|lambda|. The check takes the eigenvalues
@@ -220,7 +223,10 @@ def kalman_gain(P: np.ndarray, H: np.ndarray, S: np.ndarray) -> np.ndarray:
     on an S within rounding error of the limit. K itself is still solved
     from S, so its bits do not depend on the check.
     """
-    vals = np.linalg.eigvalsh(S)
+    try:
+        vals = np.linalg.eigvalsh(S)
+    except np.linalg.LinAlgError as exc:  # S holds an infinity or a NaN
+        raise SingularResidual("residual covariance is not finite") from exc
     lo, hi = vals[0], vals[-1]
     if not (lo > 0 and hi <= _COND_LIMIT * lo):
         raise SingularResidual(f"residual covariance condition number exceeds {_COND_LIMIT:g}")

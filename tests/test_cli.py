@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -100,10 +101,10 @@ BAD_VALUES = [
     pytest.param("uavs.count", {"uavs": {"count": "abc"}}, id="uavs-count-string"),
     pytest.param("vicinity_radius", {"vicinity_radius": [1]}, id="vicinity-radius-list"),
     pytest.param(
-        "filter.init_weather_std", {"filter": {"init_weather_std": ["a", 1, 1]}}, id="weather-std-string"
+        "filter.init_weather_std[0]", {"filter": {"init_weather_std": ["a", 1, 1]}}, id="weather-std-string"
     ),
     pytest.param(
-        "teams.positions", {"teams": {"count": 1, "positions": [["a", 1]]}}, id="team-position-string"
+        "teams.positions[0][0]", {"teams": {"count": 1, "positions": [["a", 1]]}}, id="team-position-string"
     ),
     pytest.param("area.width", {"area": {"width": float("inf")}}, id="area-width-inf"),
     pytest.param("rng_seed", {"rng_seed": -1}, id="rng-seed-negative"),
@@ -119,6 +120,69 @@ BAD_VALUES = [
     pytest.param(
         "filter.init_position_std", {"filter": {"init_position_std": 1.0e200}}, id="init-position-std-overflow"
     ),
+    # rules owned by the domain objects that validation builds
+    pytest.param("vicinity_radius", {"vicinity_radius": 0.0}, id="vicinity-radius-zero"),
+    pytest.param("fire.wind_speed", {"fire": {"wind_speed": -1.0}}, id="wind-speed-negative"),
+    pytest.param(
+        "fire.schedule[1].wind_speed",
+        {"fire": {"schedule": [
+            {"step": 2, "wind_speed": 4.0, "wind_azimuth": 0.5},
+            {"step": 5, "wind_speed": -2.0, "wind_azimuth": 0.5},
+        ]}},
+        id="schedule-wind-negative",
+    ),
+    pytest.param("fire.spawn_interval", {"fire": {"spawn_interval": 0}}, id="spawn-interval-zero"),
+    pytest.param("fire.spawn_rate_max", {"fire": {"spawn_rate_max": 8}}, id="spawn-rate-above-max"),
+    pytest.param("fire.spawn_rate_max", {"fire": {"spawn_rate_max": -1}}, id="spawn-rate-negative"),
+    pytest.param("fire.spawn_rate_max", {"case": 3, "fire": {"spawn_rate_max": 0}}, id="case3-no-spawning"),
+    pytest.param("fire.speed", {"case": 2, "fire": {"speed": -0.5}}, id="fire-speed-negative"),
+    pytest.param("fire.speed", {"fire": {"speed": 0.5}}, id="case1-fire-speed"),
+    pytest.param("fire.speed", {"case": 2, "fire": {"wind_speed": 0.0}}, id="speed-without-wind"),
+    pytest.param("fire.ellipse", {"fire": {"ellipse": {"l": -0.5}}}, id="ellipse-below-one"),
+    pytest.param("uavs.speed", {"uavs": {"speed": 0.0}}, id="uav-speed-zero"),
+    pytest.param("uavs.altitude", {"uavs": {"altitude": -40.0}}, id="uav-altitude-negative"),
+    pytest.param("uavs.half_angle", {"uavs": {"half_angle": 1.6}}, id="half-angle-too-wide"),
+    pytest.param("filter.alpha_forget", {"filter": {"alpha_forget": 1.5}}, id="alpha-forget-above-one"),
+    pytest.param("gradient.step_size", {"gradient": {"step_size": 0.0}}, id="gradient-step-zero"),
+    pytest.param(
+        "gradient.separation_radius", {"gradient": {"separation_radius": -1.0}}, id="separation-radius-negative"
+    ),
+    pytest.param(
+        "gradient.separation_weight", {"gradient": {"separation_weight": -1.0}}, id="separation-weight-negative"
+    ),
+    pytest.param(
+        "gradient.altitude_min", {"gradient": {"altitude_min": 50.0, "altitude_max": 20.0}}, id="altitude-band-inverted"
+    ),
+    pytest.param("uavs.altitude", {"uavs": {"altitude": 500.0}}, id="altitude-outside-band"),
+    # values that used to pass validation and then crash the run
+    pytest.param("dt", {"case": 2, "dt": 1.0e300}, id="dt-1e300"),
+    pytest.param("dt", {"case": 3, "dt": 1.0e308}, id="dt-1e308"),
+    pytest.param("area.width", {"case": 2, "area": {"width": 1.0e308}}, id="area-width-1e308"),
+    pytest.param("area.height", {"case": 3, "area": {"height": 1.0e300}}, id="area-height-1e300"),
+    pytest.param("fire.speed", {"case": 2, "fire": {"speed": 1.0e300}}, id="fire-speed-1e300"),
+    pytest.param("fire.speed", {"case": 3, "fire": {"speed": 1.0e308}}, id="fire-speed-1e308"),
+    pytest.param("fire.cluster_spread", {"case": 2, "fire": {"cluster_spread": 1.0e300}}, id="cluster-spread-1e300"),
+    pytest.param("fire.cluster_spread", {"case": 3, "fire": {"cluster_spread": 1.0e308}}, id="cluster-spread-1e308"),
+    pytest.param(
+        "filter.init_position_std", {"filter": {"init_position_std": 1.0e154}}, id="init-position-std-1e154"
+    ),
+    pytest.param(
+        "fire.initial_count",
+        {"fire": {"initial_count": 100_001, "layout": "team_clusters"}, "teams": {"count": 2}},
+        id="team-cluster-id-collision",
+    ),
+    pytest.param(
+        "uavs.altitude",
+        {"uavs": {"altitude": 5.0e-324}, "gradient": {"altitude_min": 5.0e-324}},
+        id="altitude-footprint-underflow",
+    ),
+    pytest.param(
+        "filter.init_weather_std",
+        {"case": 2, "filter": {"init_weather_std": [0.08, 1.0e4, 0.04]}},
+        id="first-wind-estimate-overflow",
+    ),
+    pytest.param("fire.ellipse", {"fire": {"ellipse": {"b": 1.7e308}}}, id="ellipse-exponent-overflow"),
+    pytest.param("fire.ellipse", {"case": 2, "fire": {"ellipse": {"l": 1.0e154}}}, id="ellipse-square-overflow"),
 ]
 
 
@@ -130,7 +194,76 @@ def test_bad_value_exits_two_naming_field(tmp_path, capsys, field, override):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump(data))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert field in capsys.readouterr().err
+    assert f"config error: {field}: " in capsys.readouterr().err
+
+
+FUZZ_FLOATS = [
+    "area.width", "area.height", "fire.speed", "fire.wind_speed", "fire.wind_azimuth", "fire.cluster_spread",
+    "fire.process_noise_std", "fire.ellipse.b", "fire.ellipse.l", "uavs.speed", "uavs.altitude",
+    "uavs.half_angle", "filter.alpha_forget", "filter.init_position_std", "filter.init_pose_std",
+    "filter.process_pose_std", "filter.obs_angle_std", "gradient.step_size", "gradient.separation_weight",
+    "gradient.separation_radius", "gradient.altitude_min", "gradient.altitude_max", "alpha_conf",
+    "vicinity_radius", "dt",
+]
+FUZZ_INTS = ["fire.initial_count", "fire.cluster_count", "fire.spawn_rate_max", "fire.spawn_interval",
+             "fire.max_per_lineage", "uavs.count"]
+FUZZ_VALUES = [
+    1.7e308, 1.0e300, 1.0e154, 1.0e100, 9.0e99, 1.0e30, 1.0e4, 300.0, 1.5707963267948963, 1.0e-20,
+    1.0e-300, 5.0e-324, 0.0, -1.0, -1.0e300,
+]
+
+
+def random_config(rng) -> dict:
+    """A small scenario with up to three fields set to ordinary, extreme or invalid values."""
+    cfg = {
+        "area": {"width": 300.0, "height": 300.0},
+        "case": int(rng.integers(1, 4)),
+        "fire": {"initial_count": int(rng.integers(0, 8)), "cluster_count": 2, "spawn_interval": 2,
+                 "max_per_lineage": 3, "layout": ["uniform", "clusters", "ring", "team_clusters"][rng.integers(4)]},
+        "teams": {"count": int(rng.integers(0, 3))},
+        "uavs": {"count": int(rng.integers(0, 4))},
+        "controller": ["proposed", "gradient"][rng.integers(2)],
+        "vicinity_radius": 100.0,
+        "duration": int(rng.integers(1, 5)),
+        "rng_seed": int(rng.integers(0, 100)),
+    }
+    for _ in range(rng.integers(0, 4)):
+        value = float(rng.choice(FUZZ_VALUES))
+        kind = rng.uniform()
+        if kind < 0.1:
+            key = ["filter.init_weather_std", "filter.process_weather_std", "filter.obs_weather_std"][rng.integers(3)]
+            value = [0.1, 0.1, 0.1]
+            value[rng.integers(3)] = float(rng.choice(FUZZ_VALUES))
+        elif kind < 0.15:
+            key, value = "teams.positions", [[value, 5.0]] * cfg["teams"]["count"]
+        elif kind < 0.2:
+            key, value = "fire.schedule", [{"step": int(rng.integers(0, 4)), "wind_speed": value, "wind_azimuth": 1.0}]
+        elif kind < 0.35:
+            key, value = FUZZ_INTS[rng.integers(len(FUZZ_INTS))], int(rng.choice([-1, 0, 1, 7, 8]))
+        else:
+            key = FUZZ_FLOATS[rng.integers(len(FUZZ_FLOATS))]
+        *sections, name = key.split(".")
+        node = cfg
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = value
+    return cfg
+
+
+def test_random_configs_exit_zero_or_two(tmp_path, capsys):
+    rng = np.random.default_rng(20261018)
+    path, out = tmp_path / "cfg.yaml", tmp_path / "out"
+    codes = []
+    for _ in range(200):
+        cfg = random_config(rng)
+        path.write_text(yaml.safe_dump(cfg))
+        try:
+            codes.append(main(["simulate", "--config", str(path), "--out", str(out)]))
+        except Exception as exc:  # noqa: BLE001 - any exception is the failure reported
+            pytest.fail(f"{cfg!r} raised {exc!r}")
+        assert codes[-1] in (0, 2), cfg
+    capsys.readouterr()
+    assert 0 in codes and 2 in codes
 
 
 def test_missing_config_exits_two(tmp_path):

@@ -34,7 +34,7 @@ def test_case_speed_defaults():
 
 def test_wind_fuel_calibration():
     cfg = scenario_from_dict({"case": 2})
-    wf = cfg.wind_fuel()
+    wf = cfg.validate().fire_map.wind_fuel
     from emberwatch.fire import spread_coefficient
 
     assert spread_coefficient(wf.spread_rate, wf.wind_speed, cfg.fire.ellipse) == pytest.approx(0.5)
@@ -162,6 +162,6 @@ def test_altitude_must_fit_gradient_band():
 def test_fov_width():
     # the gradient baseline's default radius and bandwidth come from the 20 m footprint
     cfg = scenario_from_dict({"uavs": {"altitude": 10.0, "half_angle": math.pi / 4}})
-    gcfg = cfg.gradient_config()
+    gcfg = cfg.validate().gradient
     assert gcfg.separation_radius == pytest.approx(20.0)
     assert gcfg.kernel_bandwidth == pytest.approx(10.0)

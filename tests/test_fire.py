@@ -8,11 +8,11 @@ from emberwatch.fire import (
     DEFAULT_ELLIPSE,
     EllipseParams,
     FireFront,
+    FireMap,
     WindFuelState,
     calibrate_spread_rate,
     front_velocity,
     front_velocity_jacobian,
-    initial_fire_map,
     propagate_front,
     simulate_step,
     spawn_fronts,
@@ -20,6 +20,12 @@ from emberwatch.fire import (
     substream_key,
     _front_stream,
 )
+
+
+def initial_fire_map(positions, wind_fuel, case, ids=None, **kwargs):
+    """A map with fronts at the positions, ids 1..n unless given."""
+    ids = range(1, len(positions) + 1) if ids is None else ids
+    return FireMap((), wind_fuel, case, **kwargs).with_fronts(positions, ids)
 
 
 def scalar_spread_oracle(rate, wind):

@@ -11,13 +11,13 @@ from emberwatch.config import (
     TeamConfigSection,
     UavConfigSection,
     load_config,
+    team_positions,
 )
 from emberwatch.harness import (
     compare_controllers,
     min_drones_for_run,
     run_scenario,
     sweep_safety,
-    team_positions,
 )
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
