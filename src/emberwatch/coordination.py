@@ -240,25 +240,25 @@ def plan_safety_tour(
 
 
 def apply_safety_plan(plan: MissionPlan, agents_by_id: Mapping[int, UavAgent]) -> None:
-    """Write segment routes onto the assigned agents (ping-pong patrol).
-
-    Each agent resumes at its nearest waypoint so that replanning does not
-    reset patrol progress.
-    """
+    """Write segment routes onto the assigned agents (ping-pong patrol)."""
     for segment in plan.segments:
         agent = agents_by_id[segment.uav_id]
         agent.mode = "safety"
-        agent.route = [np.asarray(w.position, dtype=float) for w in segment.waypoints]
-        agent.route_cyclic = False
-        agent.route_index = (
-            min(
-                range(len(agent.route)),
-                key=lambda i: (float(np.linalg.norm(agent.route[i] - agent.pose[:2])), i),
-            )
-            if agent.route
-            else 0
-        )
-        agent.route_direction = 1
+        _assign_route(agent, [np.asarray(w.position, dtype=float) for w in segment.waypoints], cyclic=False)
+
+
+def _assign_route(agent: UavAgent, route: list[np.ndarray], cyclic: bool) -> None:
+    """Give the agent a new route, resumed at its nearest waypoint (lowest index on ties).
+
+    Resuming there keeps a replan from resetting progress along a route
+    that takes longer to fly than the replan interval.
+    """
+    agent.route = route
+    agent.route_cyclic = cyclic
+    agent.route_index = min(
+        range(len(route)), key=lambda i: (float(np.linalg.norm(route[i] - agent.pose[:2])), i), default=0
+    )
+    agent.route_direction = 1
 
 
 def patrol_step(agents: list[UavAgent], dt: float) -> None:
@@ -400,10 +400,7 @@ def _replan_coverage(
         pts = centers[idxs]
         mst_edges, mst_length = build_mst(pts)
         tour = k_opt_improve(tour_from_mst(pts, mst_edges), pts)
-        agent.route = [pts[i].copy() for i in tour.order]
-        agent.route_cyclic = True
-        agent.route_index = 0
-        agent.route_direction = 1
+        _assign_route(agent, [pts[i].copy() for i in tour.order], cyclic=True)
 
         member_fires = sorted({m for i in idxs for m in waypoints[i].members})
         speed = worst_case_speed([tracks[f] for f in member_fires], confidence_level, params)

@@ -321,6 +321,16 @@ class TestCoverageStep:
         assert all(a.route for a in agents)
         assert all(a.replan_deadline > 0 for a in agents)
 
+    def test_replan_resumes_at_nearest_waypoint(self):
+        tracks = {i: make_track((100.0 * i, 0.0)) for i in range(1, 5)}
+        agent = make_agent(0, xy=(290.0, 0.0), speed=1.0, mode="coverage")
+        coverage_step(
+            [agent], tracks, case=1, confidence_level=0.05, dt=1.0,
+            params=DEFAULT_ELLIPSE, rng=np.random.default_rng(5), step=0,
+        )
+        assert agent.route[agent.route_index] == pytest.approx([300.0, 0.0])
+        assert agent.pose[:2] == pytest.approx([291.0, 0.0])
+
     def test_removing_agent_forces_repartition(self):
         tracks = {i: make_track((80.0 * i, 0.0)) for i in range(1, 7)}
         agents = [make_agent(i, xy=(40.0 * i, 10.0), mode="coverage") for i in range(3)]
