@@ -33,9 +33,10 @@ CASE_SPEEDS = {1: 0.0, 2: 0.5, 3: 1.0}
 # In the team_clusters layout, fire j of team t has id t * TEAM_FIRE_IDS + j + 1.
 TEAM_FIRE_IDS = 100_000
 
-# Largest distance, in metres, over which a run's positions may spread. Its
-# square leaves room for sums of squares over fires (the k-means++ weights)
-# and for noise tails before a float overflows.
+# Largest distance, in metres, over which a run's positions may spread, and
+# largest filter standard deviation. Its square leaves room for sums of
+# squares (the k-means++ weights, the filter's covariance sums) and for
+# noise tails before a float overflows.
 MAX_EXTENT = 1e100
 
 LAYOUTS = ("uniform", "clusters", "ring", "team_clusters")
@@ -221,7 +222,7 @@ class ScenarioConfig:
             "obs_angle_std",
         ):
             _check(getattr(fl, name) > 0, f"filter.{name}", "must be > 0")
-            _check(_square_finite(getattr(fl, name)), f"filter.{name}", "too large: its square overflows")
+            _check(getattr(fl, name) <= MAX_EXTENT, f"filter.{name}", f"too large: must be <= {MAX_EXTENT:g}")
         for name in ("init_weather_std", "process_weather_std", "obs_weather_std"):
             triple = getattr(fl, name)
             _check(
@@ -229,7 +230,7 @@ class ScenarioConfig:
                 f"filter.{name}",
                 "must be three positive values",
             )
-            _check(all(map(_square_finite, triple)), f"filter.{name}", "too large: a square overflows")
+            _check(max(triple) <= MAX_EXTENT, f"filter.{name}", f"too large: must be <= {MAX_EXTENT:g}")
         # Diagonal P0, Q0 and R of every new track.
         priors = tuple(
             np.diag([std**2 for std in stds])
@@ -318,11 +319,6 @@ def _fields_of(section: str):
         yield
     except DomainError as exc:
         raise ConfigError(f"{section}.{exc.name}" if section else exc.name, str(exc)) from None
-
-
-def _square_finite(std: float) -> bool:
-    """Whether a standard deviation's variance is a finite float."""
-    return std * std < math.inf
 
 
 def _check(condition: bool, path: str, message: str) -> None:
