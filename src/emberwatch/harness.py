@@ -33,7 +33,7 @@ from .coordination import (
     plan_safety_tour,
     vicinity_fires,
 )
-from .errors import NoUavAvailable, SingularResidual
+from .errors import DomainError, NoUavAvailable, SingularResidual
 from .fire import WindFuelState, simulate_step, substream_key
 from .tracking import TrackEstimate, observe, predict, step_track
 
@@ -167,8 +167,10 @@ def _initial_agents(cfg: ScenarioConfig) -> list[UavAgent]:
     return agents
 
 
-def _init_track(front, cfg: ScenarioConfig, wind: WindFuelState, staging_pose: np.ndarray, priors) -> TrackEstimate:
-    """Register a detected hotspot: ground truth plus detection noise."""
+def _init_track(
+    front, cfg: ScenarioConfig, wind: WindFuelState, staging_pose: np.ndarray, priors: tuple[np.ndarray, ...]
+) -> TrackEstimate:
+    """Register a detected hotspot: ground truth plus detection noise; P0, Q0 and R are the priors."""
     fl = cfg.filter
     rng = _stream(cfg.rng_seed, _S_DETECT, front.id)
     noise = rng.normal(size=5)
@@ -273,8 +275,10 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
                 )
                 try:
                     tracks[fid] = step_track(tracks[fid], z, dt, built.filter, params, uav_pose=agent.pose)
-                except SingularResidual:
-                    # a filter fault skips this update rather than the run
+                except (SingularResidual, DomainError):
+                    # A filter fault skips this update rather than the run; an
+                    # update that moves the UAV's altitude estimate below ground
+                    # fails on its post-update residual and is one.
                     tracks[fid] = predict(tracks[fid], dt, params, uav_pose=agent.pose)
             else:
                 tracks[fid] = predict(tracks[fid], dt, params)

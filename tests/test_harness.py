@@ -11,6 +11,7 @@ from emberwatch.config import (
     TeamConfigSection,
     UavConfigSection,
     load_config,
+    scenario_from_dict,
     team_positions,
 )
 from emberwatch.harness import (
@@ -72,6 +73,20 @@ class TestRunScenario:
         assert (a.uncovered != c.uncovered) or (
             a.mean_trace_covariance != c.mean_trace_covariance
         )
+
+    def test_update_below_ground_skips_one_update_not_the_run(self):
+        # A near-90-degree camera with a 300 m detection spread: the first
+        # update moves a track's UAV altitude estimate below zero.
+        cfg = scenario_from_dict({
+            "area": {"width": 300.0, "height": 300.0},
+            "fire": {"initial_count": 4},
+            "teams": {"count": 2},
+            "uavs": {"count": 3, "half_angle": 1.5707963267948963},
+            "duration": 3,
+            "rng_seed": 77,
+            "filter": {"init_position_std": 300.0},
+        })
+        assert len(run_scenario(cfg).uncovered) == 3
 
     def test_filter_fault_skips_one_update_not_the_run(self, monkeypatch):
         import emberwatch.tracking as tracking
