@@ -161,6 +161,9 @@ class ScenarioConfig:
         fastest = max(winds, key=winds.get)
         wind_range = max(winds[fastest], 0.0) * 1.5 + 1.0
         try:
+            # math.exp(inf) is inf, not an OverflowError.
+            if not math.isfinite(wind_range):
+                raise OverflowError
             f.ellipse.length_to_breadth(wind_range)
         except OverflowError:
             raise ConfigError(

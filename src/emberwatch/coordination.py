@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -32,6 +32,7 @@ from .bounds import (
 )
 from .errors import DomainError, NoUavAvailable
 from .fire import EllipseParams
+from .geometry import row_norms
 from .routing import SteinerWaypoint, build_mst, k_opt_improve, split_sequence, steiner_reduce, tour_from_mst
 
 # Steps between coverage replans when a bound is infeasible or far out.
@@ -101,18 +102,31 @@ def vicinity_fires(
     tracks: Mapping[int, tracking.TrackEstimate], team: HumanTeam
 ) -> dict[int, tracking.TrackEstimate]:
     """Tracks whose estimated position lies within the team's vicinity."""
-    out: dict[int, tracking.TrackEstimate] = {}
-    for fid in sorted(tracks):
-        pos = tracks[fid].mean[:2]
-        if float(np.linalg.norm(pos - team.position)) <= team.vicinity_radius:
-            out[fid] = tracks[fid]
-    return out
+    fire_ids = sorted(tracks)
+    positions = np.array([tracks[f].mean[:2] for f in fire_ids]).reshape(-1, 2)
+    near = row_norms(positions - team.position) <= team.vicinity_radius
+    return {f: tracks[f] for f, inside in zip(fire_ids, near.tolist()) if inside}
 
 
-def fov_covers(pose: np.ndarray, half_angle: float, point: np.ndarray) -> bool:
-    """True when the planar point is inside the square ground footprint."""
-    half = pose[2] * math.tan(half_angle)
-    return abs(point[0] - pose[0]) <= half and abs(point[1] - pose[1]) <= half
+def first_observers(agents: Sequence[UavAgent], points) -> list[UavAgent | None]:
+    """For each planar point, the lowest-id agent whose square ground footprint holds it, or None.
+
+    A footprint is the square of half-width altitude * tan(half_angle)
+    centred under the agent; a point on its edge is inside.
+    """
+    agents = sorted(agents, key=lambda a: a.id)
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not agents:
+        return [None] * len(points)
+    poses = np.array([a.pose for a in agents])
+    half = np.array([a.pose[2] * math.tan(a.half_angle) for a in agents])[:, None]
+    covers = (np.abs(points[None, :, 0] - poses[:, None, 0]) <= half) & (
+        np.abs(points[None, :, 1] - poses[:, None, 1]) <= half
+    )
+    # argmax finds the first True along the id-sorted agent axis.
+    first = covers.argmax(axis=0).tolist()
+    seen = covers.any(axis=0).tolist()
+    return [agents[k] if hit else None for k, hit in zip(first, seen)]
 
 
 # ---------------------------------------------------------------------------

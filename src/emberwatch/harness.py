@@ -28,7 +28,7 @@ from .coordination import (
     UavAgent,
     apply_safety_plan,
     coverage_step,
-    fov_covers,
+    first_observers,
     patrol_step,
     plan_safety_tour,
     vicinity_fires,
@@ -255,16 +255,9 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
                 tracks[front.id] = _init_track(front, cfg, wind, staging, built.priors)
 
         # Sensing against ground truth: lowest-id airborne agent wins.
-        airborne = sorted(
-            (a for a in agents if a.mode in ("coverage", "safety")), key=lambda a: a.id
-        )
-        observer: dict[int, UavAgent] = {}
-        for agent in airborne:
-            for front in fronts:
-                if front.id not in observer and fov_covers(
-                    agent.pose, agent.half_angle, front.position
-                ):
-                    observer[front.id] = agent
+        airborne = [a for a in agents if a.mode in ("coverage", "safety")]
+        seen_by = first_observers(airborne, [f.position for f in fronts])
+        observer = {f.id: agent for f, agent in zip(fronts, seen_by) if agent is not None}
         uncovered = sum(1 for f in fronts if f.id not in observer)
 
         for fid in sorted(tracks):

@@ -2,7 +2,9 @@
 
 Everything here is deterministic for a fixed input ordering: MST ties
 break on (weight, node pair), tour construction visits children in id
-order, and the 2-opt scan order is fixed.
+order, and the 2-opt scan order is fixed. Each kernel builds the pairwise
+distances of its nodes once, with `distance_matrix`, and reads them from
+then on.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSplit
-from .geometry import smallest_enclosing_circle
+from .geometry import row_norms, smallest_enclosing_circle
 
 _IMPROVE_EPS = 1e-12
 MAX_TWO_OPT_PASSES = 50
@@ -43,6 +45,12 @@ def tour_length(nodes: np.ndarray, order) -> float:
     return float(np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1).sum())
 
 
+def distance_matrix(nodes) -> np.ndarray:
+    """(n, n) Euclidean distances between the rows of `nodes`."""
+    nodes = np.asarray(nodes, dtype=float)
+    return row_norms(nodes[:, None, :] - nodes[None, :, :])
+
+
 def build_mst(nodes) -> tuple[list[tuple[int, int]], float]:
     """Minimum spanning tree by Kruskal with (weight, i, j) tie-breaking."""
     nodes = np.asarray(nodes, dtype=float)
@@ -52,11 +60,13 @@ def build_mst(nodes) -> tuple[list[tuple[int, int]], float]:
     if n == 1:
         return [], 0.0
 
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((float(np.linalg.norm(nodes[i] - nodes[j])), i, j))
-    edges.sort()
+    # A stable sort of the upper triangle, listed row by row, ranks the
+    # edges by (weight, i, j).
+    upper = np.arange(n)[:, None] < np.arange(n)
+    rows, cols = np.nonzero(upper)
+    weights = distance_matrix(nodes)[upper]
+    ranked = np.argsort(weights, kind="stable")
+    edges = zip(weights[ranked].tolist(), rows[ranked].tolist(), cols[ranked].tolist())
 
     parent = list(range(n))
 
@@ -119,15 +129,11 @@ def k_opt_improve(tour: Tour, nodes) -> Tour:
     nodes = np.asarray(nodes, dtype=float)
     order = list(tour.order)
     if len(order) >= 4:
-        _two_opt(order, nodes)
+        _two_opt(order, distance_matrix(nodes).tolist())
     return Tour(order=tuple(order), length=tour_length(nodes, order))
 
 
-def _dist(nodes, a: int, b: int) -> float:
-    return float(np.linalg.norm(nodes[a] - nodes[b]))
-
-
-def _two_opt(order: list[int], nodes) -> None:
+def _two_opt(order: list[int], dist: list[list[float]]) -> None:
     n = len(order)
     for _ in range(MAX_TWO_OPT_PASSES):
         improved = False
@@ -137,7 +143,7 @@ def _two_opt(order: list[int], nodes) -> None:
                     continue  # reverses the whole cycle
                 a, b = order[i - 1], order[i]
                 c, d = order[j], order[(j + 1) % n]
-                delta = _dist(nodes, a, c) + _dist(nodes, b, d) - _dist(nodes, a, b) - _dist(nodes, c, d)
+                delta = dist[a][c] + dist[b][d] - dist[a][b] - dist[c][d]
                 if delta < -_IMPROVE_EPS:
                     order[i : j + 1] = reversed(order[i : j + 1])
                     improved = True
@@ -165,6 +171,7 @@ def steiner_reduce(points, fov_width: float, ids=None, max_members: int | None =
     order = sorted(range(n), key=lambda k: ids[k])
 
     radius_limit = fov_width / 2.0
+    dist = distance_matrix(points).tolist() if n else []
     assigned = [False] * n
     waypoints: list[SteinerWaypoint] = []
     for seed in order:
@@ -172,12 +179,9 @@ def steiner_reduce(points, fov_width: float, ids=None, max_members: int | None =
             continue
         group = [seed]
         assigned[seed] = True
-        candidates = [
-            k
-            for k in order
-            if not assigned[k] and np.linalg.norm(points[k] - points[seed]) <= fov_width
-        ]
-        candidates.sort(key=lambda k: (float(np.linalg.norm(points[k] - points[seed])), ids[k]))
+        row = dist[seed]
+        candidates = [k for k in order if not assigned[k] and row[k] <= fov_width]
+        candidates.sort(key=lambda k: (row[k], ids[k]))
         center, radius = points[seed], 0.0
         for cand in candidates:
             if max_members is not None and len(group) >= max_members:
@@ -208,15 +212,16 @@ def split_sequence(order: list[int], nodes, parts: int, cyclic: bool = False) ->
     if parts == 1:
         return [list(order)]
 
+    dist = distance_matrix(nodes).tolist()
     count = n if cyclic else n - 1
-    total = sum(_dist(nodes, order[i], order[(i + 1) % n]) for i in range(count))
+    total = sum(dist[order[i]][order[(i + 1) % n]] for i in range(count))
     target = total / parts
 
     segments: list[list[int]] = []
     current = [order[0]]
     walked = 0.0
     for i in range(1, n):
-        walked += _dist(nodes, order[i - 1], order[i])
+        walked += dist[order[i - 1]][order[i]]
         remaining_nodes = n - i
         remaining_segments = parts - len(segments) - 1
         must_close = remaining_nodes == remaining_segments

@@ -94,6 +94,56 @@ def _prufer_decode(seq, n):
     return edges
 
 
+def _pair_distance(nodes, a, b) -> float:
+    return float(np.linalg.norm(nodes[a] - nodes[b]))
+
+
+def kruskal_reference(nodes) -> tuple[list[tuple[int, int]], float]:
+    """Kruskal over a tuple sort of (weight, i, j), one np.linalg.norm per pair."""
+    nodes = np.asarray(nodes, dtype=float)
+    n = len(nodes)
+    edges = sorted((_pair_distance(nodes, i, j), i, j) for i in range(n) for j in range(i + 1, n))
+    component = list(range(n))
+    tree: list[tuple[int, int]] = []
+    total = 0.0
+    for w, i, j in edges:
+        ci, cj = component[i], component[j]
+        if ci != cj:
+            component = [cj if c == ci else c for c in component]
+            tree.append((i, j))
+            total += w
+    return tree, total
+
+
+def two_opt_reference(order, nodes, max_passes=50, eps=1e-12) -> tuple[int, ...]:
+    """First-improvement 2-opt in k_opt_improve's scan order, one np.linalg.norm per edge lookup."""
+    nodes = np.asarray(nodes, dtype=float)
+    order = list(order)
+    n = len(order)
+    if n < 4:
+        return tuple(order)
+    for _ in range(max_passes):
+        improved = False
+        for i in range(1, n - 1):
+            for j in range(i + 1, n):
+                if i == 1 and j == n - 1:
+                    continue  # reverses the whole cycle
+                a, b = order[i - 1], order[i]
+                c, d = order[j], order[(j + 1) % n]
+                delta = (
+                    _pair_distance(nodes, a, c)
+                    + _pair_distance(nodes, b, d)
+                    - _pair_distance(nodes, a, b)
+                    - _pair_distance(nodes, c, d)
+                )
+                if delta < -eps:
+                    order[i : j + 1] = reversed(order[i : j + 1])
+                    improved = True
+        if not improved:
+            break
+    return tuple(order)
+
+
 def naive_enclosing_circle(points) -> tuple[tuple[float, float], float]:
     """Smallest enclosing circle by trying all pairs and triples."""
     pts = [(float(x), float(y)) for x, y in points]

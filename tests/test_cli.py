@@ -183,6 +183,13 @@ BAD_VALUES = [
     ),
     pytest.param("fire.ellipse", {"fire": {"ellipse": {"b": 1.7e308}}}, id="ellipse-exponent-overflow"),
     pytest.param("fire.ellipse", {"case": 2, "fire": {"ellipse": {"l": 1.0e154}}}, id="ellipse-square-overflow"),
+    # 1.5 * wind + 1 is inf, which math.exp takes without an OverflowError
+    pytest.param("fire.wind_speed", {"fire": {"wind_speed": 1.7e308}}, id="wind-range-inf"),
+    pytest.param(
+        "fire.schedule[0].wind_speed",
+        {"fire": {"schedule": [{"step": 1, "wind_speed": 1.7e308, "wind_azimuth": 0.5}]}},
+        id="schedule-wind-range-inf",
+    ),
 ]
 
 

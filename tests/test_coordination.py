@@ -12,7 +12,7 @@ from emberwatch.coordination import (
     apply_safety_plan,
     cluster_and_assign,
     coverage_step,
-    fov_covers,
+    first_observers,
     plan_safety_tour,
     vicinity_fires,
 )
@@ -301,6 +301,58 @@ class TestRecruitment:
         assert again.recruited >= plan.recruited
 
 
+def observers_by_loop(agents, points):
+    """One footprint test per (point, agent) pair, agents in id order."""
+    out = []
+    for point in points:
+        hit = None
+        for agent in sorted(agents, key=lambda a: a.id):
+            half = agent.pose[2] * math.tan(agent.half_angle)
+            if abs(point[0] - agent.pose[0]) <= half and abs(point[1] - agent.pose[1]) <= half:
+                hit = agent
+                break
+        out.append(hit)
+    return out
+
+
+class TestFirstObservers:
+    def test_footprint_edge_is_inside(self):
+        agent = make_agent(0, xy=(0.0, 0.0))
+        half = agent.pose[2] * math.tan(agent.half_angle)
+        beyond = math.nextafter(half, math.inf)
+        points = [(half, -half), (-half, half), (beyond, 0.0), (0.0, -beyond)]
+        assert first_observers([agent], points) == [agent, agent, None, None]
+
+    def test_overlapping_footprints_lowest_id_wins(self):
+        high = make_agent(9, xy=(0.0, 0.0))
+        low = make_agent(4, xy=(10.0, 0.0))
+        got = first_observers([high, low], [(5.0, 0.0), (-20.0, 0.0), (30.0, 0.0), (500.0, 0.0)])
+        assert [a.id if a else None for a in got] == [4, 9, 4, None]
+
+    def test_no_agents_or_no_points(self):
+        assert first_observers([], [(0.0, 0.0)]) == [None]
+        assert first_observers([make_agent(0)], []) == []
+
+    def test_matches_per_point_loop(self):
+        rng = np.random.default_rng(113)
+        for _ in range(50):
+            agents = [
+                UavAgent(
+                    id=int(i),
+                    pose=np.array([*rng.uniform(0.0, 200.0, size=2), rng.uniform(5.0, 60.0)]),
+                    speed=10.0,
+                    half_angle=float(rng.uniform(0.1, 1.2)),
+                )
+                for i in rng.permutation(int(rng.integers(1, 6)))
+            ]
+            points = list(rng.uniform(-20.0, 220.0, size=(int(rng.integers(0, 40)), 2)))
+            for agent in agents:  # corners and edge midpoints of each footprint
+                half = agent.pose[2] * math.tan(agent.half_angle)
+                for dx, dy in itertools.product((-1.0, 0.0, 1.0), repeat=2):
+                    points.append(agent.pose[:2] + half * np.array([dx, dy]))
+            assert first_observers(agents, points) == observers_by_loop(agents, points)
+
+
 class TestCoverageStep:
     def test_agent_over_fire_observes_it(self):
         tracks = {7: make_track((50.0, 50.0))}
@@ -309,7 +361,7 @@ class TestCoverageStep:
             [agent], tracks, case=1, confidence_level=0.05, dt=1.0,
             params=DEFAULT_ELLIPSE, rng=np.random.default_rng(0), step=0,
         )
-        assert fov_covers(agent.pose, agent.half_angle, (50, 50))
+        assert first_observers([agent], [(50.0, 50.0)]) == [agent]
 
     def test_replan_assigns_routes_and_deadlines(self):
         tracks = {i: make_track((100.0 * i, 0.0)) for i in range(1, 5)}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from emberwatch.geometry import smallest_enclosing_circle
+from emberwatch.geometry import row_norms, smallest_enclosing_circle
 from oracles import naive_enclosing_circle
 
 
@@ -55,3 +55,9 @@ def test_deterministic_ordering():
     first = smallest_enclosing_circle(pts)
     second = smallest_enclosing_circle(pts)
     assert first == second
+
+
+def test_row_norms_equal_np_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(127)
+    vectors = rng.uniform(-3000.0, 3000.0, size=(5000, 2))
+    assert row_norms(vectors).tolist() == [float(np.linalg.norm(v)) for v in vectors]

@@ -197,6 +197,17 @@ class TestSafetyDemand:
             values.append(drones)
         assert all(a <= b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_team_zero_outputs_ignore_added_teams(self, case):
+        base = load_config(CONFIG_DIR / "sweep.yaml")
+        for seed in (0, 1, 2):
+            seen = set()
+            for teams in (1, 2, 4, 8):
+                cfg = replace(base, case=case, rng_seed=seed, teams=replace(base.teams, count=teams))
+                metrics = run_scenario(cfg, safety_only=True)
+                seen.add((metrics.drones_recruited[0], metrics.bound_confidence[0]))
+            assert len(seen) == 1, (seed, seen)
+
     def test_team_positions_nested(self):
         small = safety_config(teams=TeamConfigSection(count=2))
         large = safety_config(teams=TeamConfigSection(count=5))

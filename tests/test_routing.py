@@ -8,13 +8,63 @@ from emberwatch.errors import InvalidSplit
 from emberwatch.routing import (
     Tour,
     build_mst,
+    distance_matrix,
     k_opt_improve,
     split_sequence,
     steiner_reduce,
     tour_from_mst,
     tour_length,
 )
-from oracles import cycle_length, exact_mst_prufer, exact_tsp_held_karp
+from oracles import (
+    cycle_length,
+    exact_mst_prufer,
+    exact_tsp_held_karp,
+    kruskal_reference,
+    two_opt_reference,
+)
+
+
+def layouts():
+    """Seeded random, ring and square-grid node sets; the grid has exact distance ties."""
+    rng = np.random.default_rng(109)
+    for n in (4, 5, 9, 17, 30, 58):
+        yield f"random-{n}", rng.uniform(0.0, 3000.0, size=(n, 2))
+    for n in (4, 7, 24):
+        angles = 2 * math.pi * np.arange(n) / n
+        yield f"ring-{n}", np.column_stack([500.0 + 300.0 * np.cos(angles), 500.0 + 300.0 * np.sin(angles)])
+    for side in (2, 3, 5, 7):
+        yield f"grid-{side}", np.array([(50.0 * x, 50.0 * y) for y in range(side) for x in range(side)])
+
+
+LAYOUTS = list(layouts())
+LAYOUT_IDS = [name for name, _ in LAYOUTS]
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("name, nodes", LAYOUTS, ids=LAYOUT_IDS)
+    def test_equals_per_pair_norm_bit_for_bit(self, name, nodes):
+        n = len(nodes)
+        expected = [[float(np.linalg.norm(nodes[i] - nodes[j])) for j in range(n)] for i in range(n)]
+        assert distance_matrix(nodes).tolist() == expected
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("name, nodes", LAYOUTS, ids=LAYOUT_IDS)
+    def test_build_mst_same_edges_as_tuple_sort_kruskal(self, name, nodes):
+        assert build_mst(nodes) == kruskal_reference(nodes)
+
+    @pytest.mark.parametrize("name, nodes", LAYOUTS, ids=LAYOUT_IDS)
+    def test_k_opt_improve_same_order_as_per_pair_scan(self, name, nodes):
+        rng = np.random.default_rng(len(nodes))
+        edges, _ = build_mst(nodes)
+        starts = [
+            tour_from_mst(nodes, edges).order,
+            tuple(range(len(nodes))),
+            tuple(int(k) for k in rng.permutation(len(nodes))),
+        ]
+        for start in starts:
+            out = k_opt_improve(Tour(order=start, length=tour_length(nodes, start)), nodes)
+            assert out.order == two_opt_reference(start, nodes)
 
 
 class TestBuildMst:
