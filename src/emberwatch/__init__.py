@@ -44,6 +44,7 @@ from .fire import (
     simulate_step,
     spawn_fronts,
     spread_coefficient,
+    spread_velocity,
 )
 from .harness import RunMetrics, compare_controllers, run_scenario, sweep_safety
 from .routing import (
@@ -60,9 +61,8 @@ from .tracking import (
     observation_jacobian,
     observe,
     predict,
-    state_transition,
     step_track,
-    transition_jacobian,
+    transition,
     update,
 )
 

@@ -22,7 +22,7 @@ from scipy.stats import norm
 
 from . import tracking
 from .errors import DomainError
-from .fire import EllipseParams, front_velocity_jacobian
+from .fire import EllipseParams, spread_velocity
 
 # Slack when comparing an uncertainty ratio against 1.
 RATIO_PASS_TOL = 1e-12
@@ -116,11 +116,9 @@ def worst_case_speed(
     x_bound = 0.0
     y_bound = 0.0
     for track in tracks:
-        weather = track.mean[tracking.SPREAD_RATE:]
-        jac = front_velocity_jacobian(*weather, params)
+        vel, jac = spread_velocity(*track.mean[tracking.SPREAD_RATE:], params)
         weather_cov = track.covariance[tracking.SPREAD_RATE:, tracking.SPREAD_RATE:]
         vel_cov = jac @ weather_cov @ jac.T
-        vel = tracking.fire_velocity(track.mean, params)
         x_bound = max(x_bound, abs(vel[0]) + z * math.sqrt(max(vel_cov[0, 0], 0.0)))
         y_bound = max(y_bound, abs(vel[1]) + z * math.sqrt(max(vel_cov[1, 1], 0.0)))
     return math.hypot(x_bound, y_bound)

@@ -55,11 +55,13 @@ class EllipseParams:
     l: float = -0.397
 
     def length_to_breadth(self, wind_speed: float) -> float:
-        return (
-            self.a * math.exp(self.b * wind_speed)
-            + self.c * math.exp(-self.d * wind_speed)
-            + self.l
-        )
+        return self.length_to_breadth_and_slope(wind_speed)[0]
+
+    def length_to_breadth_and_slope(self, wind_speed: float) -> tuple[float, float]:
+        """LB(U) and dLB/dU, which share the two exponentials."""
+        grow = math.exp(self.b * wind_speed)
+        decay = math.exp(-self.d * wind_speed)
+        return self.a * grow + self.c * decay + self.l, self.a * self.b * grow - self.c * self.d * decay
 
     def validate_range(self, max_wind_speed: float, samples: int = 257) -> None:
         """Raise DomainError unless 1 <= LB and (2 LB)^2 is finite on [0, max_wind_speed].
@@ -163,6 +165,20 @@ class FireMap:
         return replace(self, fronts=tuple(fronts))
 
 
+def _ellipse(wind_speed: float, params: EllipseParams) -> tuple[float, float, float, float]:
+    """(LB, dLB/dU, LB^2 - 1, sqrt(LB^2 - 1)) at the wind U clamped to >= 0.
+
+    LB^2 - 1 is floored at zero; LB below 1 (beyond tolerance) raises
+    DomainError because the square root leaves the real line.
+    """
+    u = max(wind_speed, 0.0)
+    lb, slope = params.length_to_breadth_and_slope(u)
+    if lb < 1.0 - LB_TOLERANCE:
+        raise DomainError("ellipse", f"length-to-breadth ratio {lb!r} < 1 at wind speed {u!r}")
+    gb = max(lb * lb - 1.0, 0.0)
+    return lb, slope, gb, math.sqrt(gb)
+
+
 def spread_coefficient(rate: float, wind_speed: float, params: EllipseParams) -> float:
     """Spread speed C = R * (1 - LB / (LB + sqrt(LB^2 - 1))) in m/s.
 
@@ -170,12 +186,8 @@ def spread_coefficient(rate: float, wind_speed: float, params: EllipseParams) ->
     raises DomainError because the square root leaves the real line.
     """
     rate = max(rate, 0.0)
-    u = max(wind_speed, 0.0)
-    lb = params.length_to_breadth(u)
-    if lb < 1.0 - LB_TOLERANCE:
-        raise DomainError("ellipse", f"length-to-breadth ratio {lb!r} < 1 at wind speed {u!r}")
-    gb = max(lb * lb - 1.0, 0.0)
-    return rate * (1.0 - lb / (lb + math.sqrt(gb)))
+    lb, _, _, sq = _ellipse(wind_speed, params)
+    return rate * (1.0 - lb / (lb + sq))
 
 
 def calibrate_spread_rate(speed: float, wind_speed: float, params: EllipseParams) -> float:
@@ -203,56 +215,58 @@ def front_velocity(wind_fuel: WindFuelState, params: EllipseParams) -> np.ndarra
     )
 
 
-def front_velocity_jacobian(
+def spread_velocity(
     rate: float, wind_speed: float, azimuth: float, params: EllipseParams
-) -> np.ndarray:
-    """2x3 sensitivity of the velocity to (spread_rate, wind_speed, azimuth).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spread velocity (2,) and its 2x3 sensitivity to (spread_rate, wind_speed, azimuth).
 
-    Columns where the input is clamped (negative rate or wind) are zero,
-    matching the clamped forward model. The wind column uses the chain
-    rule through sqrt(LB^2 - 1) and is treated as flat at the windless
-    boundary where the analytic slope diverges.
+    Both come from one evaluation of the length-to-breadth model, with
+    negative rate and wind clamped to zero. The velocity is
+    `front_velocity` of the clamped weather: it takes the azimuth wrapped
+    to [0, 2 pi) as `WindFuelState` wraps it. The Jacobian takes the raw
+    azimuth; sin and cos of the two differ in the last bit.
+
+    Jacobian columns where the input is clamped (negative rate or wind)
+    are zero, matching the clamped forward model. The wind column uses
+    the chain rule through sqrt(LB^2 - 1) and is treated as flat at the
+    windless boundary where the analytic slope diverges.
     """
-    clamped_rate = rate < 0
-    clamped_wind = wind_speed < 0
     r = max(rate, 0.0)
-    u = max(wind_speed, 0.0)
-    lb = params.length_to_breadth(u)
-    if lb < 1.0 - LB_TOLERANCE:
-        raise DomainError("ellipse", f"length-to-breadth ratio {lb!r} < 1 at wind speed {u!r}")
-    gb = max(lb * lb - 1.0, 0.0)
-    sq = math.sqrt(gb)
+    lb, lb_prime, gb, sq = _ellipse(wind_speed, params)
     factor = 1.0 - lb / (lb + sq)
     c = r * factor
 
-    dc_dr = 0.0 if clamped_rate else factor
-    if clamped_wind or gb <= _GB_FLOOR or r == 0.0:
+    dc_dr = 0.0 if rate < 0 else factor
+    if wind_speed < 0 or gb <= _GB_FLOOR or r == 0.0:
         dc_du = 0.0
     else:
-        lb_prime = params.a * params.b * math.exp(params.b * u) - params.c * params.d * math.exp(-params.d * u)
         dc_du = r * lb_prime / (sq * (lb + sq) ** 2)
 
     s, co = math.sin(azimuth), math.cos(azimuth)
-    return np.array(
+    jacobian = np.array(
         [
             [dc_dr * s, dc_du * s, c * co],
             [dc_dr * co, dc_du * co, -c * s],
         ]
     )
+    wrapped = azimuth % (2 * math.pi)
+    return np.array([c * math.sin(wrapped), c * math.cos(wrapped)]), jacobian
 
 
 def propagate_front(
     front: FireFront,
     dt: float,
     noise_std: float,
-    wind_fuel: WindFuelState,
-    params: EllipseParams,
+    velocity: np.ndarray,
     rng: np.random.Generator,
 ) -> FireFront:
-    """One Euler step q + v*dt plus optional per-axis Gaussian jitter."""
+    """One Euler step q + v*dt plus optional per-axis Gaussian jitter.
+
+    `velocity` is the step's spread velocity (`front_velocity` of the
+    map's wind state), which the moved front carries into the next step.
+    """
     if dt <= 0:
         raise DomainError("dt", f"dt must be > 0, got {dt}")
-    velocity = front_velocity(wind_fuel, params)
     position = front.position + front.velocity * dt
     if noise_std > 0:
         position = position + rng.normal(0.0, noise_std, size=2)
@@ -263,15 +277,15 @@ def spawn_fronts(
     front: FireFront,
     spawn_rate_max: int,
     dt: float,
-    wind_fuel: WindFuelState,
-    params: EllipseParams,
+    velocity: np.ndarray,
     rng: np.random.Generator,
     id_base: int | None = None,
 ) -> list[FireFront]:
     """Draw 0..spawn_rate_max children inside the parent's per-step growth box.
 
-    Child ids count up from `id_base` (default: the lineage's id space,
-    lineage << 32), so ids stay unique per lineage without global state.
+    Children carry `velocity`, the step's spread velocity. Child ids count
+    up from `id_base` (default: the lineage's id space, lineage << 32), so
+    ids stay unique per lineage without global state.
     """
     if spawn_rate_max <= 0:
         return []
@@ -281,7 +295,6 @@ def spawn_fronts(
     if id_base is None:
         id_base = front.lineage << _LINEAGE_SHIFT
     half = np.abs(front.velocity) * dt
-    velocity = front_velocity(wind_fuel, params)
     children = []
     for k in range(count):
         offset = rng.uniform(-half, half) if (half > 0).any() else np.zeros(2)
@@ -301,13 +314,13 @@ def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
     if dt <= 0:
         raise DomainError("dt", f"dt must be > 0, got {dt}")
     step = fire_map.step
+    velocity = front_velocity(fire_map.wind_fuel, fire_map.params)
     fronts = [
         propagate_front(
             front,
             dt,
             fire_map.noise_std,
-            fire_map.wind_fuel,
-            fire_map.params,
+            velocity,
             _front_stream(fire_map.rng_seed, step, front.id, 0),
         )
         for front in fire_map.fronts
@@ -331,8 +344,7 @@ def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
                 front,
                 fire_map.spawn_rate_max,
                 dt,
-                fire_map.wind_fuel,
-                fire_map.params,
+                velocity,
                 _front_stream(fire_map.rng_seed, step, front.id, 1),
                 id_base=base,
             )

@@ -19,6 +19,13 @@ from .geometry import row_norms, smallest_enclosing_circle
 _IMPROVE_EPS = 1e-12
 MAX_TWO_OPT_PASSES = 50
 
+# build_mst takes the tree of at most this many nodes straight from their
+# pair distances; _SMALL_PAIRS[n] lists those pairs in row order as (rows, cols),
+# and _SMALL_INDEX[n] holds the same as index arrays.
+_SMALL_MST = 3
+_SMALL_PAIRS = {2: ([0], [1]), 3: ([0, 0, 1], [1, 2, 2])}
+_SMALL_INDEX = {n: (np.array(rows), np.array(cols)) for n, (rows, cols) in _SMALL_PAIRS.items()}
+
 
 @dataclass(frozen=True)
 class Tour:
@@ -59,6 +66,21 @@ def build_mst(nodes) -> tuple[list[tuple[int, int]], float]:
         raise ValueError("need at least one node")
     if n == 1:
         return [], 0.0
+
+    if n <= _SMALL_MST:
+        # Any n - 1 of the pairs of two or three nodes span them, so the
+        # tree is the n - 1 lightest pairs, summed in Kruskal's order. They
+        # are ranked in Python, below numpy's fixed cost per call: a stable
+        # sort with NaN last, as `argsort` places it, over the pairs in row
+        # order ranks them by (weight, i, j).
+        rows, cols = _SMALL_PAIRS[n]
+        first, second = _SMALL_INDEX[n]
+        weights = row_norms(nodes[first] - nodes[second]).tolist()
+        lightest = sorted(zip(weights, rows, cols), key=lambda e: (e[0] != e[0], e[0]))[: n - 1]
+        total = 0.0
+        for w, _, _ in lightest:
+            total += w
+        return [(i, j) for _, i, j in lightest], total
 
     # A stable sort of the upper triangle, listed row by row, ranks the
     # edges by (weight, i, j).

@@ -19,6 +19,14 @@ There are two filter operations: `predict` (time update) and `update`
 machine: every operation takes a TrackEstimate and returns a new one
 without touching its input's arrays, so distinct fires can be filtered
 concurrently as long as each track is advanced sequentially.
+
+Each operation evaluates each quantity once. `predict` takes the next
+mean and the transition Jacobian from one `transition` call, which
+evaluates the spread model once (`fire.spread_velocity`); `update` forms
+H P once, for the residual covariance and for the gain. These share work
+without reordering any float operation, so results are the same bits as
+evaluating each quantity on its own (tests/test_hot_path_identity.py
+checks them against frozen references).
 """
 
 from __future__ import annotations
@@ -46,6 +54,12 @@ _IDENTITY.flags.writeable = False
 # the fire position and the weather triple, zero on the UAV pose.
 _F_BASE = np.diag([1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
 _F_BASE.flags.writeable = False
+
+# Observation Jacobian without its look-angle rows: the weather triple
+# passes straight through.
+_H_BASE = np.zeros((OBS_DIM, STATE_DIM))
+_H_BASE[[2, 3, 4], [SPREAD_RATE, WIND_SPEED, WIND_AZIMUTH]] = 1.0
+_H_BASE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -87,48 +101,34 @@ class TrackEstimate:
 # models
 
 
-def fire_velocity(state: np.ndarray, params: fire.EllipseParams) -> np.ndarray:
-    """Spread velocity of the state's weather, negative rate and wind clamped to 0.
-
-    The same floats as `fire.front_velocity` of the clamped
-    `WindFuelState`, without building one per call.
-    """
-    c = fire.spread_coefficient(state[SPREAD_RATE], state[WIND_SPEED], params)
-    azimuth = state[WIND_AZIMUTH] % (2 * math.pi)
-    return np.array([c * math.sin(azimuth), c * math.cos(azimuth)])
-
-
-def state_transition(
+def transition(
     state: np.ndarray,
     dt: float,
     params: fire.EllipseParams,
     uav_pose=None,
-) -> np.ndarray:
-    """Advance the fire position by its spread velocity; weather is constant.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The next state and the 8x8 transition Jacobian at `state`.
 
-    `uav_pose`, when given, overwrites the pose components (control
-    input); otherwise the pose is carried over unchanged.
+    The fire position advances by its spread velocity, with negative rate
+    and wind clamped to 0 (`fire.spread_velocity`); the weather is
+    constant. `uav_pose`, when given, overwrites the pose components
+    (control input); otherwise the pose is carried over unchanged.
+
+    Jacobian fire rows: identity in position plus dt-scaled velocity
+    sensitivities to the weather triple. Weather rows: identity. UAV
+    rows: zero (the pose is a control input). Velocity and sensitivities
+    come from one evaluation of the spread model.
     """
+    velocity, sensitivity = fire.spread_velocity(
+        state[SPREAD_RATE], state[WIND_SPEED], state[WIND_AZIMUTH], params
+    )
+    F = _F_BASE.copy()
+    F[FIRE_X:FIRE_Y + 1, SPREAD_RATE:] = sensitivity * dt
     out = np.array(state, dtype=float)
-    out[FIRE_X:FIRE_Y + 1] += fire_velocity(state, params) * dt
+    out[FIRE_X:FIRE_Y + 1] += velocity * dt
     if uav_pose is not None:
         out[UAV_X:UAV_Z + 1] = uav_pose
-    return out
-
-
-def transition_jacobian(state: np.ndarray, dt: float, params: fire.EllipseParams) -> np.ndarray:
-    """8x8 Jacobian of the transition with respect to the previous state.
-
-    Fire rows: identity in position plus dt-scaled velocity sensitivities
-    to the weather triple. Weather rows: identity. UAV rows: zero (the
-    pose is a control input).
-    """
-    F = _F_BASE.copy()
-    F[FIRE_X:FIRE_Y + 1, SPREAD_RATE:] = (
-        fire.front_velocity_jacobian(state[SPREAD_RATE], state[WIND_SPEED], state[WIND_AZIMUTH], params)
-        * dt
-    )
-    return F
+    return out, F
 
 
 def observe(state: np.ndarray) -> np.ndarray:
@@ -152,7 +152,7 @@ def observation_jacobian(state: np.ndarray) -> np.ndarray:
     pz = state[UAV_Z]
     if pz <= 0:
         raise DomainError("uav_z", f"uav_z must be > 0 to observe, got {pz}")
-    H = np.zeros((OBS_DIM, STATE_DIM))
+    H = _H_BASE.copy()
     for row, (qcol, pcol) in enumerate([(FIRE_X, UAV_X), (FIRE_Y, UAV_Y)]):
         q = state[qcol] - state[pcol]
         u = q / pz
@@ -160,9 +160,6 @@ def observation_jacobian(state: np.ndarray) -> np.ndarray:
         H[row, qcol] = w / pz
         H[row, pcol] = -w / pz
         H[row, UAV_Z] = -w * q / (pz * pz)
-    H[2, SPREAD_RATE] = 1.0
-    H[3, WIND_SPEED] = 1.0
-    H[4, WIND_AZIMUTH] = 1.0
     return H
 
 
@@ -207,8 +204,11 @@ def innovation_covariance(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.nda
     return symmetrize(H @ P @ H.T + R)
 
 
-def kalman_gain(P: np.ndarray, H: np.ndarray, S: np.ndarray) -> np.ndarray:
+def kalman_gain(HP: np.ndarray, S: np.ndarray) -> np.ndarray:
     """K = P H^T S^-1; refuses an S whose 2-norm condition number exceeds 1e12.
+
+    P is symmetric, so P H^T is the transpose of the HP = H @ P that also
+    forms S, and the caller passes that product in.
 
     An S that is not finite is refused too, so an overflowing covariance
     is a filter fault that the caller handles like a singular one.
@@ -230,7 +230,7 @@ def kalman_gain(P: np.ndarray, H: np.ndarray, S: np.ndarray) -> np.ndarray:
     lo, hi = vals[0], vals[-1]
     if not (lo > 0 and hi <= _COND_LIMIT * lo):
         raise SingularResidual(f"residual covariance condition number exceeds {_COND_LIMIT:g}")
-    return np.linalg.solve(S, H @ P).T
+    return np.linalg.solve(S, HP).T
 
 
 def multi_step_residual_cov(
@@ -258,8 +258,7 @@ def predict(
     uav_pose=None,
 ) -> TrackEstimate:
     """Time update: mean through the transition, P through F P F^T + Q."""
-    F = transition_jacobian(track.mean, dt, params)
-    mean = state_transition(track.mean, dt, params, uav_pose=uav_pose)
+    mean, F = transition(track.mean, dt, params, uav_pose=uav_pose)
     P = propagate_covariance(track.covariance, F, track.process_noise)
     return TrackEstimate(
         mean=mean,
@@ -292,17 +291,20 @@ def update(track: TrackEstimate, z: np.ndarray, cfg: FilterConfig) -> TrackEstim
     P = track.covariance
     H = observation_jacobian(track.mean)
     innovation = _residual(z, track.mean)
-    HPHt = H @ P @ H.T
-    K = kalman_gain(P, H, symmetrize(HPHt + track.observation_noise))
+    HP = H @ P
+    HPHt = HP @ H.T
+    K = kalman_gain(HP, symmetrize(HPHt + track.observation_noise))
     mean = track.mean + K @ innovation
     kd = K @ _residual(z, mean)
     a = cfg.alpha_forget
+    # v[:, None] * v is np.outer(v, v): numpy forms the outer product by
+    # that same broadcast multiply.
     return TrackEstimate(
         mean=mean,
         covariance=floor_psd((_IDENTITY - K @ H) @ P),
-        process_noise=symmetrize(a * track.process_noise + (1 - a) * np.outer(kd, kd)),
+        process_noise=symmetrize(a * track.process_noise + (1 - a) * (kd[:, None] * kd)),
         observation_noise=symmetrize(
-            a * track.observation_noise + (1 - a) * (np.outer(innovation, innovation) + HPHt)
+            a * track.observation_noise + (1 - a) * (innovation[:, None] * innovation + HPHt)
         ),
         prior_mean=track.prior_mean,
         prior_covariance=track.prior_covariance,

@@ -233,3 +233,247 @@ def chase_moving_targets(start, targets, velocities, speed, capture_radius, dt=0
         else:
             return math.inf
     return t
+
+
+# ---------------------------------------------------------------------------
+# Frozen references for the per-track filter and per-front fire step.
+#
+# Each is the straightforward form of the library's arithmetic, in the
+# order it was first written: the spread model evaluated once for the
+# velocity and again for its Jacobian, the velocity evaluated once per
+# front, H @ P formed twice and np.outer for the adaptation products.
+# The library must agree with them bit for bit and raise the same
+# exception types on the same inputs. They take and return plain arrays;
+# only the error types and the keyed-RNG primitive come from emberwatch.
+
+_LB_TOLERANCE = 1e-9
+_GB_FLOOR = 1e-12
+_COND_LIMIT = 1e12
+_LINEAGE_SHIFT = 32
+
+
+def _ref_length_to_breadth(params, wind_speed):
+    return (
+        params.a * math.exp(params.b * wind_speed)
+        + params.c * math.exp(-params.d * wind_speed)
+        + params.l
+    )
+
+
+def _ref_spread_coefficient(rate, wind_speed, params):
+    from emberwatch.errors import DomainError
+
+    rate = max(rate, 0.0)
+    u = max(wind_speed, 0.0)
+    lb = _ref_length_to_breadth(params, u)
+    if lb < 1.0 - _LB_TOLERANCE:
+        raise DomainError("ellipse", f"length-to-breadth ratio {lb!r} < 1 at wind speed {u!r}")
+    gb = max(lb * lb - 1.0, 0.0)
+    return rate * (1.0 - lb / (lb + math.sqrt(gb)))
+
+
+def _ref_velocity_jacobian(rate, wind_speed, azimuth, params):
+    from emberwatch.errors import DomainError
+
+    clamped_rate = rate < 0
+    clamped_wind = wind_speed < 0
+    r = max(rate, 0.0)
+    u = max(wind_speed, 0.0)
+    lb = _ref_length_to_breadth(params, u)
+    if lb < 1.0 - _LB_TOLERANCE:
+        raise DomainError("ellipse", f"length-to-breadth ratio {lb!r} < 1 at wind speed {u!r}")
+    gb = max(lb * lb - 1.0, 0.0)
+    sq = math.sqrt(gb)
+    factor = 1.0 - lb / (lb + sq)
+    c = r * factor
+    dc_dr = 0.0 if clamped_rate else factor
+    if clamped_wind or gb <= _GB_FLOOR or r == 0.0:
+        dc_du = 0.0
+    else:
+        lb_prime = params.a * params.b * math.exp(params.b * u) - params.c * params.d * math.exp(-params.d * u)
+        dc_du = r * lb_prime / (sq * (lb + sq) ** 2)
+    s, co = math.sin(azimuth), math.cos(azimuth)
+    return np.array([[dc_dr * s, dc_du * s, c * co], [dc_dr * co, dc_du * co, -c * s]])
+
+
+def _ref_state_velocity(state, params):
+    c = _ref_spread_coefficient(state[5], state[6], params)
+    azimuth = state[7] % (2 * math.pi)
+    return np.array([c * math.sin(azimuth), c * math.cos(azimuth)])
+
+
+def _ref_symmetrize(matrix):
+    return (matrix + matrix.T) / 2.0
+
+
+def reference_predict(mean, P, Q, dt, params, uav_pose=None):
+    """(mean, P, F) of one EKF time update."""
+    F = np.diag([1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+    F[0:2, 5:] = _ref_velocity_jacobian(mean[5], mean[6], mean[7], params) * dt
+    out = np.array(mean, dtype=float)
+    out[0:2] += _ref_state_velocity(mean, params) * dt
+    if uav_pose is not None:
+        out[2:5] = uav_pose
+    return out, _ref_symmetrize(F @ P @ F.T + Q), F
+
+
+def _ref_observe(state):
+    from emberwatch.errors import DomainError
+
+    pz = state[4]
+    if pz <= 0:
+        raise DomainError("uav_z", f"uav_z must be > 0 to observe, got {pz}")
+    return np.array(
+        [
+            math.atan((state[0] - state[2]) / pz),
+            math.atan((state[1] - state[3]) / pz),
+            state[5],
+            state[6],
+            state[7],
+        ]
+    )
+
+
+def _ref_observation_jacobian(state):
+    from emberwatch.errors import DomainError
+
+    pz = state[4]
+    if pz <= 0:
+        raise DomainError("uav_z", f"uav_z must be > 0 to observe, got {pz}")
+    H = np.zeros((5, 8))
+    for row, (qcol, pcol) in enumerate([(0, 2), (1, 3)]):
+        q = state[qcol] - state[pcol]
+        u = q / pz
+        w = 1.0 / (1.0 + u * u)
+        H[row, qcol] = w / pz
+        H[row, pcol] = -w / pz
+        H[row, 4] = -w * q / (pz * pz)
+    H[2, 5] = 1.0
+    H[3, 6] = 1.0
+    H[4, 7] = 1.0
+    return H
+
+
+def _ref_residual(z, state):
+    d = z - _ref_observe(state)
+    d[4] = (d[4] + math.pi) % (2 * math.pi) - math.pi
+    return d
+
+
+def _ref_kalman_gain(P, H, S):
+    from emberwatch.errors import SingularResidual
+
+    try:
+        vals = np.linalg.eigvalsh(S)
+    except np.linalg.LinAlgError as exc:
+        raise SingularResidual("residual covariance is not finite") from exc
+    lo, hi = vals[0], vals[-1]
+    if not (lo > 0 and hi <= _COND_LIMIT * lo):
+        raise SingularResidual(f"residual covariance condition number exceeds {_COND_LIMIT:g}")
+    return np.linalg.solve(S, H @ P).T
+
+
+def _ref_floor_psd(matrix):
+    sym = _ref_symmetrize(matrix)
+    try:
+        np.linalg.cholesky(sym)
+        return sym
+    except np.linalg.LinAlgError:
+        pass
+    vals, vecs = np.linalg.eigh(sym)
+    if vals.min() >= 0.0:
+        return sym
+    vals = np.maximum(vals, 0.0)
+    return _ref_symmetrize((vecs * vals) @ vecs.T)
+
+
+def reference_update(mean, P, Q, R, z, alpha):
+    """(mean, P, Q, R) of one measurement update with forgetting-factor adaptation."""
+    H = _ref_observation_jacobian(mean)
+    innovation = _ref_residual(z, mean)
+    HPHt = H @ P @ H.T
+    K = _ref_kalman_gain(P, H, _ref_symmetrize(HPHt + R))
+    new_mean = mean + K @ innovation
+    kd = K @ _ref_residual(z, new_mean)
+    return (
+        new_mean,
+        _ref_floor_psd((np.eye(8) - K @ H) @ P),
+        _ref_symmetrize(alpha * Q + (1 - alpha) * np.outer(kd, kd)),
+        _ref_symmetrize(alpha * R + (1 - alpha) * (np.outer(innovation, innovation) + HPHt)),
+    )
+
+
+def reference_worst_case_speed(means, covariances, z, params):
+    """Worst-case fire speed over tracks given by their means and P, with quantile z."""
+    x_bound = 0.0
+    y_bound = 0.0
+    for mean, P in zip(means, covariances):
+        jac = _ref_velocity_jacobian(*mean[5:], params)
+        vel_cov = jac @ P[5:, 5:] @ jac.T
+        vel = _ref_state_velocity(mean, params)
+        x_bound = max(x_bound, abs(vel[0]) + z * math.sqrt(max(vel_cov[0, 0], 0.0)))
+        y_bound = max(y_bound, abs(vel[1]) + z * math.sqrt(max(vel_cov[1, 1], 0.0)))
+    return math.hypot(x_bound, y_bound)
+
+
+def reference_simulate_step(fire_map, dt):
+    """Fronts after one fire step, as (id, position, velocity, lineage) tuples.
+
+    Reads the map's fields; evaluates the spread velocity once per front
+    and once per spawned child, as the velocity of its wind state.
+    """
+    from emberwatch.errors import DomainError
+    from emberwatch.fire import substream_key
+
+    wf, params = fire_map.wind_fuel, fire_map.params
+
+    def velocity():
+        c = _ref_spread_coefficient(wf.spread_rate, wf.wind_speed, params)
+        return np.array([c * math.sin(wf.wind_azimuth), c * math.cos(wf.wind_azimuth)])
+
+    def stream(front_id, role):
+        return np.random.default_rng(substream_key(fire_map.rng_seed, fire_map.step, front_id, role))
+
+    if dt <= 0:
+        raise DomainError("dt", f"dt must be > 0, got {dt}")
+    fronts = []
+    for f in fire_map.fronts:
+        rng = stream(f.id, 0)
+        v = velocity()
+        position = f.position + f.velocity * dt
+        if fire_map.noise_std > 0:
+            position = position + rng.normal(0.0, fire_map.noise_std, size=2)
+        fronts.append((f.id, position, v, f.lineage))
+
+    new_step = fire_map.step + 1
+    if fire_map.case == 3 and new_step % fire_map.spawn_interval == 0:
+        low = (1 << _LINEAGE_SHIFT) - 1
+        counts: dict[int, int] = {}
+        next_index: dict[int, int] = {}
+        for fid, _, _, lineage in fronts:
+            counts[lineage] = counts.get(lineage, 0) + 1
+            if fid >> _LINEAGE_SHIFT == lineage:
+                next_index[lineage] = max(next_index.get(lineage, 0), (fid & low) + 1)
+        children = []
+        cap = fire_map.max_per_lineage
+        for fid, position, parent_velocity, lineage in fronts:
+            if cap and counts[lineage] >= cap:
+                continue
+            base = (lineage << _LINEAGE_SHIFT) + next_index.get(lineage, 0)
+            rng = stream(fid, 1)
+            kids = []
+            if fire_map.spawn_rate_max > 0:
+                count = int(rng.integers(0, fire_map.spawn_rate_max + 1))
+                if count:
+                    half = np.abs(parent_velocity) * dt
+                    v = velocity()
+                    for k in range(count):
+                        offset = rng.uniform(-half, half) if (half > 0).any() else np.zeros(2)
+                        kids.append((base + k, position + offset, v, lineage))
+            if cap:
+                kids = kids[: max(cap - counts[lineage], 0)]
+            counts[lineage] = counts.get(lineage, 0) + len(kids)
+            next_index[lineage] = next_index.get(lineage, 0) + len(kids)
+            children.extend(kids)
+        fronts.extend(children)
+    return fronts, new_step

@@ -26,7 +26,7 @@ from emberwatch.bounds import (
 )
 from emberwatch.config import FilterSection, load_config
 from emberwatch.coordination import UavAgent, plan_safety_tour
-from emberwatch.fire import DEFAULT_ELLIPSE, calibrate_spread_rate, front_velocity_jacobian
+from emberwatch.fire import DEFAULT_ELLIPSE, calibrate_spread_rate, spread_velocity
 from emberwatch.harness import compare_controllers, run_scenario, sweep_safety
 from emberwatch.routing import build_mst, k_opt_improve, steiner_reduce, tour_from_mst
 from emberwatch.tracking import (
@@ -42,9 +42,8 @@ from emberwatch.tracking import (
     observation_jacobian,
     observe,
     predict,
-    state_transition,
     step_track,
-    transition_jacobian,
+    transition,
 )
 from emberwatch.cli import main as cli_main
 from oracles import (
@@ -88,12 +87,12 @@ def test_criterion_1_jacobian_fidelity():
         pose = s[UAV_X:UAV_Z + 1].copy()
 
         def f(vec):
-            return state_transition(vec, dt, DEFAULT_ELLIPSE, uav_pose=pose)
+            return transition(vec, dt, DEFAULT_ELLIPSE, uav_pose=pose)[0]
 
         worst_f = max(
             worst_f,
             jacobian_mismatch(
-                transition_jacobian(s, dt, DEFAULT_ELLIPSE),
+                transition(s, dt, DEFAULT_ELLIPSE)[1],
                 finite_difference_jacobian(f, s, h=1e-6),
             ),
         )
@@ -190,7 +189,7 @@ def test_criterion_3_urr_guarantee_monte_carlo():
         velocities = {}
         for fid in ids:
             s = tracks[fid].mean
-            jac = front_velocity_jacobian(s[SPREAD_RATE], s[WIND_SPEED], s[WIND_AZIMUTH], DEFAULT_ELLIPSE)
+            _, jac = spread_velocity(s[SPREAD_RATE], s[WIND_SPEED], s[WIND_AZIMUTH], DEFAULT_ELLIPSE)
             vel_cov = jac @ tracks[fid].covariance[5:8, 5:8] @ jac.T
             mean_vel = np.array(
                 [

@@ -12,11 +12,11 @@ from emberwatch.fire import (
     WindFuelState,
     calibrate_spread_rate,
     front_velocity,
-    front_velocity_jacobian,
     propagate_front,
     simulate_step,
     spawn_fronts,
     spread_coefficient,
+    spread_velocity,
     substream_key,
     _front_stream,
 )
@@ -113,7 +113,7 @@ class TestFrontVelocity:
             rate = float(rng.uniform(0.1, 3.0))
             wind = float(rng.uniform(0.5, 12.0))
             az = float(rng.uniform(0, 2 * math.pi))
-            jac = front_velocity_jacobian(rate, wind, az, DEFAULT_ELLIPSE)
+            _, jac = spread_velocity(rate, wind, az, DEFAULT_ELLIPSE)
             h = 1e-6
             for col, (dr, du, da) in enumerate([(h, 0, 0), (0, h, 0), (0, 0, h)]):
                 plus = front_velocity(
@@ -133,13 +133,13 @@ class TestPropagation:
     def test_exact_euler_step(self):
         wf = WindFuelState(spread_rate=0.0, wind_speed=5.0, wind_azimuth=0.0)
         rng = np.random.default_rng(0)
-        out = propagate_front(self._front(), 0.5, 0.0, wf, DEFAULT_ELLIPSE, rng)
+        out = propagate_front(self._front(), 0.5, 0.0, front_velocity(wf, DEFAULT_ELLIPSE), rng)
         assert out.position == pytest.approx([0.5, 1.0])
 
     def test_stationary_without_noise(self):
         wf = WindFuelState(spread_rate=0.0, wind_speed=5.0, wind_azimuth=0.0)
         rng = np.random.default_rng(0)
-        out = propagate_front(self._front(v=(0.0, 0.0)), 3.0, 0.0, wf, DEFAULT_ELLIPSE, rng)
+        out = propagate_front(self._front(v=(0.0, 0.0)), 3.0, 0.0, front_velocity(wf, DEFAULT_ELLIPSE), rng)
         assert out.position == pytest.approx([0.0, 0.0])
 
     def test_noise_is_seed_deterministic(self):
@@ -147,7 +147,7 @@ class TestPropagation:
         outs = []
         for _ in range(2):
             rng = np.random.default_rng(42)
-            outs.append(propagate_front(self._front(), 1.0, 0.1, wf, DEFAULT_ELLIPSE, rng))
+            outs.append(propagate_front(self._front(), 1.0, 0.1, front_velocity(wf, DEFAULT_ELLIPSE), rng))
         assert np.array_equal(outs[0].position, outs[1].position)
 
     def test_n_steps_exact_without_noise(self):
@@ -177,13 +177,13 @@ class TestSpawning:
     def test_zero_rate_spawns_nothing(self):
         parent, wf = self._parent()
         rng = np.random.default_rng(0)
-        assert spawn_fronts(parent, 0, 1.0, wf, DEFAULT_ELLIPSE, rng) == []
+        assert spawn_fronts(parent, 0, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), rng) == []
 
     def test_count_bounded(self):
         parent, wf = self._parent()
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            kids = spawn_fronts(parent, 3, 1.0, wf, DEFAULT_ELLIPSE, rng)
+            kids = spawn_fronts(parent, 3, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), rng)
             assert 0 <= len(kids) <= 3
 
     def test_children_inside_growth_box(self):
@@ -192,7 +192,7 @@ class TestSpawning:
         seen = 0
         for seed in range(1000):
             rng = np.random.default_rng(seed)
-            for kid in spawn_fronts(parent, 3, 1.0, wf, DEFAULT_ELLIPSE, rng):
+            for kid in spawn_fronts(parent, 3, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), rng):
                 seen += 1
                 offset = kid.position - parent.position
                 assert abs(offset[0]) <= half[0] + 1e-12
@@ -202,7 +202,7 @@ class TestSpawning:
     def test_child_ids_are_unique_and_disjoint(self):
         parent, wf = self._parent()
         rng = np.random.default_rng(12)
-        kids = spawn_fronts(parent, 3, 1.0, wf, DEFAULT_ELLIPSE, rng)
+        kids = spawn_fronts(parent, 3, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), rng)
         ids = [k.id for k in kids]
         assert len(set(ids)) == len(ids)
         assert all(i != parent.id and i >= (1 << 32) for i in ids)

@@ -236,6 +236,52 @@ class TestSweeps:
             assert mean >= 0 and se >= 0
 
 
+class TestRunInvariants:
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_every_covariance_stays_symmetric_finite_and_psd(self, case, monkeypatch):
+        import emberwatch.harness as harness
+
+        covariances = []
+        for name in ("step_track", "predict"):
+            step = getattr(harness, name)
+
+            def capture(*args, _step=step, **kwargs):
+                track = _step(*args, **kwargs)
+                covariances.append(track.covariance)
+                return track
+
+            monkeypatch.setattr(harness, name, capture)
+        cfg = load_config(CONFIG_DIR / f"case{case}.yaml")
+        for seed in (0, 1):
+            run_scenario(replace(cfg, duration=80, rng_seed=seed))
+        assert len(covariances) >= 2 * 80 * cfg.fire.initial_count
+        for P in covariances:
+            assert np.isfinite(P).all()
+            assert np.array_equal(P, P.T)
+            eigenvalues = np.linalg.eigvalsh(P)
+            assert eigenvalues[0] >= -1e-12 * max(1.0, eigenvalues[-1])
+
+    def test_in_process_reruns_are_byte_identical(self):
+        # Each second call follows a call on another config, so state left
+        # behind by one run (a cache, a shared array) would show.
+        runs = [replace(load_config(CONFIG_DIR / f"case{c}.yaml"), duration=40) for c in (1, 2, 3)]
+        first = [run_scenario(cfg) for cfg in runs]
+        second = [run_scenario(cfg) for cfg in reversed(runs)][::-1]
+        for a, b in zip(first, second):
+            assert a.to_csv() == b.to_csv()
+            assert a.to_json() == b.to_json()
+
+        sweep = replace(load_config(CONFIG_DIR / "sweep.yaml"), duration=30)
+        first_sweep = sweep_safety(sweep, max_teams=2, trials=2).to_csv()
+        sweep_safety(replace(sweep, rng_seed=sweep.rng_seed + 5), max_teams=1, trials=1)
+        assert sweep_safety(sweep, max_teams=2, trials=2).to_csv() == first_sweep
+
+        compare = replace(load_config(CONFIG_DIR / "compare.yaml"), duration=20)
+        first_compare = compare_controllers(compare, [1, 2], trials=1).to_csv()
+        compare_controllers(replace(compare, rng_seed=compare.rng_seed + 5), [1], trials=1)
+        assert compare_controllers(compare, [1, 2], trials=1).to_csv() == first_compare
+
+
 class TestMetricsSerialization:
     def test_csv_header_and_shape(self):
         metrics = run_scenario(coverage_config(duration=5))

@@ -67,6 +67,58 @@ class TestMatchesReference:
             assert out.order == two_opt_reference(start, nodes)
 
 
+def small_layouts():
+    """Two- and three-node sets, random at many scales and with exact ties."""
+    rng = np.random.default_rng(113)
+    for k in range(400):
+        yield rng.uniform(-1.0, 1.0, size=(2 + k % 2, 2)) * 10.0 ** rng.uniform(-6, 6)
+    yield from (
+        np.array(nodes, dtype=float)
+        for nodes in (
+            [(0, 0), (0, 0)],
+            [(0, 0), (0, 0), (0, 0)],
+            [(0, 0), (0, 0), (1, 0)],
+            [(1, 0), (0, 0), (0, 0)],
+            [(0, 0), (1, 0), (2, 0)],
+            [(0, 0), (2, 0), (1, 0)],
+            [(2, 0), (0, 0), (1, 0)],
+            [(0, 0), (1, 0), (0, 1)],
+            [(1, 1), (0, 1), (1, 0)],
+            [(0, 0), (3, 4), (0, 0)],
+            [(0, 0), (3, 4), (6, 0)],
+        )
+    )
+
+
+def _ranked_by_argsort(nodes):
+    """The many-node path's ranking, a stable argsort of the condensed pair distances, taken to n - 1 edges."""
+    n = len(nodes)
+    rows, cols = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    weights = distance_matrix(nodes)[rows, cols]
+    ranked = np.argsort(weights, kind="stable")[: n - 1]
+    total = 0.0
+    for k in ranked:
+        total += float(weights[k])
+    return [(int(rows[k]), int(cols[k])) for k in ranked], total
+
+
+class TestSmallMst:
+    def test_two_and_three_nodes_match_kruskal_bit_for_bit(self):
+        for nodes in small_layouts():
+            tree, total = build_mst(nodes)
+            assert (tree, total) == kruskal_reference(nodes)
+            assert (tree, total) == _ranked_by_argsort(nodes)
+            assert all(type(i) is int and type(j) is int for i, j in tree)
+            assert type(total) is float
+
+    def test_nan_distances_rank_last_as_argsort_does(self):
+        nodes = np.array([(0.0, 0.0), (math.nan, 0.0), (1.0, 0.0)])
+        tree, total = build_mst(nodes)
+        expected_tree, expected_total = _ranked_by_argsort(nodes)
+        assert tree == expected_tree == [(0, 2), (0, 1)]
+        assert math.isnan(total) and math.isnan(expected_total)
+
+
 class TestBuildMst:
     def test_single_node(self):
         edges, total = build_mst([(3.0, 3.0)])

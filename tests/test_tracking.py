@@ -14,6 +14,7 @@ from emberwatch.fire import (
     front_velocity,
     propagate_front,
     spread_coefficient,
+    spread_velocity,
 )
 from emberwatch.tracking import (
     FIRE_X,
@@ -24,7 +25,6 @@ from emberwatch.tracking import (
     UAV_Z,
     FilterConfig,
     TrackEstimate,
-    fire_velocity,
     floor_psd,
     innovation_covariance,
     kalman_gain,
@@ -33,10 +33,9 @@ from emberwatch.tracking import (
     observe,
     predict,
     propagate_covariance,
-    state_transition,
     step_track,
     symmetrize,
-    transition_jacobian,
+    transition,
     update,
 )
 from oracles import finite_difference_jacobian, jacobian_mismatch
@@ -74,13 +73,13 @@ class TestStateTransition:
     def test_flat_spread_leaves_position(self):
         flat = replace(DEFAULT_ELLIPSE, a=1.0, b=0.0, c=0.0, d=0.0, l=0.0)  # LB == 1
         s = np.array([1, 2, 3, 4, 50, 2.0, 5.0, 0.7], dtype=float)
-        out = state_transition(s, 1.0, flat)
+        out = transition(s, 1.0, flat)[0]
         assert (out[FIRE_X], out[FIRE_Y]) == (1, 2)
 
     def test_unit_speed_north(self):
         rate = calibrate_spread_rate(1.0, 5.0, DEFAULT_ELLIPSE)
         s = np.array([0, 0, 3, 4, 50, rate, 5.0, 0.0], dtype=float)
-        out = state_transition(s, 1.0, DEFAULT_ELLIPSE)
+        out = transition(s, 1.0, DEFAULT_ELLIPSE)[0]
         assert out[FIRE_X] == pytest.approx(0.0, abs=1e-15)
         assert out[FIRE_Y] == pytest.approx(1.0)
         # everything else untouched
@@ -95,15 +94,15 @@ class TestStateTransition:
         import emberwatch.fire as fire
 
         front = replace(front, velocity=fire.front_velocity(wf, DEFAULT_ELLIPSE))
-        moved = propagate_front(front, 0.5, 0.0, wf, DEFAULT_ELLIPSE, np.random.default_rng(0))
+        moved = propagate_front(front, 0.5, 0.0, front.velocity, np.random.default_rng(0))
         s = np.array([7.0, -2.0, 0, 0, 40, 2.0, 5.0, math.pi / 3], dtype=float)
-        out = state_transition(s, 0.5, DEFAULT_ELLIPSE)
+        out = transition(s, 0.5, DEFAULT_ELLIPSE)[0]
         assert out[FIRE_X] == pytest.approx(moved.position[0])
         assert out[FIRE_Y] == pytest.approx(moved.position[1])
 
     def test_uav_pose_control(self):
         s = np.array([0, 0, 3, 4, 50, 0.0, 5.0, 0.0], dtype=float)
-        out = state_transition(s, 1.0, DEFAULT_ELLIPSE, uav_pose=(9.0, 8.0, 70.0))
+        out = transition(s, 1.0, DEFAULT_ELLIPSE, uav_pose=(9.0, 8.0, 70.0))[0]
         assert tuple(pose_of(out)) == (9.0, 8.0, 70.0)
 
 
@@ -117,9 +116,9 @@ class TestTransitionJacobian:
             pose = pose_of(s)
 
             def f(vec):
-                return state_transition(vec, dt, DEFAULT_ELLIPSE, uav_pose=pose)
+                return transition(vec, dt, DEFAULT_ELLIPSE, uav_pose=pose)[0]
 
-            analytic = transition_jacobian(s, dt, DEFAULT_ELLIPSE)
+            analytic = transition(s, dt, DEFAULT_ELLIPSE)[1]
             numeric = finite_difference_jacobian(f, s, h=1e-6)
             worst = max(worst, jacobian_mismatch(analytic, numeric))
         assert worst < 1e-4
@@ -128,7 +127,7 @@ class TestTransitionJacobian:
         rate = calibrate_spread_rate(1.3, 5.0, DEFAULT_ELLIPSE)
         s = np.array([0, 0, 0, 0, 40, rate, 5.0, 0.0], dtype=float)
         dt = 0.5
-        F = transition_jacobian(s, dt, DEFAULT_ELLIPSE)
+        F = transition(s, dt, DEFAULT_ELLIPSE)[1]
         c = spread_coefficient(rate, 5.0, DEFAULT_ELLIPSE)
         assert F[0, 7] == pytest.approx(c * dt)  # d fire_x / d azimuth = C cos(0) dt
         assert F[1, 7] == pytest.approx(0.0, abs=1e-12)
@@ -136,7 +135,7 @@ class TestTransitionJacobian:
     def test_zero_dt_identity_on_fire_weather_block(self):
         rng = np.random.default_rng(5)
         s = random_state(rng)
-        F = transition_jacobian(s, 0.0, DEFAULT_ELLIPSE)
+        F = transition(s, 0.0, DEFAULT_ELLIPSE)[1]
         keep = [0, 1, 5, 6, 7]
         assert np.allclose(F[np.ix_(keep, keep)], np.eye(5))
         assert np.allclose(F[2:5, :], 0.0)  # pose rows are control input
@@ -229,7 +228,7 @@ class TestPredictUpdate:
         H = np.array([[1.0]])
         R = np.array([[1.0]])
         S = innovation_covariance(P, H, R)
-        K = kalman_gain(P, H, S)
+        K = kalman_gain(H @ P, S)
         assert K[0, 0] == pytest.approx(0.5)
         post = (np.eye(1) - K @ H) @ P
         assert post[0, 0] == pytest.approx(0.5)
@@ -367,7 +366,7 @@ class TestAdaptNoise:
         track, z = self._pieces(np.random.default_rng(47))
         out = update(track, z, FilterConfig(alpha_forget=0.0))
         P, H = track.covariance, observation_jacobian(track.mean)
-        gain = kalman_gain(P, H, innovation_covariance(P, H, track.observation_noise))
+        gain = kalman_gain(H @ P, innovation_covariance(P, H, track.observation_noise))
         residual = z - observe(out.mean)
         kd = gain @ residual
         assert np.allclose(out.process_noise, np.outer(kd, kd), atol=1e-12)
@@ -463,9 +462,9 @@ class TestFastPaths:
             if np.linalg.cond(S) > 1e12:
                 refused += 1
                 with pytest.raises(SingularResidual):
-                    kalman_gain(P, H, S)
+                    kalman_gain(H @ P, S)
             else:
-                assert np.array_equal(kalman_gain(P, H, S), np.linalg.solve(S, H @ P).T)
+                assert np.array_equal(kalman_gain(H @ P, S), np.linalg.solve(S, H @ P).T)
         assert 0 < refused < len(cases)
 
     def test_floor_psd_returns_positive_definite_input_symmetrized(self):
@@ -493,4 +492,5 @@ class TestFastPaths:
             state = random_state(rng)
             state[SPREAD_RATE:] = rng.uniform([-1.0, -3.0, -20.0], [3.0, 12.0, 20.0])
             weather = WindFuelState(max(state[SPREAD_RATE], 0.0), max(state[SPREAD_RATE + 1], 0.0), state[-1])
-            assert np.array_equal(fire_velocity(state, DEFAULT_ELLIPSE), front_velocity(weather, DEFAULT_ELLIPSE))
+            velocity, _ = spread_velocity(*state[SPREAD_RATE:], DEFAULT_ELLIPSE)
+            assert np.array_equal(velocity, front_velocity(weather, DEFAULT_ELLIPSE))
