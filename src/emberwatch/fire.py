@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +38,21 @@ _LINEAGE_SHIFT = 32
 # Words of a numpy SeedSequence entropy pool, and the mask of one word.
 _POOL_WORDS = 4
 _MASK32 = 0xFFFFFFFF
+
+# numpy's documented SeedSequence mix (after O'Neill's seed_seq_fe): the
+# entropy hash constant and multiplier, the output hash constant and
+# multiplier, the two mixing multipliers and the xor-shift.
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+
+# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905) and modulus mask.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -315,15 +330,10 @@ def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
         raise DomainError("dt", f"dt must be > 0, got {dt}")
     step = fire_map.step
     velocity = front_velocity(fire_map.wind_fuel, fire_map.params)
+    moves = keyed_generators(fire_map.rng_seed, (step,), [f.id for f in fire_map.fronts], (0,))
     fronts = [
-        propagate_front(
-            front,
-            dt,
-            fire_map.noise_std,
-            velocity,
-            _front_stream(fire_map.rng_seed, step, front.id, 0),
-        )
-        for front in fire_map.fronts
+        propagate_front(front, dt, fire_map.noise_std, velocity, rng)
+        for front, rng in zip(fire_map.fronts, moves)
     ]
 
     new_step = step + 1
@@ -336,7 +346,8 @@ def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
                 idx = (f.id & ((1 << _LINEAGE_SHIFT) - 1)) + 1
                 next_index[f.lineage] = max(next_index.get(f.lineage, 0), idx)
         children: list[FireFront] = []
-        for front in fronts:
+        spawns = keyed_generators(fire_map.rng_seed, (step,), [f.id for f in fronts], (1,))
+        for front, rng in zip(fronts, spawns):
             if fire_map.max_per_lineage and lineage_counts[front.lineage] >= fire_map.max_per_lineage:
                 continue
             base = (front.lineage << _LINEAGE_SHIFT) + next_index.get(front.lineage, 0)
@@ -345,7 +356,7 @@ def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
                 fire_map.spawn_rate_max,
                 dt,
                 velocity,
-                _front_stream(fire_map.rng_seed, step, front.id, 1),
+                rng,
                 id_base=base,
             )
             if fire_map.max_per_lineage:
@@ -357,11 +368,6 @@ def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
         fronts.extend(children)
 
     return replace(fire_map, fronts=tuple(fronts), step=new_step)
-
-
-def _front_stream(seed: int, step: int, front_id: int, role: int) -> np.random.Generator:
-    """Independent generator for one front at one step (role 0 move, 1 spawn)."""
-    return np.random.default_rng(substream_key(seed, step, front_id, role))
 
 
 def substream_key(seed: int, *key: int) -> np.random.SeedSequence:
@@ -395,3 +401,83 @@ def substream_key(seed: int, *key: int) -> np.random.SeedSequence:
         rest >>= 32
     words.extend([0] * (_POOL_WORDS - len(words)))
     return np.random.SeedSequence(np.array(words + entries, dtype=np.uint32))
+
+
+def _hash_constants(hash_const: int, mult: int, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Xor and multiply constants of successive SeedSequence hashes.
+
+    Each hash xors its input with the running constant, advances the
+    constant by `mult` and multiplies by the new value. Returns one
+    constant per hash, in C order, as uint32 arrays of `shape` plus a
+    trailing axis that broadcasts over ids.
+    """
+    xors, mults = [], []
+    for _ in range(math.prod(shape)):
+        xors.append(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        mults.append(hash_const)
+    return np.array(xors, np.uint32).reshape(*shape, 1), np.array(mults, np.uint32).reshape(*shape, 1)
+
+
+# generate_state(4, np.uint64) hashes the pool words 0-3 twice into 8 words.
+_STATE_ROWS = np.arange(2 * _POOL_WORDS) % _POOL_WORDS
+_STATE_XOR, _STATE_MULT = _hash_constants(_INIT_B, _MULT_B, (2 * _POOL_WORDS,))
+
+
+def keyed_generators(
+    seed: int, prefix: Sequence[int], ids: Sequence[int], tail: Sequence[int] = ()
+) -> Iterator[np.random.Generator]:
+    """Yield, per id in order, `default_rng(substream_key(seed, *prefix, id, *tail))`.
+
+    Every yielded generator has exactly that state, but the batch costs
+    one `substream_key` call: each id's remaining key words are mixed
+    into the prefix's SeedSequence pool as (4, N) uint32 arrays,
+    following numpy's documented SeedSequence mix, then
+    `generate_state(4, uint64)` and PCG64's seeding (two 128-bit LCG
+    steps) are reproduced per id. One Generator is re-seeded in place
+    for every id, so each yielded generator is valid only until the next
+    one is drawn.
+
+    The prefix must be non-empty, the seed >= 0 and every id and key
+    part in [0, 2**64): then `substream_key` packs the prefix as the
+    seed's words (at least 4) followed by two words per part.
+    """
+    ids = list(ids)
+    if not ids:
+        return
+    parts = [*prefix, *tail, min(ids), max(ids)]
+    if not prefix or seed < 0 or min(parts) < 0 or max(parts) >> 64:
+        raise ValueError(f"keyed_generators needs a prefix and key parts in [0, 2**64), got {parts}")
+    prefix_key = substream_key(seed, *prefix)
+    n = len(ids)
+    words = [[i >> 32 for i in ids], [i & _MASK32 for i in ids]]
+    for part in tail:
+        words += [[part >> 32] * n, [part & _MASK32] * n]
+    # mix_entropy has hashed 4 times per entropy word of the prefix; each
+    # further word is hashed once per pool word.
+    entropy_words = max(_POOL_WORDS, -(-int(seed).bit_length() // 32)) + 2 * len(prefix)
+    hash_const = _INIT_A * pow(_MULT_A, 4 * entropy_words, 1 << 32) & _MASK32
+    xor, mult = _hash_constants(hash_const, _MULT_A, (len(words), _POOL_WORDS))
+    hashed = (np.array(words, np.uint32)[:, None, :] ^ xor) * mult
+    hashed ^= hashed >> _XSHIFT
+    pool = prefix_key.pool[:, None]
+    for word in hashed:
+        pool = _MIX_MULT_L * pool - _MIX_MULT_R * word
+        pool ^= pool >> _XSHIFT
+    out = pool[_STATE_ROWS] ^ _STATE_XOR
+    out *= _STATE_MULT
+    out ^= out >> _XSHIFT
+    # Little-endian pairs of 32-bit words are the four uint64 state words.
+    state = out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << 32
+    # Any PCG64 will do here: its state is replaced before each yield.
+    rng = np.random.default_rng(prefix_key)
+    bit_generator = rng.bit_generator
+    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*state.tolist()):
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng

@@ -34,7 +34,7 @@ from .coordination import (
     vicinity_fires,
 )
 from .errors import DomainError, NoUavAvailable, SingularResidual
-from .fire import WindFuelState, simulate_step, substream_key
+from .fire import WindFuelState, keyed_generators, simulate_step, substream_key
 from .tracking import TrackEstimate, observe, predict, step_track
 
 # Substream purposes.
@@ -104,6 +104,7 @@ class RunMetrics:
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator of one scalar key; per-entity keys use `keyed_generators`."""
     return np.random.default_rng(substream_key(seed, *key))
 
 
@@ -168,11 +169,15 @@ def _initial_agents(cfg: ScenarioConfig) -> list[UavAgent]:
 
 
 def _init_track(
-    front, cfg: ScenarioConfig, wind: WindFuelState, staging_pose: np.ndarray, priors: tuple[np.ndarray, ...]
+    front,
+    cfg: ScenarioConfig,
+    wind: WindFuelState,
+    staging_pose: np.ndarray,
+    priors: tuple[np.ndarray, ...],
+    rng: np.random.Generator,
 ) -> TrackEstimate:
     """Register a detected hotspot: ground truth plus detection noise; P0, Q0 and R are the priors."""
     fl = cfg.filter
-    rng = _stream(cfg.rng_seed, _S_DETECT, front.id)
     noise = rng.normal(size=5)
     mean = np.array(
         [
@@ -185,6 +190,14 @@ def _init_track(
         ]
     )
     return TrackEstimate(mean, *priors)
+
+
+def _init_tracks(
+    born, cfg: ScenarioConfig, wind: WindFuelState, staging_pose: np.ndarray, priors: tuple[np.ndarray, ...]
+) -> dict[int, TrackEstimate]:
+    """A track per newly detected front, in the order given, each with its keyed detection noise."""
+    detections = keyed_generators(cfg.rng_seed, (_S_DETECT,), [f.id for f in born])
+    return {f.id: _init_track(f, cfg, wind, staging_pose, priors, rng) for f, rng in zip(born, detections)}
 
 
 def _make_observation(
@@ -233,9 +246,7 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
 
         return mint if safety_only else None
 
-    tracks: dict[int, TrackEstimate] = {
-        f.id: _init_track(f, cfg, wind, staging, built.priors) for f in fire_map.fronts
-    }
+    tracks = _init_tracks(fire_map.fronts, cfg, wind, staging, built.priors)
     team_assigned: dict[int, list[UavAgent]] = {}
     metrics = RunMetrics()
     cum = 0
@@ -250,9 +261,7 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
         fire_map = simulate_step(fire_map, dt)
         fronts = sorted(fire_map.fronts, key=lambda f: f.id)
         fronts_by_id = {f.id: f for f in fronts}
-        for front in fronts:
-            if front.id not in tracks:
-                tracks[front.id] = _init_track(front, cfg, wind, staging, built.priors)
+        tracks.update(_init_tracks([f for f in fronts if f.id not in tracks], cfg, wind, staging, built.priors))
 
         # Sensing against ground truth: lowest-id airborne agent wins.
         airborne = [a for a in agents if a.mode in ("coverage", "safety")]
@@ -260,12 +269,12 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
         observer = {f.id: agent for f, agent in zip(fronts, seen_by) if agent is not None}
         uncovered = sum(1 for f in fronts if f.id not in observer)
 
+        # Every observed front has a track, so the batch is drawn in sorted id order.
+        observations = keyed_generators(cfg.rng_seed, (_S_OBS, step), sorted(observer))
         for fid in sorted(tracks):
             if fid in observer:
                 agent = observer[fid]
-                z = _make_observation(
-                    fronts_by_id[fid], agent.pose, wind, cfg, _stream(cfg.rng_seed, _S_OBS, step, fid)
-                )
+                z = _make_observation(fronts_by_id[fid], agent.pose, wind, cfg, next(observations))
                 try:
                     tracks[fid] = step_track(tracks[fid], z, dt, built.filter, params, uav_pose=agent.pose)
                 except (SingularResidual, DomainError):

@@ -12,13 +12,13 @@ from emberwatch.fire import (
     WindFuelState,
     calibrate_spread_rate,
     front_velocity,
+    keyed_generators,
     propagate_front,
     simulate_step,
     spawn_fronts,
     spread_coefficient,
     spread_velocity,
     substream_key,
-    _front_stream,
 )
 
 
@@ -294,10 +294,11 @@ class TestSimulateStep:
 
     def test_front_stream_independent_of_other_fronts(self):
         # the same front draws the same noise no matter who else exists
-        a = _front_stream(9, 4, 33, 0).normal(size=3)
-        b = _front_stream(9, 4, 33, 0).normal(size=3)
-        c = _front_stream(9, 4, 34, 0).normal(size=3)
+        a = next(keyed_generators(9, (4,), [33], (0,))).normal(size=3)
+        b, c = [rng.normal(size=3) for rng in keyed_generators(9, (4,), [33, 34], (0,))]
+        _, e = [rng.normal(size=3) for rng in keyed_generators(9, (4,), [34, 33], (0,))]
         assert np.array_equal(a, b)
+        assert np.array_equal(a, e)
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 9, 2**128 + 3])
@@ -307,6 +308,62 @@ class TestSimulateStep:
             words = tuple(w for k in key for w in (k >> 32, k & 0xFFFFFFFF))
             expected = np.random.SeedSequence(entropy=seed, spawn_key=words)
             assert np.array_equal(substream_key(seed, *key).generate_state(8), expected.generate_state(8)), key
+
+
+KEYED_SEEDS = [0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 9, 2**128 + 3]
+KEYED_IDS = [0, 2**32 - 1, 2**32, 5 << 32 | 3, 2**63, 2**64 - 1]
+KEYED_PREFIXES = [(3,), (4, 17)]
+KEYED_TAILS = [(), (0,), (1,)]
+
+
+def fresh_generator(seed, prefix, i, tail):
+    return np.random.default_rng(substream_key(seed, *prefix, i, *tail))
+
+
+class TestKeyedGenerators:
+    @pytest.mark.parametrize("seed", KEYED_SEEDS)
+    def test_states_equal_a_fresh_generator_of_the_full_key(self, seed):
+        for prefix in KEYED_PREFIXES:
+            for tail in KEYED_TAILS:
+                states = [rng.bit_generator.state for rng in keyed_generators(seed, prefix, KEYED_IDS, tail)]
+                assert len(states) == len(KEYED_IDS)
+                for i, state in zip(KEYED_IDS, states):
+                    expected = np.random.PCG64(substream_key(seed, *prefix, i, *tail)).state
+                    # the dicts hold the 128-bit state, inc, has_uint32 and uinteger
+                    assert state == expected, (prefix, i, tail)
+
+    @pytest.mark.parametrize("seed", KEYED_SEEDS)
+    def test_draws_equal_a_fresh_generator(self, seed):
+        for prefix in KEYED_PREFIXES:
+            for tail in KEYED_TAILS:
+                for i, rng in zip(KEYED_IDS, keyed_generators(seed, prefix, KEYED_IDS, tail)):
+                    fresh = fresh_generator(seed, prefix, i, tail)
+                    assert np.array_equal(rng.normal(size=5), fresh.normal(size=5))
+                for i, rng in zip(KEYED_IDS, keyed_generators(seed, prefix, KEYED_IDS, tail)):
+                    # integers draws 32 bits and buffers the other half of the
+                    # 64-bit output; the next id must not inherit that buffer
+                    fresh = fresh_generator(seed, prefix, i, tail)
+                    assert rng.integers(0, 4) == fresh.integers(0, 4)
+                    assert rng.uniform() == fresh.uniform()
+                    assert rng.integers(0, 4) == fresh.integers(0, 4)
+                    assert rng.bit_generator.state == fresh.bit_generator.state
+
+    def test_state_of_an_id_ignores_the_rest_of_its_batch(self):
+        alone = next(keyed_generators(11, (4,), [33], (1,))).bit_generator.state
+        for batch in ([33, 34], [2**40, 33], [34, 0, 33, 2**63]):
+            states = {i: rng.bit_generator.state for i, rng in zip(batch, keyed_generators(11, (4,), batch, (1,)))}
+            assert states[33] == alone, batch
+
+    def test_empty_batch_yields_nothing(self):
+        assert list(keyed_generators(3, (4,), [])) == []
+
+    @pytest.mark.parametrize(
+        "prefix, ids, tail",
+        [((), [1], ()), ((4,), [-1], ()), ((4,), [2**64], ()), ((2**64,), [1], ()), ((4,), [1], (-2,))],
+    )
+    def test_key_outside_the_packed_form_is_refused(self, prefix, ids, tail):
+        with pytest.raises(ValueError):
+            list(keyed_generators(3, prefix, ids, tail))
 
 
 class TestValidation:

@@ -282,6 +282,82 @@ class TestRunInvariants:
         assert compare_controllers(compare, [1, 2], trials=1).to_csv() == first_compare
 
 
+def keyed_stream_mismatches(cfg, monkeypatch, safety_only=False):
+    """Run cfg and check every generator handed to a keyed draw.
+
+    Returns the number of draws seen per function and the (function, key)
+    of each draw whose generator is not in the fresh state of
+    `default_rng(substream_key(seed, *key))`.
+    """
+    import emberwatch.fire as fire
+    import emberwatch.harness as harness
+    from emberwatch.fire import substream_key
+
+    received = []
+    step = [0]
+    simulate_step = harness.simulate_step
+
+    def stepping(fire_map, dt):
+        step[0] = fire_map.step
+        return simulate_step(fire_map, dt)
+
+    def audit(module, name, rng_at, key):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            received.append((name, key(args), args[rng_at].bit_generator.state))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    monkeypatch.setattr(harness, "simulate_step", stepping)
+    audit(harness, "_init_track", 5, lambda a: (harness._S_DETECT, a[0].id))
+    audit(harness, "_make_observation", 4, lambda a: (harness._S_OBS, step[0], a[0].id))
+    audit(fire, "propagate_front", 4, lambda a: (step[0], a[0].id, 0))
+    audit(fire, "spawn_fronts", 4, lambda a: (step[0], a[0].id, 1))
+    run_scenario(cfg, safety_only=safety_only)
+
+    counts: dict[str, int] = {}
+    wrong = []
+    for name, key, state in received:
+        counts[name] = counts.get(name, 0) + 1
+        if state != np.random.default_rng(substream_key(cfg.rng_seed, *key)).bit_generator.state:
+            wrong.append((name, key))
+    return counts, wrong
+
+
+class TestKeyedStreams:
+    """Each keyed draw of a run gets the generator of its own key, fresh."""
+
+    AUDITED = {"_init_track", "_make_observation", "propagate_front", "spawn_fronts"}
+
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_every_case_config_draws_from_its_keys(self, case, monkeypatch):
+        cfg = replace(load_config(CONFIG_DIR / f"case{case}.yaml"), duration=40, rng_seed=3)
+        counts, wrong = keyed_stream_mismatches(cfg, monkeypatch)
+        assert not wrong, wrong[:5]
+        assert set(counts) == self.AUDITED - ({"spawn_fronts"} if case != 3 else set())
+
+    def test_sweep_cell_draws_from_its_keys(self, monkeypatch):
+        base = load_config(CONFIG_DIR / "sweep.yaml")
+        cfg = replace(base, case=3, duration=40, rng_seed=2, teams=replace(base.teams, count=3))
+        counts, wrong = keyed_stream_mismatches(cfg, monkeypatch, safety_only=True)
+        assert not wrong, wrong[:5]
+        assert set(counts) == self.AUDITED
+
+    def test_a_batch_drawn_out_of_id_order_fails_the_audit(self, monkeypatch):
+        import emberwatch.fire as fire
+        import emberwatch.harness as harness
+
+        def reversed_batch(seed, prefix, ids, tail=()):
+            return fire.keyed_generators(seed, prefix, list(ids)[::-1], tail)
+
+        monkeypatch.setattr(harness, "keyed_generators", reversed_batch)
+        cfg = replace(load_config(CONFIG_DIR / "case2.yaml"), duration=40, rng_seed=3)
+        counts, wrong = keyed_stream_mismatches(cfg, monkeypatch)
+        assert {name for name, _ in wrong} == {"_init_track", "_make_observation"}
+
+
 class TestMetricsSerialization:
     def test_csv_header_and_shape(self):
         metrics = run_scenario(coverage_config(duration=5))
