@@ -15,10 +15,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Iterable
 
 import numpy as np
-from scipy.stats import norm
 
 from . import tracking
 from .errors import DomainError
@@ -95,8 +95,16 @@ def fov_width(fleet: FleetParams) -> float:
 
 @functools.lru_cache(maxsize=16)
 def _upper_quantile(alpha: float) -> float:
-    """The standard normal quantile z with P(Z > z) = alpha."""
-    return float(norm.ppf(1.0 - alpha))
+    """The standard normal quantile z with P(Z > z) = alpha.
+
+    Wichura's AS241 algorithm (Applied Statistics 37(3), 1988), through
+    `statistics.NormalDist.inv_cdf`. An alpha whose 1 - alpha is not
+    inside (0, 1), NaN included, has no finite quantile and is refused.
+    """
+    p = 1.0 - alpha
+    if not 0.0 < p < 1.0:
+        raise DomainError("confidence_level", f"confidence_level must be in (2**-54, 1), got {alpha!r}")
+    return NormalDist().inv_cdf(p)
 
 
 def worst_case_speed(

@@ -68,7 +68,11 @@ def main(argv=None) -> int:
             _check_positive("--trials", args.trials)
         # Only a run that passed every check leaves an output directory.
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            message = f"cannot create directory {args.out!r}: {exc.strerror or exc}"
+            raise ConfigError("--out", message) from exc
 
         if args.command == "simulate":
             _run_simulate(cfg, out, args.format)

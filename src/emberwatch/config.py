@@ -139,7 +139,8 @@ class ScenarioConfig:
         _check(self.dt > 0, "dt", "must be > 0")
         _check(self.duration >= 1, "duration", "must be >= 1")
         _check(self.rng_seed >= 0, "rng_seed", "must be >= 0")
-        _check(0 < self.alpha_conf < 1, "alpha_conf", "must be in (0, 1)")
+        # At alpha_conf <= 2**-54, 1 - alpha_conf rounds to 1 and has no finite normal quantile.
+        _check(0 < 1 - self.alpha_conf < 1, "alpha_conf", "must be in (2**-54, 1)")
         _check(
             self.controller in CONTROLLERS,
             "controller",

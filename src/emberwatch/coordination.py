@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import tracking
 from .bounds import (
@@ -333,14 +332,95 @@ def cluster_and_assign(
             break
         labels = new_labels
 
-    cost = np.array(
-        [[float(np.linalg.norm(a.pose[:2] - centers[c])) for c in range(k)] for a in uavs]
-    )
-    rows, cols = linear_sum_assignment(cost)
+    cost = [[float(np.linalg.norm(a.pose[:2] - centers[c])) for c in range(k)] for a in uavs]
+    rows, cols = _linear_sum_assignment(cost)
     result: dict[int, list[int]] = {a.id: [] for a in uavs}
     for r, c in zip(rows, cols):
         result[uavs[r].id] = [int(i) for i in np.nonzero(labels == c)[0]]
     return result
+
+
+def _linear_sum_assignment(cost: list[list[float]]) -> tuple[list[int], list[int]]:
+    """Minimum-cost one-to-one assignment of rows to columns of a non-empty
+    cost matrix given as a list of rows, returned as (rows, cols).
+
+    The shortest augmenting path method of Crouse ("On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 52(4), 2016), ported
+    step for step from SciPy's `linear_sum_assignment` so that ties and
+    last bits come out the same: a tall matrix is solved transposed,
+    columns are scanned last to first, on equal path cost an unassigned
+    column wins, and the duals are updated in the same float order. Rows
+    come back sorted. A NaN or -inf entry, or a matrix with no finite
+    assignment, raises ValueError.
+    """
+    nr, nc = len(cost), len(cost[0])
+    transpose = nc < nr
+    if transpose:
+        cost = [list(col) for col in zip(*cost)]
+        nr, nc = nc, nr
+    if any(c != c or c == -math.inf for row in cost for c in row):
+        raise ValueError("matrix contains invalid numeric entries")
+
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur_row in range(nr):
+        # Shortest augmenting path from cur_row to an unassigned column.
+        min_val = 0.0
+        remaining = list(range(nc - 1, -1, -1))
+        shortest = [math.inf] * nc
+        rows_seen = [False] * nr
+        cols_seen = [False] * nc
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            index = -1
+            lowest = math.inf
+            rows_seen[i] = True
+            row, ui = cost[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                best = shortest[j]
+                if r < best:
+                    path[j] = i
+                    shortest[j] = best = r
+                if best < lowest or (best == lowest and row4col[j] == -1):
+                    lowest = best
+                    index = it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        u[cur_row] += min_val
+        for i in range(nr):
+            if rows_seen[i] and i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in range(nc):
+            if cols_seen[j]:
+                v[j] -= min_val - shortest[j]
+
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+
+    if transpose:
+        order = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[i] for i in order], order
+    return list(range(nr)), col4row
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -4,10 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from emberwatch import harness
 from emberwatch.bounds import (
     BoundInputs,
+    _upper_quantile,
     FleetParams,
     bound_moving,
     bound_spreading,
@@ -81,6 +83,24 @@ class TestWorstCaseSpeed:
         loose = worst_case_speed([track], 0.2, DEFAULT_ELLIPSE)
         tight = worst_case_speed([track], 0.01, DEFAULT_ELLIPSE)
         assert tight > loose
+
+
+class TestUpperQuantile:
+    # About 9 ulp; fixed before the comparison was run.
+    REL_TOL = 2e-15
+
+    def test_matches_scipy_normal_quantile(self):
+        rng = np.random.default_rng(241)
+        alphas = [k / 1000 for k in range(1, 1000)] + rng.uniform(1e-6, 1 - 1e-6, size=2000).tolist()
+        for alpha in alphas:
+            want = float(norm.ppf(1.0 - alpha))
+            assert abs(_upper_quantile(alpha) - want) <= self.REL_TOL * abs(want), alpha
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, math.nan, 1e-17])
+    def test_alpha_without_finite_quantile_is_refused(self, alpha):
+        with pytest.raises(DomainError) as info:
+            _upper_quantile(alpha)
+        assert info.value.name == "confidence_level"
 
 
 class TestFovWidth:

@@ -182,6 +182,8 @@ BAD_VALUES = [
         id="first-wind-estimate-overflow",
     ),
     pytest.param("fire.ellipse", {"fire": {"ellipse": {"b": 1.7e308}}}, id="ellipse-exponent-overflow"),
+    # 1 - alpha_conf rounds to 1, which has no finite normal quantile
+    pytest.param("alpha_conf", {"case": 3, "teams": {"count": 1}, "alpha_conf": 1.0e-17}, id="alpha-conf-below-2**-54"),
     pytest.param("fire.ellipse", {"case": 2, "fire": {"ellipse": {"l": 1.0e154}}}, id="ellipse-square-overflow"),
     # 1.5 * wind + 1 is inf, which math.exp takes without an OverflowError
     pytest.param("fire.wind_speed", {"fire": {"wind_speed": 1.7e308}}, id="wind-range-inf"),
@@ -316,3 +318,24 @@ def test_reruns_are_byte_identical(tmp_path):
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
         outs.append((out / "steps.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("simulate", []),
+        ("sweep-safety", ["--max-teams", "1", "--trials", "1"]),
+        ("compare", ["--drones", "1", "--trials", "1"]),
+    ],
+)
+@pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
+def test_unusable_out_exits_two_naming_it(tmp_path, capsys, command, extra, where):
+    cfg = write_tiny_config(tmp_path / "cfg.yaml")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    out = blocker if where == "existing-file" else blocker / "out"
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 2
+    assert "config error: --out: " in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "keep\n"

@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from emberwatch.bounds import BoundInputs, fov_width, traverse_bound, worst_case_speed
 from emberwatch.coordination import (
     HumanTeam,
     UavAgent,
+    _linear_sum_assignment,
     apply_safety_plan,
     cluster_and_assign,
     coverage_step,
@@ -150,6 +152,48 @@ class TestClusterAndAssign:
         a = cluster_and_assign(points, uavs, np.random.default_rng(23))
         b = cluster_and_assign(points, uavs, np.random.default_rng(23))
         assert a == b
+
+
+class TestAssignmentPort:
+    """The private assignment solver against scipy's, the reference it ports."""
+
+    def test_equals_scipy_on_seeded_matrices(self):
+        rng = np.random.default_rng(2016)
+        kinds = ("uniform", "ties", "equal")
+        checked = 0
+        for trial in range(10_800):
+            rows, cols = (int(n) for n in rng.integers(1, 10, size=2))
+            kind = kinds[trial % 3]
+            if kind == "uniform":
+                cost = rng.uniform(0.0, 100.0, size=(rows, cols))
+            elif kind == "ties":
+                cost = rng.integers(0, 4, size=(rows, cols)).astype(float)
+            else:
+                cost = np.full((rows, cols), float(rng.integers(0, 5)))
+            want_rows, want_cols = linear_sum_assignment(cost)
+            got = _linear_sum_assignment(cost.tolist())
+            assert got == (want_rows.tolist(), want_cols.tolist()), (kind, cost)
+            if kind == "equal" and rows == cols:
+                assert got == (list(range(rows)), list(range(rows)))
+            checked += 1
+        assert checked >= 10_000
+
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            [[1.0, math.nan], [2.0, 3.0]],
+            [[1.0, -math.inf], [2.0, 3.0]],
+            [[math.nan], [1.0], [2.0]],
+            [[math.inf, math.inf], [1.0, 2.0]],
+            [[math.inf, 1.0], [math.inf, 2.0]],
+        ],
+        ids=["nan", "minus-inf", "nan-tall", "infeasible-row", "infeasible-column"],
+    )
+    def test_invalid_matrices_raise(self, cost):
+        with pytest.raises(ValueError):
+            linear_sum_assignment(np.array(cost))
+        with pytest.raises(ValueError):
+            _linear_sum_assignment(cost)
 
 
 def solo_plan(tracks, uav, case):
