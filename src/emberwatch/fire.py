@@ -13,6 +13,7 @@ other fronts exist or in which order they are visited.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
@@ -408,15 +409,30 @@ def _hash_constants(hash_const: int, mult: int, shape: tuple[int, ...]) -> tuple
 
     Each hash xors its input with the running constant, advances the
     constant by `mult` and multiplies by the new value. Returns one
-    constant per hash, in C order, as uint32 arrays of `shape` plus a
-    trailing axis that broadcasts over ids.
+    constant per hash, in C order, as read-only uint32 arrays of `shape`
+    plus a trailing axis that broadcasts over ids.
     """
     xors, mults = [], []
     for _ in range(math.prod(shape)):
         xors.append(hash_const)
         hash_const = hash_const * mult & _MASK32
         mults.append(hash_const)
-    return np.array(xors, np.uint32).reshape(*shape, 1), np.array(mults, np.uint32).reshape(*shape, 1)
+    out = np.array(xors, np.uint32).reshape(*shape, 1), np.array(mults, np.uint32).reshape(*shape, 1)
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _entropy_constants(entropy_words: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hash constants that mix `rows` key words into a pool after `entropy_words` words.
+
+    mix_entropy has hashed 4 times per entropy word already; each further
+    word is hashed once per pool word. Cached: a run asks for a few
+    shapes only, and the arrays are read-only because callers share them.
+    """
+    hash_const = _INIT_A * pow(_MULT_A, 4 * entropy_words, 1 << 32) & _MASK32
+    return _hash_constants(hash_const, _MULT_A, (rows, _POOL_WORDS))
 
 
 # generate_state(4, np.uint64) hashes the pool words 0-3 twice into 8 words.
@@ -453,11 +469,8 @@ def keyed_generators(
     words = [[i >> 32 for i in ids], [i & _MASK32 for i in ids]]
     for part in tail:
         words += [[part >> 32] * n, [part & _MASK32] * n]
-    # mix_entropy has hashed 4 times per entropy word of the prefix; each
-    # further word is hashed once per pool word.
     entropy_words = max(_POOL_WORDS, -(-int(seed).bit_length() // 32)) + 2 * len(prefix)
-    hash_const = _INIT_A * pow(_MULT_A, 4 * entropy_words, 1 << 32) & _MASK32
-    xor, mult = _hash_constants(hash_const, _MULT_A, (len(words), _POOL_WORDS))
+    xor, mult = _entropy_constants(entropy_words, len(words))
     hashed = (np.array(words, np.uint32)[:, None, :] ^ xor) * mult
     hashed ^= hashed >> _XSHIFT
     pool = prefix_key.pool[:, None]

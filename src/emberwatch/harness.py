@@ -262,6 +262,8 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
         fronts = sorted(fire_map.fronts, key=lambda f: f.id)
         fronts_by_id = {f.id: f for f in fronts}
         tracks.update(_init_tracks([f for f in fronts if f.id not in tracks], cfg, wind, staging, built.priors))
+        # Tracks are born only here, so this order holds for the rest of the step.
+        track_ids = sorted(tracks)
 
         # Sensing against ground truth: lowest-id airborne agent wins.
         airborne = [a for a in agents if a.mode in ("coverage", "safety")]
@@ -271,7 +273,7 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
 
         # Every observed front has a track, so the batch is drawn in sorted id order.
         observations = keyed_generators(cfg.rng_seed, (_S_OBS, step), sorted(observer))
-        for fid in sorted(tracks):
+        for fid in track_ids:
             if fid in observer:
                 agent = observer[fid]
                 z = _make_observation(fronts_by_id[fid], agent.pose, wind, cfg, next(observations))
@@ -338,16 +340,15 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
                     force_replan=dismissed,
                 )
         else:
-            fire_positions = np.array(
-                [tracks[f].mean[:2] for f in sorted(tracks)]
-            )
+            fire_positions = np.array([tracks[f].mean[:2] for f in track_ids])
             movers = [a for a in agents if a.mode == "coverage"]
             gradient_coverage_step(movers, fire_positions, built.gradient, dt)
 
         cum += uncovered
         metrics.uncovered.append(uncovered)
         metrics.cum_uncertainty.append(cum)
-        traces = [float(np.trace(tracks[fid].covariance)) for fid in sorted(tracks)]
+        # ndarray.trace is what np.trace forwards to, without its wrapper.
+        traces = [float(tracks[fid].covariance.trace()) for fid in track_ids]
         metrics.mean_trace_covariance.append(sum(traces) / len(traces) if traces else 0.0)
         metrics.active_uavs.append(sum(1 for a in agents if a.mode != "idle"))
         metrics.wall_clock.append(time.perf_counter() - tic)

@@ -21,18 +21,29 @@ without touching its input's arrays, so distinct fires can be filtered
 concurrently as long as each track is advanced sequentially.
 
 Each operation evaluates each quantity once. `predict` takes the next
-mean and the transition Jacobian from one `transition` call, which
-evaluates the spread model once (`fire.spread_velocity`); `update` forms
-H P once, for the residual covariance and for the gain. These share work
-without reordering any float operation, so results are the same bits as
-evaluating each quantity on its own (tests/test_hot_path_identity.py
-checks them against frozen references).
+mean and the transition Jacobian from one evaluation of the spread model
+(`fire.spread_velocity`); `update` reads the state once for h(x) and H,
+and forms H P once, for the residual covariance and for the gain.
+
+A predict that follows a predict reuses the transition. Nothing in
+`transition` changes the weather triple, which alone sets the spread
+velocity and the rows of F, so a predicted track's next predict with the
+same `dt` and `params` objects would rebuild the same F and the same
+displacement `velocity * dt`. `predict` keeps both from the last call
+and skips the spread model, the F build and the state copy. Any other
+track (after `update`, at birth, with another `dt` or `params`, or built
+by a caller) recomputes them. The F that consecutive tracks share is
+read-only.
+
+These share work without reordering any float operation, so results are
+the same bits as evaluating each quantity on its own
+(tests/test_hot_path_identity.py checks them against frozen references).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,6 +91,20 @@ class TrackEstimate:
     prior_mean / prior_covariance / transition_matrix are the frozen
     quantities of the most recent predict step; multi-step forecasting
     reuses them without re-linearizing along the horizon.
+
+    The filter never writes into a track's arrays, and callers must not
+    either: a track that `predict` returned carries, in `_motion`, the
+    (dt, params, displacement) of that predict, and the next `predict`
+    with the same `dt` and `params` objects reuses its displacement and
+    its `transition_matrix`. That is exact because its mean is still
+    the one predict made (`prior_mean is mean`), and predict does not
+    change the weather, which alone sets both. `_motion` takes no
+    constructor argument, so a track built by a caller or by
+    `dataclasses.replace` starts without it and recomputes.
+
+    The public constructor coerces the four arrays to float64. The
+    filter builds its tracks through `_filtered`, which skips that
+    coercion because its arrays are float64 already.
     """
 
     mean: np.ndarray  # (8,), indexed by FIRE_X ... WIND_AZIMUTH
@@ -89,12 +114,20 @@ class TrackEstimate:
     prior_mean: np.ndarray | None = None
     prior_covariance: np.ndarray | None = None
     transition_matrix: np.ndarray | None = None
+    _motion: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float))
         object.__setattr__(self, "process_noise", np.asarray(self.process_noise, dtype=float))
         object.__setattr__(self, "observation_noise", np.asarray(self.observation_noise, dtype=float))
+
+
+def _filtered(**fields) -> TrackEstimate:
+    """A TrackEstimate of every field, float64 arrays as the filter built them, without coercion."""
+    track = object.__new__(TrackEstimate)
+    track.__dict__.update(fields)
+    return track
 
 
 # ---------------------------------------------------------------------------
@@ -117,50 +150,68 @@ def transition(
     Jacobian fire rows: identity in position plus dt-scaled velocity
     sensitivities to the weather triple. Weather rows: identity. UAV
     rows: zero (the pose is a control input). Velocity and sensitivities
-    come from one evaluation of the spread model.
+    come from one evaluation of the spread model. The Jacobian is
+    read-only.
     """
+    out, F, _ = _transition(state, dt, params, uav_pose)
+    return out, F
+
+
+def _transition(state, dt, params, uav_pose) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`transition`'s next state and Jacobian, and the fire displacement velocity * dt."""
     velocity, sensitivity = fire.spread_velocity(
         state[SPREAD_RATE], state[WIND_SPEED], state[WIND_AZIMUTH], params
     )
     F = _F_BASE.copy()
     F[FIRE_X:FIRE_Y + 1, SPREAD_RATE:] = sensitivity * dt
+    F.flags.writeable = False
+    displacement = velocity * dt
     out = np.array(state, dtype=float)
-    out[FIRE_X:FIRE_Y + 1] += velocity * dt
+    out[FIRE_X:FIRE_Y + 1] += displacement
     if uav_pose is not None:
         out[UAV_X:UAV_Z + 1] = uav_pose
-    return out, F
+    return out, F, displacement
+
+
+def _observation(
+    state: np.ndarray, angles: bool = True, jacobian: bool = True
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """h(state) and its 5x8 Jacobian H, from one read of the state.
+
+    Per planar axis, q is the fire's offset from the UAV and pz the UAV
+    altitude. The look angle is atan(u) with u = q / pz; with
+    w = 1 / (1 + u^2) its derivatives are w / pz in the fire position,
+    -w / pz in the UAV position and -w q / pz^2 in the altitude. The
+    weather triple passes straight through. Each of h and H is None
+    unless asked for, so a caller that needs one pays for no more.
+    """
+    pz = state[UAV_Z]
+    if pz <= 0:
+        raise DomainError("uav_z", f"uav_z must be > 0 to observe, got {pz}")
+    qx = state[FIRE_X] - state[UAV_X]
+    qy = state[FIRE_Y] - state[UAV_Y]
+    ux, uy = qx / pz, qy / pz
+    h = H = None
+    if angles:
+        h = np.array([math.atan(ux), math.atan(uy), state[SPREAD_RATE], state[WIND_SPEED], state[WIND_AZIMUTH]])
+    if jacobian:
+        H = _H_BASE.copy()
+        for row, qcol, pcol, q, u in ((0, FIRE_X, UAV_X, qx, ux), (1, FIRE_Y, UAV_Y, qy, uy)):
+            w = 1.0 / (1.0 + u * u)
+            H[row, qcol] = w / pz
+            H[row, pcol] = -w / pz
+            H[row, UAV_Z] = -w * q / (pz * pz)
+    return h, H
 
 
 def observe(state: np.ndarray) -> np.ndarray:
     """Project the state to look angles and pass the weather through."""
-    pz = state[UAV_Z]
-    if pz <= 0:
-        raise DomainError("uav_z", f"uav_z must be > 0 to observe, got {pz}")
-    return np.array(
-        [
-            math.atan((state[FIRE_X] - state[UAV_X]) / pz),
-            math.atan((state[FIRE_Y] - state[UAV_Y]) / pz),
-            state[SPREAD_RATE],
-            state[WIND_SPEED],
-            state[WIND_AZIMUTH],
-        ]
-    )
+    return _observation(state, jacobian=False)[0]
 
 
 def observation_jacobian(state: np.ndarray) -> np.ndarray:
     """5x8 Jacobian of the observation at the given state."""
-    pz = state[UAV_Z]
-    if pz <= 0:
-        raise DomainError("uav_z", f"uav_z must be > 0 to observe, got {pz}")
-    H = _H_BASE.copy()
-    for row, (qcol, pcol) in enumerate([(FIRE_X, UAV_X), (FIRE_Y, UAV_Y)]):
-        q = state[qcol] - state[pcol]
-        u = q / pz
-        w = 1.0 / (1.0 + u * u)
-        H[row, qcol] = w / pz
-        H[row, pcol] = -w / pz
-        H[row, UAV_Z] = -w * q / (pz * pz)
-    return H
+    return _observation(state, angles=False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +308,24 @@ def predict(
     params: fire.EllipseParams,
     uav_pose=None,
 ) -> TrackEstimate:
-    """Time update: mean through the transition, P through F P F^T + Q."""
-    mean, F = transition(track.mean, dt, params, uav_pose=uav_pose)
+    """Time update: mean through the transition, P through F P F^T + Q.
+
+    A track that predict returned, predicted again with the same `dt`
+    and `params` objects, reuses its F and its displacement (see
+    `TrackEstimate`); every other track evaluates the transition.
+    """
+    motion = track._motion
+    if motion is not None and track.prior_mean is track.mean and motion[0] is dt and motion[1] is params:
+        F = track.transition_matrix
+        mean = track.mean.copy()
+        mean[FIRE_X:FIRE_Y + 1] += motion[2]
+        if uav_pose is not None:
+            mean[UAV_X:UAV_Z + 1] = uav_pose
+    else:
+        mean, F, displacement = _transition(track.mean, dt, params, uav_pose)
+        motion = (dt, params, displacement)
     P = propagate_covariance(track.covariance, F, track.process_noise)
-    return TrackEstimate(
+    return _filtered(
         mean=mean,
         covariance=P,
         process_noise=track.process_noise,
@@ -268,12 +333,13 @@ def predict(
         prior_mean=mean,
         prior_covariance=P,
         transition_matrix=F,
+        _motion=motion,
     )
 
 
-def _residual(z: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """z - h(state), with the wind-azimuth component wrapped to [-pi, pi)."""
-    d = z - observe(state)
+def _residual(z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """z - h, with the wind-azimuth component wrapped to [-pi, pi)."""
+    d = z - h
     d[4] = (d[4] + math.pi) % (2 * math.pi) - math.pi
     return d
 
@@ -289,17 +355,17 @@ def update(track: TrackEstimate, z: np.ndarray, cfg: FilterConfig) -> TrackEstim
     if track.prior_mean is None or track.transition_matrix is None:
         raise ValueError("update requires a predicted track (call predict first)")
     P = track.covariance
-    H = observation_jacobian(track.mean)
-    innovation = _residual(z, track.mean)
+    h, H = _observation(track.mean)
+    innovation = _residual(z, h)
     HP = H @ P
     HPHt = HP @ H.T
     K = kalman_gain(HP, symmetrize(HPHt + track.observation_noise))
     mean = track.mean + K @ innovation
-    kd = K @ _residual(z, mean)
+    kd = K @ _residual(z, observe(mean))
     a = cfg.alpha_forget
     # v[:, None] * v is np.outer(v, v): numpy forms the outer product by
     # that same broadcast multiply.
-    return TrackEstimate(
+    return _filtered(
         mean=mean,
         covariance=floor_psd((_IDENTITY - K @ H) @ P),
         process_noise=symmetrize(a * track.process_noise + (1 - a) * (kd[:, None] * kd)),
@@ -309,6 +375,7 @@ def update(track: TrackEstimate, z: np.ndarray, cfg: FilterConfig) -> TrackEstim
         prior_mean=track.prior_mean,
         prior_covariance=track.prior_covariance,
         transition_matrix=track.transition_matrix,
+        _motion=None,
     )
 
 

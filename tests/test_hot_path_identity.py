@@ -7,6 +7,10 @@ loses range: clamped negative spread rate and wind, the windless
 boundary where the wind slope is treated as flat, azimuths outside
 [0, 2 pi), innovations whose azimuth wraps around +-pi, and means and
 covariances large enough to overflow.
+
+Chains of predicts check the transition that a predicted track reuses:
+every link matches the reference, and the spread model runs again
+whenever anything but the covariance could have changed.
 """
 
 import math
@@ -16,6 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from emberwatch import fire
 from emberwatch.bounds import _upper_quantile, worst_case_speed
 from emberwatch.errors import DomainError, SingularResidual
 from emberwatch.fire import DEFAULT_ELLIPSE, EllipseParams, FireMap, WindFuelState, simulate_step
@@ -156,6 +161,101 @@ def test_predict_and_update_match_reference_bit_for_bit(strict):
     # Most inputs run through; the overflow regimes raise.
     assert outcomes["values"] > TRACKS
     assert outcomes["raised"] > 0
+
+
+# What happens to a track between two predicts of a chain; "none" is the
+# reuse path.
+INTERRUPTIONS = ("none", "none", "none", "update", "dt", "params", "covariance", "mean", "caller")
+
+
+def _counting_spread_velocity(monkeypatch):
+    calls = []
+    spread_velocity = fire.spread_velocity
+
+    def counted(*args):
+        calls.append(args)
+        return spread_velocity(*args)
+
+    monkeypatch.setattr(fire, "spread_velocity", counted)
+    return calls
+
+
+def _interrupt(kind, rng, track, z, alpha, strict):
+    """The track after one interruption of a chain, and whether its next predict must recompute.
+
+    "dt" and "params" leave the track as it is; the chain changes them.
+    "mean" and "caller" give the track new weather, so a stale transition
+    would show in the bits. An update is checked against the reference;
+    one that faults leaves the track as it was, still on the reuse path.
+    """
+    if kind == "update":
+        got = _outcome(lambda: update(track, z, FilterConfig(alpha_forget=alpha)), strict)
+        want = _outcome(
+            lambda: reference_update(
+                track.mean, track.covariance, track.process_noise, track.observation_noise, z, alpha
+            ),
+            strict,
+        )
+        if isinstance(want, type):
+            assert got is want
+            return track, False
+        _assert_same(_track_fields(got)[:4], want)
+        return got, True
+    if kind == "covariance":
+        return replace(track, covariance=track.covariance * 1.5), True
+    if kind in ("mean", "caller"):
+        mean = track.mean.copy()
+        mean[5:] = rng.uniform([0.05, 0.5, 0.0], [3.0, 12.0, 2 * math.pi])
+        if kind == "mean":
+            return replace(track, mean=mean), True
+        P, Q, R = track.covariance, track.process_noise, track.observation_noise
+        return TrackEstimate(mean, P, Q, R, prior_mean=mean, transition_matrix=np.eye(8)), True
+    return track, kind != "none"
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["values", "warnings-raise"])
+def test_chained_predicts_match_reference_at_every_link(monkeypatch, strict):
+    calls = _counting_spread_velocity(monkeypatch)
+    rng = np.random.default_rng(20261020)
+    seen = {kind: 0 for kind in INTERRUPTIONS}
+    for k in range(140):
+        mean, P, Q, R, z, dt, _, alpha = _random_track(rng, REGIMES[k % len(REGIMES)])
+        params = DEFAULT_ELLIPSE
+        track = TrackEstimate(mean, P, Q, R)
+        recompute = True
+        for _ in range(int(rng.integers(5, 21))):
+            pose = None if rng.uniform() < 0.5 else track.mean[2:5] + rng.normal(size=3)
+            before = len(calls)
+            got = _outcome(lambda: predict(track, dt, params, uav_pose=pose), strict)
+            want = _outcome(
+                lambda: reference_predict(track.mean, track.covariance, track.process_noise, dt, params, uav_pose=pose),
+                strict,
+            )
+            if isinstance(want, type):
+                assert got is want
+                break
+            m, cov, F = want
+            _assert_same(_track_fields(got), (m, cov, track.process_noise, track.observation_noise, m, cov, F))
+            assert len(calls) - before == recompute
+            kind = str(rng.choice(INTERRUPTIONS))
+            seen[kind] += 1
+            track, recompute = _interrupt(kind, rng, got, z, alpha, strict)
+            if kind == "dt":
+                dt = float(rng.uniform(0.01, 5.0))
+            elif kind == "params":
+                params = replace(params)
+                assert params == DEFAULT_ELLIPSE and params is not DEFAULT_ELLIPSE
+    assert min(seen.values()) > 20
+
+
+def test_a_chain_of_predicts_evaluates_the_spread_model_once(monkeypatch):
+    calls = _counting_spread_velocity(monkeypatch)
+    mean, P, Q, R, *_ = _random_track(np.random.default_rng(3), "plain")
+    track = TrackEstimate(mean, P, Q, R)
+    dt = 1.0
+    for _ in range(10):
+        track = predict(track, dt, DEFAULT_ELLIPSE)
+    assert len(calls) == 1
 
 
 def test_regimes_reach_their_branches():

@@ -297,11 +297,13 @@ class TestPurity:
         rng = np.random.default_rng(59)
         cfg = FilterConfig(alpha_forget=0.9)
         track = make_track(rng)
-        predicted = predict(track, 1.0, DEFAULT_ELLIPSE)
+        dt = 1.0
+        predicted = predict(track, dt, DEFAULT_ELLIPSE)
         z = observe(predicted.mean) + rng.normal(0, 0.05, size=5)
         pose = pose_of(predicted.mean) + 1.0
         operations = [
-            (track, lambda t: predict(t, 1.0, DEFAULT_ELLIPSE, uav_pose=pose)),
+            (track, lambda t: predict(t, dt, DEFAULT_ELLIPSE, uav_pose=pose)),
+            (predicted, lambda t: predict(t, dt, DEFAULT_ELLIPSE, uav_pose=pose)),  # reuses the transition
             (predicted, lambda t: update(t, z, cfg)),
             (predicted, lambda t: step_track(t, z, 1.0, cfg, DEFAULT_ELLIPSE, uav_pose=pose)),
         ]
