@@ -98,9 +98,12 @@ class TrackEstimate:
     with the same `dt` and `params` objects reuses its displacement and
     its `transition_matrix`. That is exact because its mean is still
     the one predict made (`prior_mean is mean`), and predict does not
-    change the weather, which alone sets both. `_motion` takes no
-    constructor argument, so a track built by a caller or by
-    `dataclasses.replace` starts without it and recomputes.
+    change the weather, which alone sets both. `dt` and `params` are
+    compared by identity: an equal value in another object recomputes,
+    which is always exact (0.0 and -0.0 compare equal but scale to
+    different bits). `_motion` takes no constructor argument, so a
+    track built by a caller or by `dataclasses.replace` starts without
+    it and recomputes.
 
     The public constructor coerces the four arrays to float64. The
     filter builds its tracks through `_filtered`, which skips that
