@@ -7,7 +7,8 @@ force a scan of the area each front may engulf, which turns the bound
 into the smaller positive root of a quadratic self-consistency equation.
 
 Infeasibility is a value, not an exception: callers branch on it to
-trigger UAV recruitment.
+trigger UAV recruitment. The uncertainty ratio divides two closed-form
+residual traces (`tracking.residual_trace`), each plus tr R.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterable
-
-import numpy as np
 
 from . import tracking
 from .errors import DomainError
@@ -215,16 +214,18 @@ def uncertainty_ratio(
       UAV-pose columns of F are zero, so the forecast ignores the pose
       block of P, which the current residual includes; a ratio below 1
       can come from that block alone.
+    A current trace that is not positive and finite (NaN included) gives
+    +inf, so a track whose covariance has broken down never passes.
     """
     if not math.isfinite(horizon_seconds / dt):
         return math.inf
     if track.prior_mean is None:
         raise ValueError("uncertainty_ratio requires a predicted track")
     steps = max(1, math.ceil(horizon_seconds / dt))
-    H = tracking.observation_jacobian(track.prior_mean)
-    P, R = track.prior_covariance, track.observation_noise
-    forecast = tracking.multi_step_residual_cov(track.transition_matrix, H, P, R, steps)
-    den = float(np.trace(tracking.innovation_covariance(P, H, R)))
-    if den <= 0:
+    noise = float(track.observation_noise.trace())
+    den = tracking.residual_trace(track, 1) + noise
+    if not 0.0 < den < math.inf:
         return math.inf
-    return float(np.trace(forecast)) / den
+    if steps == 1:
+        return 1.0
+    return (tracking.residual_trace(track, steps) + noise) / den

@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import load_config
+from .config import TEAM_FIRE_IDS, load_config
 from .errors import ConfigError
 from .harness import compare_controllers, run_scenario, sweep_safety
 
@@ -62,6 +62,8 @@ def main(argv=None) -> int:
         cfg.validate()
         if args.command == "sweep-safety":
             _check_positive("--max-teams", args.max_teams)
+            if args.max_teams * TEAM_FIRE_IDS >= 2**32:  # the largest sweep cell's fire ids
+                raise ConfigError("--max-teams", f"must be at most {2**32 // TEAM_FIRE_IDS}, got {args.max_teams}")
             _check_positive("--trials", args.trials)
         elif args.command == "compare":
             drones = _parse_drones(args.drones)

@@ -394,6 +394,12 @@ def min_drones_for_run(cfg: ScenarioConfig) -> tuple[int, bool]:
     return sum(metrics.drones_recruited.values()), metrics.plans_feasible
 
 
+def _mean_and_se(values: list[int]) -> tuple[float, float]:
+    """Mean and standard error of the mean (0.0 for a single value)."""
+    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    return float(np.mean(values)), se
+
+
 def sweep_safety(cfg: ScenarioConfig, max_teams: int, trials: int) -> SweepResult:
     """Mean and standard error of the minimum fleet per team count and case."""
     if trials < 1:
@@ -420,9 +426,7 @@ def sweep_safety(cfg: ScenarioConfig, max_teams: int, trials: int) -> SweepResul
                 drones, _ = min_drones_for_run(run_cfg)
                 rows.append((case, teams_n, trial, drones))
                 values.append(drones)
-            mean = float(np.mean(values))
-            se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-            summary[case][teams_n] = (mean, se)
+            summary[case][teams_n] = _mean_and_se(values)
     return SweepResult(rows=rows, summary=summary)
 
 
@@ -454,11 +458,5 @@ def compare_controllers(
                     cum = run_scenario(run_cfg).final_cum_uncertainty
                     rows.append((case, controller, count, trial, cum))
                     values.append(cum)
-                mean = float(np.mean(values))
-                se = (
-                    float(np.std(values, ddof=1) / math.sqrt(len(values)))
-                    if len(values) > 1
-                    else 0.0
-                )
-                summary[(case, controller, count)] = (mean, se)
+                summary[(case, controller, count)] = _mean_and_se(values)
     return CompareResult(rows=rows, summary=summary)

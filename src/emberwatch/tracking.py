@@ -15,25 +15,21 @@ comes from the flight controller rather than from the previous state.
 
 There are two filter operations: `predict` (time update) and `update`
 (measurement update plus forgetting-factor adaptation of Q and R);
-`step_track` is one observed cycle of both. The filter is a pure state
-machine: every operation takes a TrackEstimate and returns a new one
-without touching its input's arrays, so distinct fires can be filtered
-concurrently as long as each track is advanced sequentially.
+`step_track` is one observed cycle of both; `residual_trace` gives the
+uncertainty ratio its forecast in closed form. The filter is a pure
+state machine: every operation takes a TrackEstimate and returns a new
+one without touching its input's arrays, so distinct fires can be
+filtered concurrently as long as each track is advanced sequentially.
 
 Each operation evaluates each quantity once. `predict` takes the next
 mean and the transition Jacobian from one evaluation of the spread model
 (`fire.spread_velocity`); `update` reads the state once for h(x) and H,
 and forms H P once, for the residual covariance and for the gain.
 
-A predict that follows a predict reuses the transition. Nothing in
-`transition` changes the weather triple, which alone sets the spread
-velocity and the rows of F, so a predicted track's next predict with the
-same `dt` and `params` objects would rebuild the same F and the same
-displacement `velocity * dt`. `predict` keeps both from the last call
-and skips the spread model, the F build and the state copy. Any other
-track (after `update`, at birth, with another `dt` or `params`, or built
-by a caller) recomputes them. The F that consecutive tracks share is
-read-only.
+A predict that follows a predict with the same `dt` and `params`
+objects reuses the last F and fire displacement, skipping the spread
+model, the F build and the state copy (`TrackEstimate` says why that is
+exact). The F that consecutive tracks share is read-only.
 
 These share work without reordering any float operation, so results are
 the same bits as evaluating each quantity on its own
@@ -89,8 +85,8 @@ class TrackEstimate:
     """Per-fire filter state.
 
     prior_mean / prior_covariance / transition_matrix are the frozen
-    quantities of the most recent predict step; multi-step forecasting
-    reuses them without re-linearizing along the horizon.
+    quantities of the most recent predict step; `residual_trace`
+    forecasts from them without re-linearizing along the horizon.
 
     The filter never writes into a track's arrays, and callers must not
     either: a track that `predict` returned carries, in `_motion`, the
@@ -142,13 +138,13 @@ def transition(
     dt: float,
     params: fire.EllipseParams,
     uav_pose=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The next state and the 8x8 transition Jacobian at `state`.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The next state, the 8x8 transition Jacobian at `state`, and the fire displacement.
 
-    The fire position advances by its spread velocity, with negative rate
-    and wind clamped to 0 (`fire.spread_velocity`); the weather is
-    constant. `uav_pose`, when given, overwrites the pose components
-    (control input); otherwise the pose is carried over unchanged.
+    The fire position advances by its spread velocity times dt, with
+    negative rate and wind clamped to 0 (`fire.spread_velocity`); the
+    weather is constant. `uav_pose`, when given, overwrites the pose
+    components (control input); otherwise the pose is carried over.
 
     Jacobian fire rows: identity in position plus dt-scaled velocity
     sensitivities to the weather triple. Weather rows: identity. UAV
@@ -156,12 +152,6 @@ def transition(
     come from one evaluation of the spread model. The Jacobian is
     read-only.
     """
-    out, F, _ = _transition(state, dt, params, uav_pose)
-    return out, F
-
-
-def _transition(state, dt, params, uav_pose) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`transition`'s next state and Jacobian, and the fire displacement velocity * dt."""
     velocity, sensitivity = fire.spread_velocity(
         state[SPREAD_RATE], state[WIND_SPEED], state[WIND_AZIMUTH], params
     )
@@ -254,10 +244,6 @@ def propagate_covariance(P: np.ndarray, F: np.ndarray, Q: np.ndarray) -> np.ndar
     return symmetrize(F @ P @ F.T + Q)
 
 
-def innovation_covariance(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
-    return symmetrize(H @ P @ H.T + R)
-
-
 def kalman_gain(HP: np.ndarray, S: np.ndarray) -> np.ndarray:
     """K = P H^T S^-1; refuses an S whose 2-norm condition number exceeds 1e12.
 
@@ -287,18 +273,30 @@ def kalman_gain(HP: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.linalg.solve(S, HP).T
 
 
-def multi_step_residual_cov(
-    F: np.ndarray, H: np.ndarray, P: np.ndarray, R: np.ndarray, steps: int
-) -> np.ndarray:
-    """Residual covariance forecast `steps` ahead: H F^(r-1) P (H F^(r-1))^T + R.
+def residual_trace(track: TrackEstimate, steps: int) -> float:
+    """tr(H F^(r-1) P (H F^(r-1))^T) for r = `steps` >= 1, with H at `prior_mean`.
 
-    F, H and P are those of the latest predict; there is no
-    re-linearization along the horizon.
+    F and P are those of the latest predict. r = 1 is tr(H P H^T), pose
+    block included. For k = r - 1 >= 1 every F that `transition` builds
+    gives F^k = [[I2, 0, k G], [0, 0, 0], [0, 0, I3]] over the (fire,
+    pose, weather) blocks, G its velocity block. With a_i = H[i, i] the
+    look-angle entry of fire axis i, the trace is c0 + c1 k + c2 k^2 for
+    c0 = sum a_i^2 P_ff[i, i] + tr P_ww, c1 = 2 sum a_i^2 (P_fw G^T)[i, i],
+    c2 = sum a_i^2 (G P_ww G^T)[i, i]. No pose entry of P enters. In Python
+    floats, a horizon too long overflows to +inf without a warning.
     """
-    if steps < 1 or steps != int(steps):
-        raise ValueError(f"steps must be a positive integer, got {steps}")
-    M = H @ np.linalg.matrix_power(F, int(steps) - 1)
-    return symmetrize(M @ P @ M.T + R)
+    H, P = observation_jacobian(track.prior_mean), track.prior_covariance
+    if steps == 1:
+        return float(((H @ P) * H).sum())
+    fire_pos = slice(FIRE_X, FIRE_Y + 1)
+    a2 = H.diagonal()[fire_pos] ** 2
+    G = track.transition_matrix[fire_pos, SPREAD_RATE:]
+    GP = G @ P[SPREAD_RATE:]  # its fire columns are G P_wf = (P_fw G^T)^T
+    c0 = float(a2 @ P.diagonal()[fire_pos]) + float(P[SPREAD_RATE:, SPREAD_RATE:].trace())
+    c1 = 2.0 * float(a2 @ GP.diagonal()[fire_pos])
+    c2 = float(a2 @ (GP[:, SPREAD_RATE:] * G).sum(axis=1))
+    k = float(steps - 1)
+    return c0 + k * (c1 + k * c2)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +323,7 @@ def predict(
         if uav_pose is not None:
             mean[UAV_X:UAV_Z + 1] = uav_pose
     else:
-        mean, F, displacement = _transition(track.mean, dt, params, uav_pose)
+        mean, F, displacement = transition(track.mean, dt, params, uav_pose)
         motion = (dt, params, displacement)
     P = propagate_covariance(track.covariance, F, track.process_noise)
     return _filtered(

@@ -354,6 +354,19 @@ def _ref_observation_jacobian(state):
     return H
 
 
+def reference_innovation_cov(P, H, R):
+    """The current residual covariance H P H^T + R."""
+    return _ref_symmetrize(H @ P @ H.T + R)
+
+
+def reference_residual_cov(F, H, P, R, steps):
+    """Residual covariance forecast `steps` ahead by matrix power: H F^(r-1) P (H F^(r-1))^T + R."""
+    if steps < 1 or steps != int(steps):
+        raise ValueError(f"steps must be a positive integer, got {steps}")
+    M = H @ np.linalg.matrix_power(F, int(steps) - 1)
+    return _ref_symmetrize(M @ P @ M.T + R)
+
+
 def _ref_residual(z, state):
     d = z - _ref_observe(state)
     d[4] = (d[4] + math.pi) % (2 * math.pi) - math.pi

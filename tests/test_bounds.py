@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,10 +28,11 @@ from emberwatch.tracking import (
     UAV_X,
     UAV_Z,
     TrackEstimate,
-    multi_step_residual_cov,
     observation_jacobian,
     predict,
+    residual_trace,
 )
+from oracles import reference_innovation_cov, reference_residual_cov
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -287,6 +289,24 @@ class TestUncertaintyRatio:
         track = self._predicted_track()
         assert uncertainty_ratio(track, math.inf, 1.0) == math.inf
 
+    def test_overlong_horizon_is_infinite_without_a_warning(self):
+        track = self._predicted_track()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert uncertainty_ratio(track, 1e300, 1.0) == math.inf
+
+    def test_broken_current_residual_never_passes(self):
+        # a current trace that is NaN, zero or negative gives +inf at every horizon
+        track = self._predicted_track()
+        for P, R in (
+            (np.full((8, 8), np.nan), track.observation_noise),
+            (np.zeros((8, 8)), np.zeros((5, 5))),
+            (-np.eye(8), np.zeros((5, 5))),
+        ):
+            broken = replace(track, prior_covariance=P, observation_noise=R)
+            for horizon in (0.5, 1.0, 2.0, 40.0):
+                assert uncertainty_ratio(broken, horizon, 1.0) == math.inf
+
     def test_scale_consistency(self):
         track = self._predicted_track()
         import dataclasses
@@ -308,7 +328,7 @@ class TestUncertaintyRatio:
         H = np.array([[1.0]])
         P = np.array([[1.0]])
         R = np.array([[1.0]])
-        num = multi_step_residual_cov(F, H, P, R, 2)[0, 0]
+        num = reference_residual_cov(F, H, P, R, 2)[0, 0]
         den = (H @ P @ H.T + R)[0, 0]
         assert num / den == pytest.approx(2.5)
         assert num / den > 1.0  # a growing track fails the safety check
@@ -354,10 +374,35 @@ class TestCertificateScope:
             no_pose[pose, :] = 0.0
             no_pose[:, pose] = 0.0
             for steps in (2, 5, 20):
-                with_pose = multi_step_residual_cov(
+                with_pose = reference_residual_cov(
                     track.transition_matrix, H, P, track.observation_noise, steps
                 )
-                without = multi_step_residual_cov(
+                without = reference_residual_cov(
                     track.transition_matrix, H, no_pose, track.observation_noise, steps
                 )
                 assert np.array_equal(with_pose, without)
+
+    def test_closed_form_ignores_uav_pose_block(self, run_tracks):
+        _, tracks = run_tracks
+        pose = slice(UAV_X, UAV_Z + 1)
+        for track in tracks:
+            no_pose = track.prior_covariance.copy()
+            no_pose[pose, :] = 0.0
+            no_pose[:, pose] = 0.0
+            cut = replace(track, prior_covariance=no_pose)
+            assert residual_trace(cut, 1) != residual_trace(track, 1)  # the current residual keeps it
+            for steps in (2, 5, 20):
+                assert residual_trace(cut, steps) == residual_trace(track, steps)
+
+    def test_closed_form_matches_matrix_power(self, run_tracks):
+        dt, tracks = run_tracks
+        for track in tracks:
+            H = observation_jacobian(track.prior_mean)
+            F, P, R = track.transition_matrix, track.prior_covariance, track.observation_noise
+            current = np.trace(reference_innovation_cov(P, H, R))
+            for steps in (1, 2, 3, 5, 20, 1000):
+                no_noise = np.trace(reference_residual_cov(F, H, P, np.zeros_like(R), steps))
+                assert residual_trace(track, steps) == pytest.approx(no_noise, rel=1e-12, abs=0.0)
+                expected = np.trace(reference_residual_cov(F, H, P, R, steps)) / current
+                ratio = uncertainty_ratio(track, (steps - 0.5) * dt, dt)
+                assert ratio == pytest.approx(expected, rel=1e-12, abs=0.0)

