@@ -40,7 +40,8 @@ from .fire import (
     WindFuelState,
     calibrate_spread_rate,
     front_velocity,
-    propagate_front,
+    keyed_normal,
+    keyed_uniform,
     simulate_step,
     spawn_fronts,
     spread_coefficient,

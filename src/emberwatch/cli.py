@@ -12,9 +12,16 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import TEAM_FIRE_IDS, load_config
+from .config import CONTROLLERS, TEAM_FIRE_IDS, load_config
 from .errors import ConfigError
-from .harness import compare_controllers, run_scenario, sweep_safety
+from .harness import (
+    CASES,
+    compare_cell_config,
+    compare_controllers,
+    run_scenario,
+    sweep_cell_config,
+    sweep_safety,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,9 +72,17 @@ def main(argv=None) -> int:
             if args.max_teams * TEAM_FIRE_IDS >= 2**32:  # the largest sweep cell's fire ids
                 raise ConfigError("--max-teams", f"must be at most {2**32 // TEAM_FIRE_IDS}, got {args.max_teams}")
             _check_positive("--trials", args.trials)
+            # A cell's config differs from the base config; the largest
+            # team count stands for the smaller ones.
+            for case in CASES:
+                sweep_cell_config(cfg, case, args.max_teams).validate()
         elif args.command == "compare":
             drones = _parse_drones(args.drones)
             _check_positive("--trials", args.trials)
+            for case in CASES:
+                for controller in CONTROLLERS:
+                    for count in drones:
+                        compare_cell_config(cfg, case, controller, count).validate()
         # Only a run that passed every check leaves an output directory.
         out = Path(args.out)
         try:

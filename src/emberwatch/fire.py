@@ -6,17 +6,17 @@ length-to-breadth ellipse relation. Three scenario cases are supported:
 1 near-stationary fronts, 2 moving fronts, and 3 moving fronts that also
 spawn children at a fixed step interval.
 
-All randomness is drawn from per-front substreams keyed by
-(seed, step, front id), so a map evolves identically no matter how many
-other fronts exist or in which order they are visited.
+All randomness comes from keyed counter-based draws: each motion and
+spawn value is a pure function of (seed, purpose, step, front id, index),
+drawn for all fronts as one array, so a map evolves identically no matter
+how many other fronts exist or in which order they are visited.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,20 +40,15 @@ _LINEAGE_SHIFT = 32
 _POOL_WORDS = 4
 _MASK32 = 0xFFFFFFFF
 
-# numpy's documented SeedSequence mix (after O'Neill's seed_seq_fe): the
-# entropy hash constant and multiplier, the output hash constant and
-# multiplier, the two mixing multipliers and the xor-shift.
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
+# SplitMix64's stream increment and finaliser multipliers (Steele, Lea &
+# Flood, OOPSLA 2014).
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_1 = 0xBF58476D1CE4E5B9
+_MIX_2 = 0x94D049BB133111EB
 
-# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905) and modulus mask.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+# Purposes of the fire step's keyed draws; harness.py keys purposes 1-5.
+_S_MOTION = 6
+_S_SPAWN = 7
 
 
 @dataclass(frozen=True)
@@ -269,72 +264,52 @@ def spread_velocity(
     return np.array([c * math.sin(wrapped), c * math.cos(wrapped)]), jacobian
 
 
-def propagate_front(
-    front: FireFront,
-    dt: float,
-    noise_std: float,
-    velocity: np.ndarray,
-    rng: np.random.Generator,
-) -> FireFront:
-    """One Euler step q + v*dt plus optional per-axis Gaussian jitter.
-
-    `velocity` is the step's spread velocity (`front_velocity` of the
-    map's wind state), which the moved front carries into the next step.
-    """
-    if dt <= 0:
-        raise DomainError("dt", f"dt must be > 0, got {dt}")
-    position = front.position + front.velocity * dt
-    if noise_std > 0:
-        position = position + rng.normal(0.0, noise_std, size=2)
-    return FireFront(id=front.id, position=position, velocity=velocity, lineage=front.lineage)
-
-
 def spawn_fronts(
     front: FireFront,
     spawn_rate_max: int,
     dt: float,
     velocity: np.ndarray,
-    rng: np.random.Generator,
+    draws: np.ndarray,
     id_base: int | None = None,
 ) -> list[FireFront]:
-    """Draw 0..spawn_rate_max children inside the parent's per-step growth box.
+    """Place 0..spawn_rate_max children inside the parent's per-step growth box.
 
-    Children carry `velocity`, the step's spread velocity. Child ids count
-    up from `id_base` (default: the lineage's id space, lineage << 32), so
-    ids stay unique per lineage without global state.
+    `draws` holds at least 1 + 2 * spawn_rate_max uniforms in [0, 1): the
+    first sets the count, and each child k takes its x and y offsets from
+    draws 1 + 2k and 2 + 2k. Children carry `velocity`, the step's spread
+    velocity. Child ids count up from `id_base` (default: the lineage's id
+    space, lineage << 32), so ids stay unique per lineage without global
+    state.
     """
-    if spawn_rate_max <= 0:
-        return []
-    count = int(rng.integers(0, spawn_rate_max + 1))
-    if count == 0:
-        return []
+    count = int(draws[0] * (spawn_rate_max + 1))
     if id_base is None:
         id_base = front.lineage << _LINEAGE_SHIFT
-    half = np.abs(front.velocity) * dt
-    children = []
-    for k in range(count):
-        offset = rng.uniform(-half, half) if (half > 0).any() else np.zeros(2)
-        children.append(
-            FireFront(
-                id=id_base + k,
-                position=front.position + offset,
-                velocity=velocity,
-                lineage=front.lineage,
-            )
-        )
-    return children
+    offsets = (2.0 * draws[1 : 1 + 2 * count].reshape(count, 2) - 1.0) * (np.abs(front.velocity) * dt)
+    return [
+        FireFront(id=id_base + k, position=front.position + offset, velocity=velocity, lineage=front.lineage)
+        for k, offset in enumerate(offsets)
+    ]
 
 
 def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
-    """Advance every front one step; apply case-3 spawning on its interval."""
+    """Advance every front one step; apply case-3 spawning on its interval.
+
+    Each front moves by one Euler step q + v*dt plus, when `noise_std` is
+    positive, `noise_std` times two keyed normals; it then carries the
+    step's spread velocity.
+    """
     if dt <= 0:
         raise DomainError("dt", f"dt must be > 0, got {dt}")
     step = fire_map.step
     velocity = front_velocity(fire_map.wind_fuel, fire_map.params)
-    moves = keyed_generators(fire_map.rng_seed, (step,), [f.id for f in fire_map.fronts], (0,))
+    ids = [f.id for f in fire_map.fronts]
+    positions = np.array([f.position for f in fire_map.fronts]).reshape(-1, 2)
+    positions += np.array([f.velocity for f in fire_map.fronts]).reshape(-1, 2) * dt
+    if fire_map.noise_std > 0:
+        positions += fire_map.noise_std * keyed_normal(fire_map.rng_seed, (_S_MOTION, step), ids, 2)
     fronts = [
-        propagate_front(front, dt, fire_map.noise_std, velocity, rng)
-        for front, rng in zip(fire_map.fronts, moves)
+        FireFront(id=f.id, position=position, velocity=velocity, lineage=f.lineage)
+        for f, position in zip(fire_map.fronts, positions)
     ]
 
     new_step = step + 1
@@ -347,19 +322,12 @@ def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
                 idx = (f.id & ((1 << _LINEAGE_SHIFT) - 1)) + 1
                 next_index[f.lineage] = max(next_index.get(f.lineage, 0), idx)
         children: list[FireFront] = []
-        spawns = keyed_generators(fire_map.rng_seed, (step,), [f.id for f in fronts], (1,))
-        for front, rng in zip(fronts, spawns):
+        spawns = keyed_uniform(fire_map.rng_seed, (_S_SPAWN, step), ids, 1 + 2 * fire_map.spawn_rate_max)
+        for front, draws in zip(fronts, spawns):
             if fire_map.max_per_lineage and lineage_counts[front.lineage] >= fire_map.max_per_lineage:
                 continue
             base = (front.lineage << _LINEAGE_SHIFT) + next_index.get(front.lineage, 0)
-            kids = spawn_fronts(
-                front,
-                fire_map.spawn_rate_max,
-                dt,
-                velocity,
-                rng,
-                id_base=base,
-            )
+            kids = spawn_fronts(front, fire_map.spawn_rate_max, dt, velocity, draws, id_base=base)
             if fire_map.max_per_lineage:
                 room = fire_map.max_per_lineage - lineage_counts[front.lineage]
                 kids = kids[: max(room, 0)]
@@ -404,93 +372,45 @@ def substream_key(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(np.array(words + entries, dtype=np.uint32))
 
 
-def _hash_constants(hash_const: int, mult: int, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Xor and multiply constants of successive SeedSequence hashes.
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser: a bijection of uint64 arrays, in wrapping arithmetic."""
+    z = z ^ (z >> 30)
+    z *= _MIX_1
+    z ^= z >> 27
+    z *= _MIX_2
+    z ^= z >> 31
+    return z
 
-    Each hash xors its input with the running constant, advances the
-    constant by `mult` and multiplies by the new value. Returns one
-    constant per hash, in C order, as read-only uint32 arrays of `shape`
-    plus a trailing axis that broadcasts over ids.
+
+def keyed_uniform(seed: int, prefix: Sequence[int], ids: Sequence[int], k: int) -> np.ndarray:
+    """(len(ids), k) uniforms in [0, 1); entry (i, j) is a pure function of (seed, prefix, ids[i], j).
+
+    The key (k0, k1) is the first 128 bits of `substream_key(seed,
+    *prefix)`. Each id starts a SplitMix64 stream at mix(id ^ k0) + k1,
+    and value j is that stream's output j + 1, its top 53 bits scaled to
+    [0, 1). So an id's values do not depend on the rest of its batch, on
+    its place in the batch or on k. Ids must lie in [0, 2**64). All
+    arithmetic is on uint64 arrays, which wrap without a warning.
     """
-    xors, mults = [], []
-    for _ in range(math.prod(shape)):
-        xors.append(hash_const)
-        hash_const = hash_const * mult & _MASK32
-        mults.append(hash_const)
-    out = np.array(xors, np.uint32).reshape(*shape, 1), np.array(mults, np.uint32).reshape(*shape, 1)
-    for array in out:
-        array.flags.writeable = False
-    return out
+    ids = np.asarray(ids, dtype=np.uint64).reshape(-1, 1)
+    if not len(ids):
+        return np.empty((0, k))
+    key = substream_key(seed, *prefix).generate_state(2, np.uint64)
+    start = _mix64(ids ^ key[:1]) + key[1:]
+    counter = np.arange(1, k + 1, dtype=np.uint64) * _GAMMA
+    return (_mix64(start + counter) >> 11) * 2.0**-53
 
 
-@functools.lru_cache(maxsize=64)
-def _entropy_constants(entropy_words: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hash constants that mix `rows` key words into a pool after `entropy_words` words.
+def keyed_normal(seed: int, prefix: Sequence[int], ids: Sequence[int], k: int) -> np.ndarray:
+    """(len(ids), k) standard normals, each a pure function of (seed, prefix, id, j).
 
-    mix_entropy has hashed 4 times per entropy word already; each further
-    word is hashed once per pool word. Cached: a run asks for a few
-    shapes only, and the arrays are read-only because callers share them.
+    Box-Muller: normals 2m and 2m + 1 of an id are r cos(theta) and
+    r sin(theta), with r = sqrt(-2 log(1 - u)) and theta = 2 pi u' from
+    its uniforms 2m and 2m + 1 of `keyed_uniform`; r e^(i theta) holds
+    the pair as one complex value.
     """
-    hash_const = _INIT_A * pow(_MULT_A, 4 * entropy_words, 1 << 32) & _MASK32
-    return _hash_constants(hash_const, _MULT_A, (rows, _POOL_WORDS))
-
-
-# generate_state(4, np.uint64) hashes the pool words 0-3 twice into 8 words.
-_STATE_ROWS = np.arange(2 * _POOL_WORDS) % _POOL_WORDS
-_STATE_XOR, _STATE_MULT = _hash_constants(_INIT_B, _MULT_B, (2 * _POOL_WORDS,))
-
-
-def keyed_generators(
-    seed: int, prefix: Sequence[int], ids: Sequence[int], tail: Sequence[int] = ()
-) -> Iterator[np.random.Generator]:
-    """Yield, per id in order, `default_rng(substream_key(seed, *prefix, id, *tail))`.
-
-    Every yielded generator has exactly that state, but the batch costs
-    one `substream_key` call: each id's remaining key words are mixed
-    into the prefix's SeedSequence pool as (4, N) uint32 arrays,
-    following numpy's documented SeedSequence mix, then
-    `generate_state(4, uint64)` and PCG64's seeding (two 128-bit LCG
-    steps) are reproduced per id. One Generator is re-seeded in place
-    for every id, so each yielded generator is valid only until the next
-    one is drawn.
-
-    The prefix must be non-empty, the seed >= 0 and every id and key
-    part in [0, 2**64): then `substream_key` packs the prefix as the
-    seed's words (at least 4) followed by two words per part.
-    """
-    ids = list(ids)
-    if not ids:
-        return
-    parts = [*prefix, *tail, min(ids), max(ids)]
-    if not prefix or seed < 0 or min(parts) < 0 or max(parts) >> 64:
-        raise ValueError(f"keyed_generators needs a prefix and key parts in [0, 2**64), got {parts}")
-    prefix_key = substream_key(seed, *prefix)
-    n = len(ids)
-    words = [[i >> 32 for i in ids], [i & _MASK32 for i in ids]]
-    for part in tail:
-        words += [[part >> 32] * n, [part & _MASK32] * n]
-    entropy_words = max(_POOL_WORDS, -(-int(seed).bit_length() // 32)) + 2 * len(prefix)
-    xor, mult = _entropy_constants(entropy_words, len(words))
-    hashed = (np.array(words, np.uint32)[:, None, :] ^ xor) * mult
-    hashed ^= hashed >> _XSHIFT
-    pool = prefix_key.pool[:, None]
-    for word in hashed:
-        pool = _MIX_MULT_L * pool - _MIX_MULT_R * word
-        pool ^= pool >> _XSHIFT
-    out = pool[_STATE_ROWS] ^ _STATE_XOR
-    out *= _STATE_MULT
-    out ^= out >> _XSHIFT
-    # Little-endian pairs of 32-bit words are the four uint64 state words.
-    state = out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << 32
-    # Any PCG64 will do here: its state is replaced before each yield.
-    rng = np.random.default_rng(prefix_key)
-    bit_generator = rng.bit_generator
-    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*state.tolist()):
-        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    if not len(ids):
+        return np.empty((0, k))
+    u = keyed_uniform(seed, prefix, ids, 2 * -(-k // 2))
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    return (radius * np.exp(2j * math.pi * u[:, 1::2])).view(np.float64)[:, :k]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .baseline import _GOLDEN_ANGLE, gradient_coverage_step
 from .bounds import joint_confidence
-from .config import TEAM_FIRE_IDS, ScenarioConfig
+from .config import CONTROLLERS, TEAM_FIRE_IDS, ScenarioConfig
 from .coordination import (
     HumanTeam,
     MissionPlan,
@@ -34,10 +34,10 @@ from .coordination import (
     vicinity_fires,
 )
 from .errors import DomainError, NoUavAvailable, SingularResidual
-from .fire import WindFuelState, keyed_generators, simulate_step, substream_key
+from .fire import WindFuelState, keyed_normal, simulate_step, substream_key
 from .tracking import TrackEstimate, observe, predict, step_track
 
-# Substream purposes.
+# Substream purposes; fire.py keys the fire step's motion (6) and spawns (7).
 _S_LAYOUT = 1
 _S_TEAMFIRE = 2
 _S_DETECT = 3
@@ -48,13 +48,18 @@ STEP_CSV_HEADER = "step,uncovered_count,cum_uncertainty,mean_trace_P,active_uavs
 SWEEP_CSV_HEADER = "case,teams,trial,min_drones"
 COMPARE_CSV_HEADER = "case,controller,drones,trial,cum_uncertainty"
 
+# The scenario cases that sweep-safety and compare run, in order.
+CASES = (1, 2, 3)
+
 
 @dataclass
 class RunMetrics:
     """Per-step and aggregate outputs of one scenario run.
 
-    wall_clock is diagnostic only and never serialized, so output files
-    stay byte-identical across reruns.
+    filter_faults counts the filter updates that raised SingularResidual
+    or DomainError and fell back to a predict; the JSON summary reports
+    it, the CSV does not. wall_clock is diagnostic only and never
+    serialized, so output files stay byte-identical across reruns.
     """
 
     uncovered: list[int] = field(default_factory=list)
@@ -64,6 +69,7 @@ class RunMetrics:
     drones_recruited: dict[int, int] = field(default_factory=dict)
     bound_confidence: dict[int, tuple[float, float]] = field(default_factory=dict)
     plans_feasible: bool = True
+    filter_faults: int = 0
     wall_clock: list[float] = field(default_factory=list)
 
     @property
@@ -98,13 +104,14 @@ class RunMetrics:
                     str(k): list(v) for k, v in sorted(self.bound_confidence.items())
                 },
                 "plans_feasible": self.plans_feasible,
+                "filter_faults": self.filter_faults,
             },
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
-    """The generator of one scalar key; per-entity keys use `keyed_generators`."""
+    """The generator of one scalar key; per-entity keys use `keyed_normal`."""
     return np.random.default_rng(substream_key(seed, *key))
 
 
@@ -174,11 +181,13 @@ def _init_track(
     wind: WindFuelState,
     staging_pose: np.ndarray,
     priors: tuple[np.ndarray, ...],
-    rng: np.random.Generator,
+    noise: np.ndarray,
 ) -> TrackEstimate:
-    """Register a detected hotspot: ground truth plus detection noise; P0, Q0 and R are the priors."""
+    """Register a detected hotspot: ground truth plus detection noise; P0, Q0 and R are the priors.
+
+    `noise` holds the front's five keyed standard normals.
+    """
     fl = cfg.filter
-    noise = rng.normal(size=5)
     mean = np.array(
         [
             front.position[0] + noise[0] * fl.init_position_std,
@@ -196,18 +205,18 @@ def _init_tracks(
     born, cfg: ScenarioConfig, wind: WindFuelState, staging_pose: np.ndarray, priors: tuple[np.ndarray, ...]
 ) -> dict[int, TrackEstimate]:
     """A track per newly detected front, in the order given, each with its keyed detection noise."""
-    detections = keyed_generators(cfg.rng_seed, (_S_DETECT,), [f.id for f in born])
-    return {f.id: _init_track(f, cfg, wind, staging_pose, priors, rng) for f, rng in zip(born, detections)}
+    detections = keyed_normal(cfg.rng_seed, (_S_DETECT,), [f.id for f in born], 5)
+    return {f.id: _init_track(f, cfg, wind, staging_pose, priors, noise) for f, noise in zip(born, detections)}
 
 
 def _make_observation(
-    front, pose: np.ndarray, wind: WindFuelState, cfg: ScenarioConfig, rng: np.random.Generator
+    front, pose: np.ndarray, wind: WindFuelState, cfg: ScenarioConfig, noise: np.ndarray
 ) -> np.ndarray:
-    """The sensor model `observe` at the true state, plus Gaussian noise."""
+    """The sensor model `observe` at the true state, plus `noise` (five standard normals) scaled per axis."""
     fl = cfg.filter
     truth = np.array([*front.position, *pose, wind.spread_rate, wind.wind_speed, wind.wind_azimuth])
     sigma = np.array([fl.obs_angle_std, fl.obs_angle_std, *fl.obs_weather_std])
-    return observe(truth) + rng.normal(size=5) * sigma
+    return observe(truth) + noise * sigma
 
 
 def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
@@ -272,7 +281,7 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
         uncovered = sum(1 for f in fronts if f.id not in observer)
 
         # Every observed front has a track, so the batch is drawn in sorted id order.
-        observations = keyed_generators(cfg.rng_seed, (_S_OBS, step), sorted(observer))
+        observations = iter(keyed_normal(cfg.rng_seed, (_S_OBS, step), sorted(observer), 5))
         for fid in track_ids:
             if fid in observer:
                 agent = observer[fid]
@@ -283,6 +292,7 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
                     # A filter fault skips this update rather than the run; an
                     # update that moves the UAV's altitude estimate below ground
                     # fails on its post-update residual and is one.
+                    metrics.filter_faults += 1
                     tracks[fid] = predict(tracks[fid], dt, params, uav_pose=agent.pose)
             else:
                 tracks[fid] = predict(tracks[fid], dt, params)
@@ -400,34 +410,50 @@ def _mean_and_se(values: list[int]) -> tuple[float, float]:
     return float(np.mean(values)), se
 
 
+def sweep_cell_config(cfg: ScenarioConfig, case: int, teams: int, trial: int = 0) -> ScenarioConfig:
+    """The config of one sweep-safety cell: team-clustered fires, no coverage fleet."""
+    return replace(
+        cfg,
+        case=case,
+        fire=replace(cfg.fire, speed=None, layout="team_clusters"),
+        teams=replace(cfg.teams, count=teams, positions=None),
+        uavs=replace(cfg.uavs, count=0),
+        controller="proposed",
+        rng_seed=cfg.rng_seed + trial,
+    )
+
+
 def sweep_safety(cfg: ScenarioConfig, max_teams: int, trials: int) -> SweepResult:
     """Mean and standard error of the minimum fleet per team count and case."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rows: list[tuple[int, int, int, int]] = []
     summary: dict[int, dict[int, tuple[float, float]]] = {}
-    for case in (1, 2, 3):
+    for case in CASES:
         summary[case] = {}
-        case_cfg = replace(
-            cfg,
-            case=case,
-            fire=replace(cfg.fire, speed=None, layout="team_clusters"),
-            uavs=replace(cfg.uavs, count=0),
-            controller="proposed",
-        )
         for teams_n in range(1, max_teams + 1):
             values = []
             for trial in range(trials):
-                run_cfg = replace(
-                    case_cfg,
-                    teams=replace(case_cfg.teams, count=teams_n, positions=None),
-                    rng_seed=cfg.rng_seed + trial,
-                )
-                drones, _ = min_drones_for_run(run_cfg)
+                drones, _ = min_drones_for_run(sweep_cell_config(cfg, case, teams_n, trial))
                 rows.append((case, teams_n, trial, drones))
                 values.append(drones)
             summary[case][teams_n] = _mean_and_se(values)
     return SweepResult(rows=rows, summary=summary)
+
+
+def compare_cell_config(
+    cfg: ScenarioConfig, case: int, controller: str, drones: int, trial: int = 0
+) -> ScenarioConfig:
+    """The config of one compare cell: no teams, a coverage fleet of `drones` UAVs."""
+    return replace(
+        cfg,
+        case=case,
+        fire=replace(cfg.fire, speed=None),
+        teams=replace(cfg.teams, count=0, positions=None),
+        uavs=replace(cfg.uavs, count=drones),
+        controller=controller,
+        rng_seed=cfg.rng_seed + trial,
+    )
 
 
 def compare_controllers(
@@ -438,23 +464,12 @@ def compare_controllers(
         raise ValueError("trials must be >= 1")
     rows: list[tuple[int, str, int, int, int]] = []
     summary: dict[tuple[int, str, int], tuple[float, float]] = {}
-    for case in (1, 2, 3):
-        case_cfg = replace(
-            cfg,
-            case=case,
-            fire=replace(cfg.fire, speed=None),
-            teams=replace(cfg.teams, count=0, positions=None),
-        )
-        for controller in ("proposed", "gradient"):
+    for case in CASES:
+        for controller in CONTROLLERS:
             for count in drone_counts:
                 values = []
                 for trial in range(trials):
-                    run_cfg = replace(
-                        case_cfg,
-                        controller=controller,
-                        uavs=replace(case_cfg.uavs, count=count),
-                        rng_seed=cfg.rng_seed + trial,
-                    )
+                    run_cfg = compare_cell_config(cfg, case, controller, count, trial)
                     cum = run_scenario(run_cfg).final_cum_uncertainty
                     rows.append((case, controller, count, trial, cum))
                     values.append(cum)

@@ -44,12 +44,17 @@ class SteinerWaypoint:
 
 
 def tour_length(nodes: np.ndarray, order) -> float:
-    """Length of the closed cycle visiting `order`."""
+    """Length of the closed cycle visiting `order`.
+
+    Each leg is sqrt of the row sum of squares, as `np.linalg.norm(...,
+    axis=1)` computes it, so the length keeps that form's bits.
+    """
     nodes = np.asarray(nodes, dtype=float)
     if len(order) < 2:
         return 0.0
-    pts = nodes[list(order)]
-    return float(np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1).sum())
+    order = list(order)
+    legs = nodes[order] - nodes[order[1:] + order[:1]]
+    return float(np.sqrt(np.add.reduce(legs * legs, axis=1)).sum())
 
 
 def distance_matrix(nodes) -> np.ndarray:

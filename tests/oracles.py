@@ -21,6 +21,15 @@ def cycle_length(nodes, order) -> float:
     return total
 
 
+def reference_tour_length(nodes, order) -> float:
+    """Closed-cycle length in the library's first form: np.roll and np.linalg.norm."""
+    nodes = np.asarray(nodes, dtype=float)
+    if len(order) < 2:
+        return 0.0
+    pts = nodes[list(order)]
+    return float(np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1).sum())
+
+
 def exact_tsp_held_karp(nodes) -> float:
     """Exact shortest closed tour length by Held-Karp dynamic programming."""
     n = len(nodes)
@@ -433,10 +442,12 @@ def reference_simulate_step(fire_map, dt):
     """Fronts after one fire step, as (id, position, velocity, lineage) tuples.
 
     Reads the map's fields; evaluates the spread velocity once per front
-    and once per spawned child, as the velocity of its wind state.
+    and once per spawned child, as the velocity of its wind state. Moves
+    and spawns one front at a time, each from the single-id keyed draw of
+    its own key: purpose 6 (motion) or 7 (spawns), then the step.
     """
     from emberwatch.errors import DomainError
-    from emberwatch.fire import substream_key
+    from emberwatch.fire import keyed_normal, keyed_uniform
 
     wf, params = fire_map.wind_fuel, fire_map.params
 
@@ -444,18 +455,14 @@ def reference_simulate_step(fire_map, dt):
         c = _ref_spread_coefficient(wf.spread_rate, wf.wind_speed, params)
         return np.array([c * math.sin(wf.wind_azimuth), c * math.cos(wf.wind_azimuth)])
 
-    def stream(front_id, role):
-        return np.random.default_rng(substream_key(fire_map.rng_seed, fire_map.step, front_id, role))
-
     if dt <= 0:
         raise DomainError("dt", f"dt must be > 0, got {dt}")
     fronts = []
     for f in fire_map.fronts:
-        rng = stream(f.id, 0)
         v = velocity()
         position = f.position + f.velocity * dt
         if fire_map.noise_std > 0:
-            position = position + rng.normal(0.0, fire_map.noise_std, size=2)
+            position = position + fire_map.noise_std * keyed_normal(fire_map.rng_seed, (6, fire_map.step), [f.id], 2)[0]
         fronts.append((f.id, position, v, f.lineage))
 
     new_step = fire_map.step + 1
@@ -469,20 +476,20 @@ def reference_simulate_step(fire_map, dt):
                 next_index[lineage] = max(next_index.get(lineage, 0), (fid & low) + 1)
         children = []
         cap = fire_map.max_per_lineage
+        rate = fire_map.spawn_rate_max
         for fid, position, parent_velocity, lineage in fronts:
             if cap and counts[lineage] >= cap:
                 continue
             base = (lineage << _LINEAGE_SHIFT) + next_index.get(lineage, 0)
-            rng = stream(fid, 1)
+            draws = keyed_uniform(fire_map.rng_seed, (7, fire_map.step), [fid], 1 + 2 * rate)[0]
             kids = []
-            if fire_map.spawn_rate_max > 0:
-                count = int(rng.integers(0, fire_map.spawn_rate_max + 1))
-                if count:
-                    half = np.abs(parent_velocity) * dt
-                    v = velocity()
-                    for k in range(count):
-                        offset = rng.uniform(-half, half) if (half > 0).any() else np.zeros(2)
-                        kids.append((base + k, position + offset, v, lineage))
+            count = math.floor(draws[0] * (rate + 1))
+            if count:
+                half = np.abs(parent_velocity) * dt
+                v = velocity()
+                for k in range(count):
+                    offset = (2.0 * draws[1 + 2 * k : 3 + 2 * k] - 1.0) * half
+                    kids.append((base + k, position + offset, v, lineage))
             if cap:
                 kids = kids[: max(cap - counts[lineage], 0)]
             counts[lineage] = counts.get(lineage, 0) + len(kids)

@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from emberwatch.cli import main
+from emberwatch.config import load_config
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -309,6 +310,36 @@ def test_max_teams_beyond_the_fire_id_range_exits_two_before_running(tmp_path, c
     argv = ["sweep-safety", "--config", str(cfg), "--out", str(out), "--max-teams", "42950", "--trials", "1"]
     assert main(argv) == 2
     assert "--max-teams: must be at most 42949" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra, fire, field",
+    [
+        # team_clusters caps a team's fires at 100000; the uniform layout does not
+        ("sweep-safety", ["--max-teams", "1", "--trials", "1"],
+         "  initial_count: 100001\n  layout: uniform\n", "fire.initial_count"),
+        # case 1 runs in still air, but the case-2 cells need wind to spread
+        ("sweep-safety", ["--max-teams", "1", "--trials", "1"],
+         "  initial_count: 1\n  wind_speed: 0.0\n", "fire.speed"),
+        ("compare", ["--drones", "1", "--trials", "1"],
+         "  initial_count: 1\n  wind_speed: 0.0\n", "fire.speed"),
+    ],
+)
+def test_a_cell_config_the_base_config_allows_exits_two_before_running(tmp_path, capsys, command, extra, fire, field):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "area: {width: 600.0, height: 600.0}\n"
+        "case: 1\n"
+        f"fire:\n{fire}"
+        "teams: {count: 0}\n"
+        "uavs: {count: 1}\n"
+        "duration: 2\n"
+    )
+    out = tmp_path / "out"
+    load_config(cfg).validate()  # the base config itself passes
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 2
+    assert f"config error: {field}" in capsys.readouterr().err
     assert not out.exists()
 
 

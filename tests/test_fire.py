@@ -12,8 +12,8 @@ from emberwatch.fire import (
     WindFuelState,
     calibrate_spread_rate,
     front_velocity,
-    keyed_generators,
-    propagate_front,
+    keyed_normal,
+    keyed_uniform,
     simulate_step,
     spawn_fronts,
     spread_coefficient,
@@ -126,29 +126,31 @@ class TestFrontVelocity:
                 assert np.allclose(jac[:, col], fd, rtol=1e-5, atol=1e-7)
 
 
+MOTION, SPAWN = 6, 7  # the fire step's keyed-draw purposes
+
+
 class TestPropagation:
-    def _front(self, q=(0.0, 0.0), v=(1.0, 2.0)):
-        return FireFront(id=1, position=np.array(q), velocity=np.array(v), lineage=1)
+    def _map(self, q=(0.0, 0.0), v=(1.0, 2.0), noise_std=0.0, wf=None):
+        wf = wf or WindFuelState(spread_rate=0.0, wind_speed=5.0, wind_azimuth=0.0)
+        front = FireFront(id=1, position=np.array(q), velocity=np.array(v), lineage=1)
+        return FireMap((front,), wf, case=1 if wf.spread_rate == 0 else 2, noise_std=noise_std, rng_seed=42, step=3)
 
     def test_exact_euler_step(self):
-        wf = WindFuelState(spread_rate=0.0, wind_speed=5.0, wind_azimuth=0.0)
-        rng = np.random.default_rng(0)
-        out = propagate_front(self._front(), 0.5, 0.0, front_velocity(wf, DEFAULT_ELLIPSE), rng)
-        assert out.position == pytest.approx([0.5, 1.0])
+        out = simulate_step(self._map(), 0.5)
+        assert out.fronts[0].position == pytest.approx([0.5, 1.0])
+        assert np.array_equal(out.fronts[0].velocity, [0.0, 0.0])  # the step's spread velocity
 
     def test_stationary_without_noise(self):
-        wf = WindFuelState(spread_rate=0.0, wind_speed=5.0, wind_azimuth=0.0)
-        rng = np.random.default_rng(0)
-        out = propagate_front(self._front(v=(0.0, 0.0)), 3.0, 0.0, front_velocity(wf, DEFAULT_ELLIPSE), rng)
-        assert out.position == pytest.approx([0.0, 0.0])
+        out = simulate_step(self._map(v=(0.0, 0.0)), 3.0)
+        assert out.fronts[0].position == pytest.approx([0.0, 0.0])
 
-    def test_noise_is_seed_deterministic(self):
+    def test_noise_is_the_keyed_motion_draw(self):
         wf = WindFuelState(spread_rate=1.0, wind_speed=5.0, wind_azimuth=0.3)
-        outs = []
-        for _ in range(2):
-            rng = np.random.default_rng(42)
-            outs.append(propagate_front(self._front(), 1.0, 0.1, front_velocity(wf, DEFAULT_ELLIPSE), rng))
-        assert np.array_equal(outs[0].position, outs[1].position)
+        fmap = self._map(noise_std=0.1, wf=wf)
+        outs = [simulate_step(fmap, 1.0).fronts[0].position for _ in range(2)]
+        assert np.array_equal(outs[0], outs[1])
+        euler = fmap.fronts[0].position + fmap.fronts[0].velocity * 1.0
+        assert np.array_equal(outs[0], euler + 0.1 * keyed_normal(42, (MOTION, 3), [1], 2)[0])
 
     def test_n_steps_exact_without_noise(self):
         wf = WindFuelState(
@@ -164,6 +166,10 @@ class TestPropagation:
         assert fmap.fronts[0].position == pytest.approx(expected, abs=1e-9)
 
 
+def spawn_draws(seed, n=7):
+    return keyed_uniform(seed, (SPAWN, 0), [9], n)[0]
+
+
 class TestSpawning:
     def _parent(self):
         wf = WindFuelState(
@@ -176,23 +182,26 @@ class TestSpawning:
 
     def test_zero_rate_spawns_nothing(self):
         parent, wf = self._parent()
-        rng = np.random.default_rng(0)
-        assert spawn_fronts(parent, 0, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), rng) == []
+        assert spawn_fronts(parent, 0, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), spawn_draws(0, 1)) == []
 
     def test_count_bounded(self):
         parent, wf = self._parent()
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            kids = spawn_fronts(parent, 3, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), rng)
-            assert 0 <= len(kids) <= 3
+        counts = set()
+        for seed in range(200):
+            kids = spawn_fronts(parent, 3, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), spawn_draws(seed))
+            counts.add(len(kids))
+        assert counts == {0, 1, 2, 3}
+        for first, count in ((0.0, 0), (0.2499, 0), (0.25, 1), (1.0 - 2.0**-53, 3)):
+            draws = np.full(7, 0.5)
+            draws[0] = first
+            assert len(spawn_fronts(parent, 3, 1.0, parent.velocity, draws)) == count
 
     def test_children_inside_growth_box(self):
         parent, wf = self._parent()
         half = np.abs(parent.velocity) * 1.0
         seen = 0
         for seed in range(1000):
-            rng = np.random.default_rng(seed)
-            for kid in spawn_fronts(parent, 3, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), rng):
+            for kid in spawn_fronts(parent, 3, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), spawn_draws(seed)):
                 seen += 1
                 offset = kid.position - parent.position
                 assert abs(offset[0]) <= half[0] + 1e-12
@@ -201,10 +210,11 @@ class TestSpawning:
 
     def test_child_ids_are_unique_and_disjoint(self):
         parent, wf = self._parent()
-        rng = np.random.default_rng(12)
-        kids = spawn_fronts(parent, 3, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), rng)
+        draws = np.full(7, 0.5)
+        draws[0] = 0.9  # three children
+        kids = spawn_fronts(parent, 3, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), draws)
         ids = [k.id for k in kids]
-        assert len(set(ids)) == len(ids)
+        assert len(ids) == 3 and len(set(ids)) == len(ids)
         assert all(i != parent.id and i >= (1 << 32) for i in ids)
         assert all(k.lineage == parent.lineage for k in kids)
 
@@ -292,14 +302,16 @@ class TestSimulateStep:
             assert fa.id == fb.id
             assert np.array_equal(fa.position, fb.position)
 
-    def test_front_stream_independent_of_other_fronts(self):
-        # the same front draws the same noise no matter who else exists
-        a = next(keyed_generators(9, (4,), [33], (0,))).normal(size=3)
-        b, c = [rng.normal(size=3) for rng in keyed_generators(9, (4,), [33, 34], (0,))]
-        _, e = [rng.normal(size=3) for rng in keyed_generators(9, (4,), [34, 33], (0,))]
-        assert np.array_equal(a, b)
-        assert np.array_equal(a, e)
-        assert not np.array_equal(a, c)
+    def test_front_motion_independent_of_other_fronts(self):
+        # the same front draws the same noise no matter who else exists or in which order
+        wf = WindFuelState(spread_rate=1.0, wind_speed=5.0, wind_azimuth=0.3)
+        alone = initial_fire_map([(1.0, 2.0)], wf, case=2, ids=[33], noise_std=0.5, rng_seed=9, step=4)
+        crowd = initial_fire_map([(7.0, 7.0), (1.0, 2.0), (0.0, 0.0)], wf, case=2, ids=[34, 33, 2**31],
+                                 noise_std=0.5, rng_seed=9, step=4)
+        moved = simulate_step(alone, 1.0).fronts[0].position
+        others, same, _ = (f.position for f in simulate_step(crowd, 1.0).fronts)
+        assert np.array_equal(same, moved)
+        assert not np.array_equal(others - (7.0, 7.0), moved - (1.0, 2.0))  # each front has its own noise
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 9, 2**128 + 3])
     def test_substream_key_matches_the_spawn_key_form(self, seed):
@@ -311,59 +323,91 @@ class TestSimulateStep:
 
 
 KEYED_SEEDS = [0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 9, 2**128 + 3]
-KEYED_IDS = [0, 2**32 - 1, 2**32, 5 << 32 | 3, 2**63, 2**64 - 1]
-KEYED_PREFIXES = [(3,), (4, 17)]
-KEYED_TAILS = [(), (0,), (1,)]
+KEYED_IDS = [0, 1, 2, 2**32 - 1, 2**32, 5 << 32 | 3, 2**63, 2**64 - 1]
+KEYED_PREFIXES = [(3,), (4, 17), (MOTION, 0), (SPAWN, 2**40)]
 
 
-def fresh_generator(seed, prefix, i, tail):
-    return np.random.default_rng(substream_key(seed, *prefix, i, *tail))
-
-
-class TestKeyedGenerators:
+class TestKeyedDraws:
+    @pytest.mark.parametrize("draw", [keyed_uniform, keyed_normal])
     @pytest.mark.parametrize("seed", KEYED_SEEDS)
-    def test_states_equal_a_fresh_generator_of_the_full_key(self, seed):
+    def test_a_value_depends_only_on_its_key(self, draw, seed):
         for prefix in KEYED_PREFIXES:
-            for tail in KEYED_TAILS:
-                states = [rng.bit_generator.state for rng in keyed_generators(seed, prefix, KEYED_IDS, tail)]
-                assert len(states) == len(KEYED_IDS)
-                for i, state in zip(KEYED_IDS, states):
-                    expected = np.random.PCG64(substream_key(seed, *prefix, i, *tail)).state
-                    # the dicts hold the 128-bit state, inc, has_uint32 and uinteger
-                    assert state == expected, (prefix, i, tail)
+            batch = draw(seed, prefix, KEYED_IDS, 5)
+            assert batch.shape == (len(KEYED_IDS), 5) and batch.dtype == np.float64
+            assert np.array_equal(draw(seed, prefix, KEYED_IDS, 5), batch)  # across calls
+            assert np.array_equal(draw(seed, prefix, KEYED_IDS[::-1], 5), batch[::-1])  # in any order
+            for i, row in zip(KEYED_IDS, batch):
+                assert np.array_equal(draw(seed, prefix, [i], 5)[0], row), (prefix, i)  # in any batch
+                assert np.array_equal(draw(seed, prefix, [i, 99], 3)[0], row[:3])  # for any k
+                assert np.array_equal(draw(seed, prefix, [i], 8)[0, :5], row)
 
-    @pytest.mark.parametrize("seed", KEYED_SEEDS)
-    def test_draws_equal_a_fresh_generator(self, seed):
-        for prefix in KEYED_PREFIXES:
-            for tail in KEYED_TAILS:
-                for i, rng in zip(KEYED_IDS, keyed_generators(seed, prefix, KEYED_IDS, tail)):
-                    fresh = fresh_generator(seed, prefix, i, tail)
-                    assert np.array_equal(rng.normal(size=5), fresh.normal(size=5))
-                for i, rng in zip(KEYED_IDS, keyed_generators(seed, prefix, KEYED_IDS, tail)):
-                    # integers draws 32 bits and buffers the other half of the
-                    # 64-bit output; the next id must not inherit that buffer
-                    fresh = fresh_generator(seed, prefix, i, tail)
-                    assert rng.integers(0, 4) == fresh.integers(0, 4)
-                    assert rng.uniform() == fresh.uniform()
-                    assert rng.integers(0, 4) == fresh.integers(0, 4)
-                    assert rng.bit_generator.state == fresh.bit_generator.state
+    def test_every_part_of_the_key_matters(self):
+        base = keyed_uniform(7, (4, 17), [33], 4)[0]
+        assert len(set(base.tolist())) == 4  # j
+        for other in (
+            keyed_uniform(8, (4, 17), [33], 4),
+            keyed_uniform(7, (4, 18), [33], 4),
+            keyed_uniform(7, (5, 17), [33], 4),
+            keyed_uniform(7, (4,), [33], 4),
+            keyed_uniform(7, (4, 17), [34], 4),
+        ):
+            assert not set(other[0].tolist()) & set(base.tolist())
 
-    def test_state_of_an_id_ignores_the_rest_of_its_batch(self):
-        alone = next(keyed_generators(11, (4,), [33], (1,))).bit_generator.state
-        for batch in ([33, 34], [2**40, 33], [34, 0, 33, 2**63]):
-            states = {i: rng.bit_generator.state for i, rng in zip(batch, keyed_generators(11, (4,), batch, (1,)))}
-            assert states[33] == alone, batch
+    def test_normals_are_box_muller_of_the_uniform_pairs(self):
+        u = keyed_uniform(3, (4, 1), KEYED_IDS, 6)
+        z = keyed_normal(3, (4, 1), KEYED_IDS, 5)
+        radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+        angle = 2.0 * math.pi * u[:, 1::2]
+        np.testing.assert_allclose(z[:, 0::2], (radius * np.cos(angle))[:, :3], rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(z[:, 1::2], (radius * np.sin(angle))[:, :2], rtol=1e-14, atol=1e-15)
 
-    def test_empty_batch_yields_nothing(self):
-        assert list(keyed_generators(3, (4,), [])) == []
+    def test_empty_batch(self):
+        assert keyed_uniform(3, (4,), [], 5).shape == (0, 5)
+        assert keyed_normal(3, (4,), [], 3).shape == (0, 3)
 
-    @pytest.mark.parametrize(
-        "prefix, ids, tail",
-        [((), [1], ()), ((4,), [-1], ()), ((4,), [2**64], ()), ((2**64,), [1], ()), ((4,), [1], (-2,))],
-    )
-    def test_key_outside_the_packed_form_is_refused(self, prefix, ids, tail):
-        with pytest.raises(ValueError):
-            list(keyed_generators(3, prefix, ids, tail))
+    @pytest.mark.parametrize("prefix, ids", [((4,), [-1]), ((4,), [2**64]), ((-2,), [1])])
+    def test_key_outside_the_range_is_refused(self, prefix, ids):
+        with pytest.raises((ValueError, OverflowError)):
+            keyed_uniform(3, prefix, ids, 2)
+
+
+# Consecutive ids and the ids of spawned children, as a run uses them.
+STAT_IDS = list(range(1, 20_001)) + [(7 << 32) + k for k in range(20_000)]
+
+
+class TestKeyedDrawStatistics:
+    """Deterministic checks: the draws are pure functions, so each bound holds or fails for good."""
+
+    def test_uniform_moments(self):
+        u = keyed_uniform(11, (MOTION, 3), STAT_IDS, 4)
+        n = u.size
+        assert 0.0 <= u.min() and u.max() < 1.0
+        assert abs(u.mean() - 0.5) < 5 * math.sqrt(1 / 12 / n)
+        assert abs(u.var() - 1 / 12) < 5 * math.sqrt(1 / 180 / n)
+
+    def test_uniform_chi_square(self):
+        u = keyed_uniform(12, (SPAWN, 9), STAT_IDS, 5).ravel()
+        observed = np.bincount((u * 50).astype(int), minlength=50)
+        expected = u.size / 50
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2 < 85.35  # the 0.999 quantile of chi-square with 49 degrees of freedom
+
+    def test_normal_moments(self):
+        z = keyed_normal(13, (4, 0), STAT_IDS, 5).ravel()
+        n = z.size
+        assert abs(z.mean()) < 5 / math.sqrt(n)
+        assert abs(z.var() - 1.0) < 5 * math.sqrt(2 / n)
+        assert abs((z**3).mean()) < 5 * math.sqrt(15 / n)
+        assert abs((z**4).mean() - 3.0) < 5 * math.sqrt(96 / n)
+
+    @pytest.mark.parametrize("draw", [keyed_uniform, keyed_normal])
+    def test_no_correlation_between_adjacent_ids_or_adjacent_j(self, draw):
+        x = draw(14, (3,), STAT_IDS, 6)
+        bound = 5 / math.sqrt(len(STAT_IDS))
+        for j in range(6):
+            assert abs(np.corrcoef(x[:-1, j], x[1:, j])[0, 1]) < bound, j
+        for j in range(5):
+            assert abs(np.corrcoef(x[:, j], x[:, j + 1])[0, 1]) < bound, j
 
 
 class TestValidation:

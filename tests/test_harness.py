@@ -83,10 +83,12 @@ class TestRunScenario:
             "teams": {"count": 2},
             "uavs": {"count": 3, "half_angle": 1.5707963267948963},
             "duration": 3,
-            "rng_seed": 77,
+            "rng_seed": 76,
             "filter": {"init_position_std": 300.0},
         })
-        assert len(run_scenario(cfg).uncovered) == 3
+        metrics = run_scenario(cfg)
+        assert len(metrics.uncovered) == 3
+        assert metrics.filter_faults >= 1
 
     def test_filter_fault_skips_one_update_not_the_run(self, monkeypatch):
         import emberwatch.tracking as tracking
@@ -115,6 +117,32 @@ class TestRunScenario:
         assert len(a.uncovered) == cfg.duration
         assert a.to_csv() == b.to_csv()
         assert a.to_csv() != clean.to_csv()  # the faulted track was only predicted
+
+    def test_filter_faults_are_counted_in_the_json_summary(self, monkeypatch):
+        import json
+
+        import emberwatch.tracking as tracking
+        from emberwatch.errors import SingularResidual
+
+        cfg = replace(load_config(CONFIG_DIR / "case3.yaml"), duration=20)
+        clean = run_scenario(cfg)
+        gain = tracking.kalman_gain
+        calls = 0
+
+        def faulty(*args):
+            nonlocal calls
+            calls += 1
+            if calls == 5:
+                raise SingularResidual("injected")
+            return gain(*args)
+
+        monkeypatch.setattr(tracking, "kalman_gain", faulty)
+        faulted = run_scenario(cfg)
+        assert calls > 5
+        assert clean.filter_faults == 0
+        assert faulted.filter_faults == 1
+        assert json.loads(faulted.to_json())["summary"]["filter_faults"] == 1
+        assert "fault" not in faulted.to_csv()
 
     def test_uav_eventually_covers_single_cluster(self):
         cfg = coverage_config(
@@ -282,66 +310,79 @@ class TestRunInvariants:
         assert compare_controllers(compare, [1, 2], trials=1).to_csv() == first_compare
 
 
-def keyed_stream_mismatches(cfg, monkeypatch, safety_only=False):
-    """Run cfg and check every generator handed to a keyed draw.
+def keyed_draw_mismatches(cfg, monkeypatch, safety_only=False):
+    """Run cfg and check every keyed draw a front receives against the single-id draw of its key.
 
-    Returns the number of draws seen per function and the (function, key)
-    of each draw whose generator is not in the fresh state of
-    `default_rng(substream_key(seed, *key))`.
+    Detection and observation noise are checked where `_init_track` and
+    `_make_observation` receive them and spawn draws where `spawn_fronts`
+    does. Motion noise is checked on each fire step's result: a moved
+    front sits at its Euler step plus noise_std times the single-id
+    motion draw. Returns the number of draws seen per kind and the
+    (kind, key) of each draw that differs.
     """
     import emberwatch.fire as fire
     import emberwatch.harness as harness
-    from emberwatch.fire import substream_key
+    from emberwatch.fire import keyed_normal, keyed_uniform
 
+    seed = cfg.rng_seed
     received = []
     step = [0]
     simulate_step = harness.simulate_step
 
     def stepping(fire_map, dt):
         step[0] = fire_map.step
-        return simulate_step(fire_map, dt)
+        moved = simulate_step(fire_map, dt)
+        for f, after in zip(fire_map.fronts, moved.fronts):
+            key = (fire._S_MOTION, step[0])
+            noise = fire_map.noise_std * keyed_normal(seed, key, [f.id], 2)[0]
+            expected = f.position + f.velocity * dt + noise
+            received.append(("motion", (*key, f.id), np.array_equal(after.position, expected)))
+        return moved
 
-    def audit(module, name, rng_at, key):
+    def audit(module, name, noise_at, key, draw, k):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            received.append((name, key(args), args[rng_at].bit_generator.state))
+            prefix, front_id = key(args)
+            expected = draw(seed, prefix, [front_id], k(args))[0]
+            received.append((name, (*prefix, front_id), np.array_equal(args[noise_at], expected)))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
     monkeypatch.setattr(harness, "simulate_step", stepping)
-    audit(harness, "_init_track", 5, lambda a: (harness._S_DETECT, a[0].id))
-    audit(harness, "_make_observation", 4, lambda a: (harness._S_OBS, step[0], a[0].id))
-    audit(fire, "propagate_front", 4, lambda a: (step[0], a[0].id, 0))
-    audit(fire, "spawn_fronts", 4, lambda a: (step[0], a[0].id, 1))
+    audit(harness, "_init_track", 5, lambda a: ((harness._S_DETECT,), a[0].id), keyed_normal, lambda a: 5)
+    audit(harness, "_make_observation", 4, lambda a: ((harness._S_OBS, step[0]), a[0].id), keyed_normal, lambda a: 5)
+    audit(
+        fire, "spawn_fronts", 4, lambda a: ((fire._S_SPAWN, step[0]), a[0].id), keyed_uniform, lambda a: 1 + 2 * a[1]
+    )
     run_scenario(cfg, safety_only=safety_only)
 
     counts: dict[str, int] = {}
     wrong = []
-    for name, key, state in received:
+    for name, key, equal in received:
         counts[name] = counts.get(name, 0) + 1
-        if state != np.random.default_rng(substream_key(cfg.rng_seed, *key)).bit_generator.state:
+        if not equal:
             wrong.append((name, key))
     return counts, wrong
 
 
 class TestKeyedStreams:
-    """Each keyed draw of a run gets the generator of its own key, fresh."""
+    """Each keyed draw of a run is the single-id draw of its own key."""
 
-    AUDITED = {"_init_track", "_make_observation", "propagate_front", "spawn_fronts"}
+    AUDITED = {"_init_track", "_make_observation", "motion", "spawn_fronts"}
 
     @pytest.mark.parametrize("case", [1, 2, 3])
     def test_every_case_config_draws_from_its_keys(self, case, monkeypatch):
         cfg = replace(load_config(CONFIG_DIR / f"case{case}.yaml"), duration=40, rng_seed=3)
-        counts, wrong = keyed_stream_mismatches(cfg, monkeypatch)
+        counts, wrong = keyed_draw_mismatches(cfg, monkeypatch)
         assert not wrong, wrong[:5]
         assert set(counts) == self.AUDITED - ({"spawn_fronts"} if case != 3 else set())
 
     def test_sweep_cell_draws_from_its_keys(self, monkeypatch):
         base = load_config(CONFIG_DIR / "sweep.yaml")
         cfg = replace(base, case=3, duration=40, rng_seed=2, teams=replace(base.teams, count=3))
-        counts, wrong = keyed_stream_mismatches(cfg, monkeypatch, safety_only=True)
+        counts, wrong = keyed_draw_mismatches(cfg, monkeypatch, safety_only=True)
         assert not wrong, wrong[:5]
         assert set(counts) == self.AUDITED
 
@@ -349,13 +390,22 @@ class TestKeyedStreams:
         import emberwatch.fire as fire
         import emberwatch.harness as harness
 
-        def reversed_batch(seed, prefix, ids, tail=()):
-            return fire.keyed_generators(seed, prefix, list(ids)[::-1], tail)
+        def reversed_batch(seed, prefix, ids, k):
+            return fire.keyed_normal(seed, prefix, list(ids)[::-1], k)
 
-        monkeypatch.setattr(harness, "keyed_generators", reversed_batch)
+        monkeypatch.setattr(harness, "keyed_normal", reversed_batch)
         cfg = replace(load_config(CONFIG_DIR / "case2.yaml"), duration=40, rng_seed=3)
-        counts, wrong = keyed_stream_mismatches(cfg, monkeypatch)
+        counts, wrong = keyed_draw_mismatches(cfg, monkeypatch)
         assert {name for name, _ in wrong} == {"_init_track", "_make_observation"}
+
+    def test_every_purpose_has_its_own_key(self):
+        import emberwatch.fire as fire
+        import emberwatch.harness as harness
+
+        purposes = [getattr(harness, name) for name in dir(harness) if name.startswith("_S_")]
+        purposes += [fire._S_MOTION, fire._S_SPAWN]
+        assert len(purposes) == 7
+        assert len(set(purposes)) == len(purposes)
 
 
 class TestMetricsSerialization:

@@ -20,6 +20,7 @@ from oracles import (
     exact_mst_prufer,
     exact_tsp_held_karp,
     kruskal_reference,
+    reference_tour_length,
     two_opt_reference,
 )
 
@@ -46,6 +47,16 @@ class TestDistanceMatrix:
         n = len(nodes)
         expected = [[float(np.linalg.norm(nodes[i] - nodes[j])) for j in range(n)] for i in range(n)]
         assert distance_matrix(nodes).tolist() == expected
+
+
+def test_tour_length_keeps_the_bits_of_the_norm_form():
+    rng = np.random.default_rng(57)
+    for n in range(1, 41):
+        for _ in range(5):
+            nodes = rng.uniform(-1000.0, 1000.0, size=(n + int(rng.integers(0, 4)), 2))
+            order = tuple(int(i) for i in rng.permutation(len(nodes))[:n])
+            assert tour_length(nodes, order) == reference_tour_length(nodes, order), (n, order)
+            assert tour_length(nodes, range(n)) == reference_tour_length(nodes, range(n))
 
 
 class TestMatchesReference:

@@ -12,7 +12,6 @@ from emberwatch.fire import (
     WindFuelState,
     calibrate_spread_rate,
     front_velocity,
-    propagate_front,
     spread_coefficient,
     spread_velocity,
 )
@@ -98,7 +97,7 @@ class TestStateTransition:
         import emberwatch.fire as fire
 
         front = replace(front, velocity=fire.front_velocity(wf, DEFAULT_ELLIPSE))
-        moved = propagate_front(front, 0.5, 0.0, front.velocity, np.random.default_rng(0))
+        moved = fire.simulate_step(fire.FireMap((front,), wf, case=2, noise_std=0.0), 0.5).fronts[0]
         s = np.array([7.0, -2.0, 0, 0, 40, 2.0, 5.0, math.pi / 3], dtype=float)
         out = transition(s, 0.5, DEFAULT_ELLIPSE)[0]
         assert out[FIRE_X] == pytest.approx(moved.position[0])
