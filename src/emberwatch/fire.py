@@ -389,9 +389,12 @@ def keyed_uniform(seed: int, prefix: Sequence[int], ids: Sequence[int], k: int) 
     *prefix)`. Each id starts a SplitMix64 stream at mix(id ^ k0) + k1,
     and value j is that stream's output j + 1, its top 53 bits scaled to
     [0, 1). So an id's values do not depend on the rest of its batch, on
-    its place in the batch or on k. Ids must lie in [0, 2**64). All
+    its place in the batch or on k. The prefix starts with the draw's
+    purpose; its parts and the ids must lie in [0, 2**64). All
     arithmetic is on uint64 arrays, which wrap without a warning.
     """
+    if not prefix or any(int(p) >> 64 for p in prefix):
+        raise ValueError(f"a keyed draw needs a purpose and prefix parts in [0, 2**64), got {tuple(prefix)}")
     ids = np.asarray(ids, dtype=np.uint64).reshape(-1, 1)
     if not len(ids):
         return np.empty((0, k))

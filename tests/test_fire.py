@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,11 +145,18 @@ class TestPropagation:
         out = simulate_step(self._map(v=(0.0, 0.0)), 3.0)
         assert out.fronts[0].position == pytest.approx([0.0, 0.0])
 
-    def test_noise_is_the_keyed_motion_draw(self):
+    def test_noise_is_seed_deterministic(self):
         wf = WindFuelState(spread_rate=1.0, wind_speed=5.0, wind_azimuth=0.3)
         fmap = self._map(noise_std=0.1, wf=wf)
         outs = [simulate_step(fmap, 1.0).fronts[0].position for _ in range(2)]
         assert np.array_equal(outs[0], outs[1])
+        reseeded = simulate_step(replace(fmap, rng_seed=43), 1.0).fronts[0].position
+        assert not np.array_equal(reseeded, outs[0])
+
+    def test_noise_is_the_keyed_motion_draw(self):
+        wf = WindFuelState(spread_rate=1.0, wind_speed=5.0, wind_azimuth=0.3)
+        fmap = self._map(noise_std=0.1, wf=wf)
+        outs = [simulate_step(fmap, 1.0).fronts[0].position for _ in range(2)]
         euler = fmap.fronts[0].position + fmap.fronts[0].velocity * 1.0
         assert np.array_equal(outs[0], euler + 0.1 * keyed_normal(42, (MOTION, 3), [1], 2)[0])
 
@@ -302,7 +310,7 @@ class TestSimulateStep:
             assert fa.id == fb.id
             assert np.array_equal(fa.position, fb.position)
 
-    def test_front_motion_independent_of_other_fronts(self):
+    def test_front_stream_independent_of_other_fronts(self):
         # the same front draws the same noise no matter who else exists or in which order
         wf = WindFuelState(spread_rate=1.0, wind_speed=5.0, wind_azimuth=0.3)
         alone = initial_fire_map([(1.0, 2.0)], wf, case=2, ids=[33], noise_std=0.5, rng_seed=9, step=4)
@@ -327,19 +335,52 @@ KEYED_IDS = [0, 1, 2, 2**32 - 1, 2**32, 5 << 32 | 3, 2**63, 2**64 - 1]
 KEYED_PREFIXES = [(3,), (4, 17), (MOTION, 0), (SPAWN, 2**40)]
 
 
-class TestKeyedDraws:
-    @pytest.mark.parametrize("draw", [keyed_uniform, keyed_normal])
+def splitmix64_reference(seed, prefix, i, k):
+    """Values 1..k of the SplitMix64 stream of key (seed, *prefix, i), in Python ints."""
+    mask = 2**64 - 1
+
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    k0, k1 = (int(w) for w in substream_key(seed, *prefix).generate_state(2, np.uint64))
+    state = (mix(i ^ k0) + k1) & mask
+    values = []
+    for _ in range(k):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        values.append((mix(state) >> 11) * 2.0**-53)
+    return values
+
+
+class TestKeyedGenerators:
+    """Each id of a keyed draw reads its own counter-based generator, a SplitMix64 stream of its key."""
+
     @pytest.mark.parametrize("seed", KEYED_SEEDS)
-    def test_a_value_depends_only_on_its_key(self, draw, seed):
+    def test_states_equal_a_fresh_generator_of_the_full_key(self, seed):
         for prefix in KEYED_PREFIXES:
-            batch = draw(seed, prefix, KEYED_IDS, 5)
-            assert batch.shape == (len(KEYED_IDS), 5) and batch.dtype == np.float64
-            assert np.array_equal(draw(seed, prefix, KEYED_IDS, 5), batch)  # across calls
-            assert np.array_equal(draw(seed, prefix, KEYED_IDS[::-1], 5), batch[::-1])  # in any order
+            batch = keyed_uniform(seed, prefix, KEYED_IDS, 4)
             for i, row in zip(KEYED_IDS, batch):
-                assert np.array_equal(draw(seed, prefix, [i], 5)[0], row), (prefix, i)  # in any batch
-                assert np.array_equal(draw(seed, prefix, [i, 99], 3)[0], row[:3])  # for any k
-                assert np.array_equal(draw(seed, prefix, [i], 8)[0, :5], row)
+                assert row.tolist() == splitmix64_reference(seed, prefix, i, 4), (prefix, i)
+
+    @pytest.mark.parametrize("seed", KEYED_SEEDS)
+    def test_draws_equal_a_fresh_generator(self, seed):
+        for draw in (keyed_uniform, keyed_normal):
+            for prefix in KEYED_PREFIXES:
+                batch = draw(seed, prefix, KEYED_IDS, 5)
+                assert batch.shape == (len(KEYED_IDS), 5) and batch.dtype == np.float64
+                assert np.array_equal(draw(seed, prefix, KEYED_IDS, 5), batch)  # across calls
+                assert np.array_equal(draw(seed, prefix, KEYED_IDS[::-1], 5), batch[::-1])  # in any order
+                for i, row in zip(KEYED_IDS, batch):
+                    assert np.array_equal(draw(seed, prefix, [i], 5)[0], row), (draw, prefix, i)  # in any batch
+                    assert np.array_equal(draw(seed, prefix, [i, 99], 3)[0], row[:3])  # for any k
+                    assert np.array_equal(draw(seed, prefix, [i], 8)[0, :5], row)
+
+    def test_state_of_an_id_ignores_the_rest_of_its_batch(self):
+        alone = keyed_uniform(11, (4, 1), [33], 3)[0]
+        for batch in ([33, 34], [2**40, 33], [34, 0, 33, 2**63]):
+            rows = dict(zip(batch, keyed_uniform(11, (4, 1), batch, 3)))
+            assert np.array_equal(rows[33], alone), batch
 
     def test_every_part_of_the_key_matters(self):
         base = keyed_uniform(7, (4, 17), [33], 4)[0]
@@ -361,14 +402,18 @@ class TestKeyedDraws:
         np.testing.assert_allclose(z[:, 0::2], (radius * np.cos(angle))[:, :3], rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(z[:, 1::2], (radius * np.sin(angle))[:, :2], rtol=1e-14, atol=1e-15)
 
-    def test_empty_batch(self):
+    def test_empty_batch_yields_nothing(self):
         assert keyed_uniform(3, (4,), [], 5).shape == (0, 5)
         assert keyed_normal(3, (4,), [], 3).shape == (0, 3)
 
-    @pytest.mark.parametrize("prefix, ids", [((4,), [-1]), ((4,), [2**64]), ((-2,), [1])])
-    def test_key_outside_the_range_is_refused(self, prefix, ids):
+    @pytest.mark.parametrize(
+        "prefix, ids, tail",
+        [((), [1], ()), ((4,), [-1], ()), ((4,), [2**64], ()), ((2**64,), [1], ()), ((4,), [1], (-2,))],
+    )
+    def test_key_outside_the_packed_form_is_refused(self, prefix, ids, tail):
+        # a key is a purpose, further prefix parts (the tail) and an id, each a uint64
         with pytest.raises((ValueError, OverflowError)):
-            keyed_uniform(3, prefix, ids, 2)
+            keyed_uniform(3, (*prefix, *tail), ids, 2)
 
 
 # Consecutive ids and the ids of spawned children, as a run uses them.
