@@ -445,13 +445,15 @@ def coverage_step(
     confidence_level: float,
     dt: float,
     params: EllipseParams,
-    rng: np.random.Generator,
+    make_rng: Callable[[], np.random.Generator],
     step: int,
     force_replan: bool = False,
 ) -> None:
     """Advance every coverage UAV; replan partitions when deadlines expire.
 
-    The caller applies sensing against ground truth.
+    `make_rng` builds the generator of a replan's k-means seeding; it is
+    called only on a step that replans. The caller applies sensing
+    against ground truth.
     """
     cov = sorted((a for a in agents if a.mode == "coverage"), key=lambda a: a.id)
     if not cov:
@@ -462,7 +464,7 @@ def coverage_step(
         a.replan_deadline <= step or not a.route for a in cov
     )
     if fire_ids and needs_replan:
-        _replan_coverage(cov, tracks, fire_ids, case, confidence_level, dt, params, rng, step)
+        _replan_coverage(cov, tracks, fire_ids, case, confidence_level, dt, params, make_rng(), step)
 
     for agent in cov:
         _follow_route(agent, dt)

@@ -308,7 +308,7 @@ def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
     if fire_map.noise_std > 0:
         positions += fire_map.noise_std * keyed_normal(fire_map.rng_seed, (_S_MOTION, step), ids, 2)
     fronts = [
-        FireFront(id=f.id, position=position, velocity=velocity, lineage=f.lineage)
+        _assembled(FireFront, id=f.id, position=position, velocity=velocity, lineage=f.lineage)
         for f, position in zip(fire_map.fronts, positions)
     ]
 
@@ -336,7 +336,21 @@ def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
             children.extend(kids)
         fronts.extend(children)
 
-    return replace(fire_map, fronts=tuple(fronts), step=new_step)
+    return _assembled(FireMap, **{**fire_map.__dict__, "fronts": tuple(fronts), "step": new_step})
+
+
+def _assembled(cls, **fields):
+    """An instance of the frozen dataclass `cls` holding `fields` as given.
+
+    It skips `__post_init__`: the step's own float64 arrays need no
+    coercion, and a stepped map keeps its predecessor's settings, ids
+    (moved fronts keep theirs, and children take ids unused in their
+    lineage) and, in case 1, zero speed. The public constructors still
+    coerce and validate.
+    """
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
 
 
 def substream_key(seed: int, *key: int) -> np.random.SeedSequence:

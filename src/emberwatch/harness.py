@@ -16,6 +16,8 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .coordination import (
 )
 from .errors import DomainError, NoUavAvailable, SingularResidual
 from .fire import WindFuelState, keyed_normal, simulate_step, substream_key
-from .tracking import TrackEstimate, observe, predict, step_track
+from .tracking import TrackEstimate, predict, step_track
 
 # Substream purposes; fire.py keys the fire step's motion (6) and spawns (7).
 _S_LAYOUT = 1
@@ -115,8 +117,8 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(substream_key(seed, *key))
 
 
-def _initial_layout(cfg: ScenarioConfig, teams: tuple[HumanTeam, ...]) -> tuple[list, list[int]]:
-    """Initial fire positions and their ids (roots of the spawn lineages)."""
+def _initial_layout(cfg: ScenarioConfig, teams: tuple[HumanTeam, ...]) -> tuple[Sequence, list[int]]:
+    """Initial fire positions, one (2,) row each, and their ids (roots of the spawn lineages)."""
     w, h = cfg.area.width, cfg.area.height
     n = cfg.fire.initial_count
     layout = cfg.fire.layout
@@ -135,19 +137,17 @@ def _initial_layout(cfg: ScenarioConfig, teams: tuple[HumanTeam, ...]) -> tuple[
                 ids.append(t * TEAM_FIRE_IDS + j + 1)
         return positions, ids
 
+    # One draw of shape (count, 2) takes the generator's values in the
+    # order one (2,) draw per fire would, so each row has the same bits.
     rng = _stream(cfg.rng_seed, _S_LAYOUT)
     if layout == "uniform":
-        positions = [rng.uniform([0.0, 0.0], [w, h]) for _ in range(n)]
+        positions = rng.uniform([0.0, 0.0], [w, h], size=(n, 2))
     elif layout == "clusters":
         margin = 0.15
-        centers = [
-            rng.uniform([margin * w, margin * h], [(1 - margin) * w, (1 - margin) * h])
-            for _ in range(cfg.fire.cluster_count)
-        ]
-        positions = [
-            centers[i % len(centers)] + rng.normal(0.0, cfg.fire.cluster_spread, size=2)
-            for i in range(n)
-        ]
+        centers = rng.uniform(
+            [margin * w, margin * h], [(1 - margin) * w, (1 - margin) * h], size=(cfg.fire.cluster_count, 2)
+        )
+        positions = centers[np.arange(n) % len(centers)] + rng.normal(0.0, cfg.fire.cluster_spread, size=(n, 2))
     else:  # ring
         center = np.array([w / 2.0, h / 2.0])
         radius = min(w, h) / 3.0
@@ -209,14 +209,40 @@ def _init_tracks(
     return {f.id: _init_track(f, cfg, wind, staging_pose, priors, noise) for f, noise in zip(born, detections)}
 
 
-def _make_observation(
-    front, pose: np.ndarray, wind: WindFuelState, cfg: ScenarioConfig, noise: np.ndarray
+def _make_observations(
+    fronts, poses: Sequence[np.ndarray], wind: WindFuelState, cfg: ScenarioConfig, noise: np.ndarray
 ) -> np.ndarray:
-    """The sensor model `observe` at the true state, plus `noise` (five standard normals) scaled per axis."""
+    """(len(fronts), 5) observations: row i is the sensor model `observe` at front i's
+    true state seen from poses[i], plus noise[i] (five standard normals) scaled per axis.
+
+    The offsets are the same float64 operations `observe` makes, and each
+    look angle goes through `math.atan` as there, so every row has the
+    bits of observe(truth) + noise * sigma.
+    """
     fl = cfg.filter
-    truth = np.array([*front.position, *pose, wind.spread_rate, wind.wind_speed, wind.wind_azimuth])
+    positions = np.array([f.position for f in fronts]).reshape(-1, 2)
+    poses = np.array(poses).reshape(-1, 3)
+    if (poses[:, 2] <= 0).any():
+        raise DomainError("uav_z", f"uav_z must be > 0 to observe, got {poses[:, 2].min()}")
+    ratios = (positions - poses[:, :2]) / poses[:, 2:]
+    z = np.empty((len(positions), 5))
+    z[:, :2] = np.array([math.atan(u) for u in ratios.ravel().tolist()]).reshape(-1, 2)
+    z[:, 2:] = (wind.spread_rate, wind.wind_speed, wind.wind_azimuth)
     sigma = np.array([fl.obs_angle_std, fl.obs_angle_std, *fl.obs_weather_std])
-    return observe(truth) + noise * sigma
+    return z + noise * sigma
+
+
+def _mean_trace(covariances: Sequence[np.ndarray]) -> float:
+    """Mean trace of the covariances, 0.0 for none.
+
+    One `np.trace` over the stack gives each matrix the bits of its own
+    `ndarray.trace()` (the same reduction of the eight diagonal entries),
+    and the traces are summed in order as Python floats.
+    """
+    if not covariances:
+        return 0.0
+    traces = np.trace(np.array(covariances), axis1=1, axis2=2).tolist()
+    return sum(traces) / len(traces)
 
 
 def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
@@ -269,7 +295,6 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
 
         fire_map = simulate_step(fire_map, dt)
         fronts = sorted(fire_map.fronts, key=lambda f: f.id)
-        fronts_by_id = {f.id: f for f in fronts}
         tracks.update(_init_tracks([f for f in fronts if f.id not in tracks], cfg, wind, staging, built.priors))
         # Tracks are born only here, so this order holds for the rest of the step.
         track_ids = sorted(tracks)
@@ -277,15 +302,25 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
         # Sensing against ground truth: lowest-id airborne agent wins.
         airborne = [a for a in agents if a.mode in ("coverage", "safety")]
         seen_by = first_observers(airborne, [f.position for f in fronts])
-        observer = {f.id: agent for f, agent in zip(fronts, seen_by) if agent is not None}
-        uncovered = sum(1 for f in fronts if f.id not in observer)
+        seen = [(f, agent) for f, agent in zip(fronts, seen_by) if agent is not None]
+        observer = {f.id: agent for f, agent in seen}
+        uncovered = len(fronts) - len(observer)
 
-        # Every observed front has a track, so the batch is drawn in sorted id order.
-        observations = iter(keyed_normal(cfg.rng_seed, (_S_OBS, step), sorted(observer), 5))
+        # Fronts are in id order and every observed front has a track, so
+        # the rows follow track_ids.
+        observations = iter(
+            _make_observations(
+                [f for f, _ in seen],
+                [agent.pose for _, agent in seen],
+                wind,
+                cfg,
+                keyed_normal(cfg.rng_seed, (_S_OBS, step), list(observer), 5),
+            )
+        )
         for fid in track_ids:
             if fid in observer:
                 agent = observer[fid]
-                z = _make_observation(fronts_by_id[fid], agent.pose, wind, cfg, next(observations))
+                z = next(observations)
                 try:
                     tracks[fid] = step_track(tracks[fid], z, dt, built.filter, params, uav_pose=agent.pose)
                 except (SingularResidual, DomainError):
@@ -345,7 +380,7 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
                     cfg.alpha_conf,
                     dt,
                     params,
-                    _stream(cfg.rng_seed, _S_COVERAGE, step),
+                    partial(_stream, cfg.rng_seed, _S_COVERAGE, step),
                     step,
                     force_replan=dismissed,
                 )
@@ -357,9 +392,7 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
         cum += uncovered
         metrics.uncovered.append(uncovered)
         metrics.cum_uncertainty.append(cum)
-        # ndarray.trace is what np.trace forwards to, without its wrapper.
-        traces = [float(tracks[fid].covariance.trace()) for fid in track_ids]
-        metrics.mean_trace_covariance.append(sum(traces) / len(traces) if traces else 0.0)
+        metrics.mean_trace_covariance.append(_mean_trace([tracks[fid].covariance for fid in track_ids]))
         metrics.active_uavs.append(sum(1 for a in agents if a.mode != "idle"))
         metrics.wall_clock.append(time.perf_counter() - tic)
 

@@ -404,7 +404,7 @@ class TestCoverageStep:
         agent = make_agent(0, xy=(50.0, 50.0), mode="coverage")
         coverage_step(
             [agent], tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, rng=np.random.default_rng(0), step=0,
+            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(0), step=0,
         )
         assert first_observers([agent], [(50.0, 50.0)]) == [agent]
 
@@ -413,7 +413,7 @@ class TestCoverageStep:
         agents = [make_agent(0, mode="coverage"), make_agent(1, xy=(300.0, 0.0), mode="coverage")]
         coverage_step(
             agents, tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, rng=np.random.default_rng(1), step=0,
+            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(1), step=0,
         )
         assert all(a.route for a in agents)
         assert all(a.replan_deadline > 0 for a in agents)
@@ -423,7 +423,7 @@ class TestCoverageStep:
         agent = make_agent(0, xy=(290.0, 0.0), speed=1.0, mode="coverage")
         coverage_step(
             [agent], tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, rng=np.random.default_rng(5), step=0,
+            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(5), step=0,
         )
         assert agent.route[agent.route_index] == pytest.approx([300.0, 0.0])
         assert agent.pose[:2] == pytest.approx([291.0, 0.0])
@@ -433,14 +433,14 @@ class TestCoverageStep:
         agents = [make_agent(i, xy=(40.0 * i, 10.0), mode="coverage") for i in range(3)]
         coverage_step(
             agents, tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, rng=np.random.default_rng(2), step=0,
+            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(2), step=0,
         )
         before = {a.id: list(map(tuple, a.route)) for a in agents}
         # dismiss agent 1 to safety duty; survivors must replan immediately
         agents[1].mode = "safety"
         coverage_step(
             agents, tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, rng=np.random.default_rng(3), step=1, force_replan=True,
+            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(3), step=1, force_replan=True,
         )
         survivors = [a for a in agents if a.mode == "coverage"]
         union = sorted({f for a in survivors for f in _route_fires(a, tracks)})
@@ -451,7 +451,7 @@ class TestCoverageStep:
         idle = make_agent(5, xy=(0.0, 0.0), mode="idle")
         coverage_step(
             [idle], tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, rng=np.random.default_rng(4), step=0,
+            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(4), step=0,
         )
         assert idle.pose[:2] == pytest.approx([0.0, 0.0])
 

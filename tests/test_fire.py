@@ -329,6 +329,36 @@ class TestSimulateStep:
             expected = np.random.SeedSequence(entropy=seed, spawn_key=words)
             assert np.array_equal(substream_key(seed, *key).generate_state(8), expected.generate_state(8)), key
 
+    def test_stepped_fronts_are_float64_pairs_with_unique_ids(self):
+        # The step builds its fronts and map without the public
+        # constructors' coercion and checks; its own output must pass them.
+        wf = WindFuelState(
+            spread_rate=calibrate_spread_rate(1.0, 5.0, DEFAULT_ELLIPSE),
+            wind_speed=5.0,
+            wind_azimuth=1.0,
+        )
+        fmap = initial_fire_map(
+            [(0.0, 0.0), (10.0, 10.0), (40.0, -5.0)],
+            wf,
+            case=3,
+            spawn_rate_max=3,
+            spawn_interval=4,
+            rng_seed=9,
+            noise_std=0.05,
+            max_per_lineage=12,
+        )
+        for _ in range(30):
+            fmap = simulate_step(fmap, 1.0)
+            assert isinstance(fmap.fronts, tuple)
+            for f in fmap.fronts:
+                for array in (f.position, f.velocity):
+                    assert isinstance(array, np.ndarray)
+                    assert array.dtype == np.float64 and array.shape == (2,)
+            ids = [f.id for f in fmap.fronts]
+            assert len(ids) == len(set(ids))
+            replace(fmap)  # the public checks accept the stepped map
+        assert fmap.step == 30 and len(fmap.fronts) > 3
+
 
 KEYED_SEEDS = [0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 9, 2**128 + 3]
 KEYED_IDS = [0, 1, 2, 2**32 - 1, 2**32, 5 << 32 | 3, 2**63, 2**64 - 1]
@@ -470,3 +500,13 @@ class TestValidation:
         wf = WindFuelState(spread_rate=0.0, wind_speed=5.0, wind_azimuth=0.0)
         with pytest.raises(DomainError):
             initial_fire_map([(0.0, 0.0), (1.0, 1.0)], wf, case=1, ids=[1, 1])
+
+    def test_public_constructor_checks_what_the_step_skips(self):
+        moving = WindFuelState(spread_rate=2.0, wind_speed=5.0, wind_azimuth=0.0)
+        stepped = simulate_step(initial_fire_map([(0.0, 0.0), (1.0, 1.0)], moving, case=2), 1.0)
+        with pytest.raises(DomainError, match="unique"):
+            FireMap(stepped.fronts + stepped.fronts[:1], moving, case=2)
+        with pytest.raises(DomainError, match="case 1"):
+            FireMap(stepped.fronts, moving, case=1)
+        with pytest.raises(DomainError, match="case 1"):
+            replace(stepped, case=1)

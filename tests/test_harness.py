@@ -313,12 +313,13 @@ class TestRunInvariants:
 def keyed_draw_mismatches(cfg, monkeypatch, safety_only=False):
     """Run cfg and check every keyed draw a front receives against the single-id draw of its key.
 
-    Detection and observation noise are checked where `_init_track` and
-    `_make_observation` receive them and spawn draws where `spawn_fronts`
-    does. Motion noise is checked on each fire step's result: a moved
-    front sits at its Euler step plus noise_std times the single-id
-    motion draw. Returns the number of draws seen per kind and the
-    (kind, key) of each draw that differs.
+    Detection noise is checked where `_init_track` receives it, spawn
+    draws where `spawn_fronts` does, and observation noise row by row
+    where `_make_observations` receives a step's batch; every observed
+    front of every step has its row checked. Motion noise is checked on
+    each fire step's result: a moved front sits at its Euler step plus
+    noise_std times the single-id motion draw. Returns the number of
+    draws seen per kind and the (kind, key) of each draw that differs.
     """
     import emberwatch.fire as fire
     import emberwatch.harness as harness
@@ -327,11 +328,13 @@ def keyed_draw_mismatches(cfg, monkeypatch, safety_only=False):
     seed = cfg.rng_seed
     received = []
     step = [0]
+    front_counts = []
     simulate_step = harness.simulate_step
 
     def stepping(fire_map, dt):
         step[0] = fire_map.step
         moved = simulate_step(fire_map, dt)
+        front_counts.append(len(moved.fronts))
         for f, after in zip(fire_map.fronts, moved.fronts):
             key = (fire._S_MOTION, step[0])
             noise = fire_map.noise_std * keyed_normal(seed, key, [f.id], 2)[0]
@@ -343,20 +346,29 @@ def keyed_draw_mismatches(cfg, monkeypatch, safety_only=False):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            prefix, front_id = key(args)
-            expected = draw(seed, prefix, [front_id], k(args))[0]
-            received.append((name, (*prefix, front_id), np.array_equal(args[noise_at], expected)))
+            prefix, front_ids = key(args)
+            rows = np.reshape(args[noise_at], (len(front_ids), k(args)))
+            for front_id, row in zip(front_ids, rows):
+                expected = draw(seed, prefix, [front_id], k(args))[0]
+                received.append((name, (*prefix, front_id), np.array_equal(row, expected)))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
     monkeypatch.setattr(harness, "simulate_step", stepping)
-    audit(harness, "_init_track", 5, lambda a: ((harness._S_DETECT,), a[0].id), keyed_normal, lambda a: 5)
-    audit(harness, "_make_observation", 4, lambda a: ((harness._S_OBS, step[0]), a[0].id), keyed_normal, lambda a: 5)
+    audit(harness, "_init_track", 5, lambda a: ((harness._S_DETECT,), [a[0].id]), keyed_normal, lambda a: 5)
     audit(
-        fire, "spawn_fronts", 4, lambda a: ((fire._S_SPAWN, step[0]), a[0].id), keyed_uniform, lambda a: 1 + 2 * a[1]
+        harness,
+        "_make_observations",
+        4,
+        lambda a: ((harness._S_OBS, step[0]), [f.id for f in a[0]]),
+        keyed_normal,
+        lambda a: 5,
     )
-    run_scenario(cfg, safety_only=safety_only)
+    audit(
+        fire, "spawn_fronts", 4, lambda a: ((fire._S_SPAWN, step[0]), [a[0].id]), keyed_uniform, lambda a: 1 + 2 * a[1]
+    )
+    metrics = run_scenario(cfg, safety_only=safety_only)
 
     counts: dict[str, int] = {}
     wrong = []
@@ -364,13 +376,15 @@ def keyed_draw_mismatches(cfg, monkeypatch, safety_only=False):
         counts[name] = counts.get(name, 0) + 1
         if not equal:
             wrong.append((name, key))
+    observed = sum(n - uncovered for n, uncovered in zip(front_counts, metrics.uncovered))
+    assert counts.get("_make_observations", 0) == observed
     return counts, wrong
 
 
 class TestKeyedStreams:
     """Each keyed draw of a run is the single-id draw of its own key."""
 
-    AUDITED = {"_init_track", "_make_observation", "motion", "spawn_fronts"}
+    AUDITED = {"_init_track", "_make_observations", "motion", "spawn_fronts"}
 
     @pytest.mark.parametrize("case", [1, 2, 3])
     def test_every_case_config_draws_from_its_keys(self, case, monkeypatch):
@@ -396,7 +410,7 @@ class TestKeyedStreams:
         monkeypatch.setattr(harness, "keyed_normal", reversed_batch)
         cfg = replace(load_config(CONFIG_DIR / "case2.yaml"), duration=40, rng_seed=3)
         counts, wrong = keyed_draw_mismatches(cfg, monkeypatch)
-        assert {name for name, _ in wrong} == {"_init_track", "_make_observation"}
+        assert {name for name, _ in wrong} == {"_init_track", "_make_observations"}
 
     def test_every_purpose_has_its_own_key(self):
         import emberwatch.fire as fire
@@ -406,6 +420,125 @@ class TestKeyedStreams:
         purposes += [fire._S_MOTION, fire._S_SPAWN]
         assert len(purposes) == 7
         assert len(set(purposes)) == len(purposes)
+
+
+def layout_per_fire(cfg):
+    """Uniform or clusters positions drawn one (2,) call per fire, as the layout once was."""
+    from emberwatch.harness import _S_LAYOUT, _stream
+
+    w, h, n = cfg.area.width, cfg.area.height, cfg.fire.initial_count
+    rng = _stream(cfg.rng_seed, _S_LAYOUT)
+    if cfg.fire.layout == "uniform":
+        return [rng.uniform([0.0, 0.0], [w, h]) for _ in range(n)]
+    margin = 0.15
+    centers = [
+        rng.uniform([margin * w, margin * h], [(1 - margin) * w, (1 - margin) * h])
+        for _ in range(cfg.fire.cluster_count)
+    ]
+    return [centers[i % len(centers)] + rng.normal(0.0, cfg.fire.cluster_spread, size=2) for i in range(n)]
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestBatchedPaths:
+    """Each batched step path gives the bits of its per-entity form."""
+
+    @pytest.mark.parametrize("layout", ["uniform", "clusters"])
+    @pytest.mark.parametrize("n", [0, 1, 60])
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2**40 + 3])
+    def test_layout_equals_one_draw_per_fire(self, layout, n, seed):
+        from emberwatch.harness import _initial_layout
+
+        base = coverage_config()
+        cfg = replace(base, fire=replace(base.fire, layout=layout, initial_count=n, cluster_count=3), rng_seed=seed)
+        positions, ids = _initial_layout(cfg, ())
+        assert ids == list(range(1, n + 1))
+        assert same_bits(np.reshape(positions, (-1, 2)), np.reshape(layout_per_fire(cfg), (-1, 2)))
+
+    def test_mean_trace_equals_the_per_matrix_traces(self):
+        from emberwatch.harness import _mean_trace
+
+        rng = np.random.default_rng(11)
+        random = rng.normal(size=(2000, 8, 8)) * rng.uniform(1e-3, 1e3, size=(2000, 1, 1))
+        huge = rng.normal(size=(50, 8, 8)) * 1e300  # diagonal sums overflow to +-inf
+        bad = rng.normal(size=(30, 8, 8))
+        for k, value in enumerate((np.inf, -np.inf, np.nan)):
+            bad[k::3, k, k] = value
+        for batch in (random, huge, bad, bad[:2], bad[:1]):
+            expected = [float(P.trace()) for P in batch]
+            assert repr(_mean_trace(list(batch))) == repr(sum(expected) / len(expected))
+        for P in random:
+            assert same_bits(_mean_trace([P]), float(P.trace()))
+        assert _mean_trace([]) == 0.0
+
+    def test_observations_equal_observe_plus_noise_per_front(self):
+        from emberwatch.fire import FireFront, WindFuelState
+        from emberwatch.harness import _make_observations
+        from emberwatch.tracking import observe
+
+        cfg = coverage_config()
+        fl = cfg.filter
+        sigma = np.array([fl.obs_angle_std, fl.obs_angle_std, *fl.obs_weather_std])
+        rng = np.random.default_rng(5)
+        wind = WindFuelState(0.3, 4.0, 2.5)
+        # numpy's SIMD arctan differs from math.atan in the last bit on about
+        # 0.1% of random angles (AVX-512 host), so a large batch shows it.
+        for n in (0, 1, 40, 3000):
+            fronts = [FireFront(i, rng.uniform(-500.0, 500.0, size=2), np.zeros(2)) for i in range(n)]
+            poses = [np.array([*rng.uniform(-500.0, 500.0, size=2), rng.uniform(1e-3, 200.0)]) for _ in range(n)]
+            noise = rng.normal(size=(n, 5))
+            rows = _make_observations(fronts, poses, wind, cfg, noise)
+            assert rows.shape == (n, 5)
+            for f, pose, row, eps in zip(fronts, poses, rows, noise):
+                truth = np.array([*f.position, *pose, wind.spread_rate, wind.wind_speed, wind.wind_azimuth])
+                assert same_bits(row, observe(truth) + eps * sigma)
+
+    def test_observing_from_the_ground_is_refused_as_observe_refuses_it(self):
+        from emberwatch.errors import DomainError
+        from emberwatch.fire import FireFront, WindFuelState
+        from emberwatch.harness import _make_observations
+
+        front = FireFront(1, np.zeros(2), np.zeros(2))
+        wind, pose = WindFuelState(0.1, 1.0, 0.0), np.array([1.0, 1.0, 0.0])
+        with pytest.raises(DomainError, match="uav_z"):
+            _make_observations([front], [pose], wind, coverage_config(), np.zeros((1, 5)))
+
+    def test_coverage_generator_is_built_only_on_replan_steps(self, monkeypatch):
+        import emberwatch.coordination as coordination
+        import emberwatch.harness as harness
+
+        cfg = replace(load_config(CONFIG_DIR / "case2.yaml"), duration=60)
+        built, replans = [], []
+        stream, replan, coverage_step = harness._stream, coordination._replan_coverage, harness.coverage_step
+
+        def counted_stream(seed, *key):
+            if key[0] == harness._S_COVERAGE:
+                built.append(key[1])
+            return stream(seed, *key)
+
+        def counted_replan(*args):
+            replans.append(args[-1])
+            return replan(*args)
+
+        monkeypatch.setattr(harness, "_stream", counted_stream)
+        monkeypatch.setattr(coordination, "_replan_coverage", counted_replan)
+        lazy = run_scenario(cfg)
+        assert built == replans
+        assert 0 < len(replans) < cfg.duration
+
+        def eager(*args, **kwargs):
+            # The generator built on every step, as before it was built lazily.
+            rng = args[6]()
+            return coverage_step(*args[:6], lambda: rng, *args[7:], **kwargs)
+
+        monkeypatch.setattr(harness, "coverage_step", eager)
+        built.clear()
+        eager_run = run_scenario(cfg)
+        assert len(built) == cfg.duration
+        assert eager_run.to_csv() == lazy.to_csv()
+        assert eager_run.to_json() == lazy.to_json()
 
 
 class TestMetricsSerialization:
