@@ -12,16 +12,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import CONTROLLERS, TEAM_FIRE_IDS, load_config
+from .config import TEAM_FIRE_IDS, load_config
 from .errors import ConfigError
-from .harness import (
-    CASES,
-    compare_cell_config,
-    compare_controllers,
-    run_scenario,
-    sweep_cell_config,
-    sweep_safety,
-)
+from .harness import compare_controllers, experiment_cells, run_scenario, sweep_safety
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,18 +64,13 @@ def main(argv=None) -> int:
             _check_positive("--max-teams", args.max_teams)
             if args.max_teams * TEAM_FIRE_IDS >= 2**32:  # the largest sweep cell's fire ids
                 raise ConfigError("--max-teams", f"must be at most {2**32 // TEAM_FIRE_IDS}, got {args.max_teams}")
-            _check_positive("--trials", args.trials)
-            # A cell's config differs from the base config; the largest
-            # team count stands for the smaller ones.
-            for case in CASES:
-                sweep_cell_config(cfg, case, args.max_teams).validate()
+            sizes = range(1, args.max_teams + 1)
         elif args.command == "compare":
-            drones = _parse_drones(args.drones)
+            sizes = _parse_drones(args.drones)
+        if args.command != "simulate":
             _check_positive("--trials", args.trials)
-            for case in CASES:
-                for controller in CONTROLLERS:
-                    for count in drones:
-                        compare_cell_config(cfg, case, controller, count).validate()
+            for _, cell in experiment_cells(cfg, args.command, sizes, args.trials):
+                cell.validate()
         # Only a run that passed every check leaves an output directory.
         out = Path(args.out)
         try:
@@ -94,9 +82,9 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             _run_simulate(cfg, out, args.format)
         elif args.command == "sweep-safety":
-            _run_sweep(cfg, out, args.max_teams, args.trials)
-        elif args.command == "compare":
-            _run_compare(cfg, out, drones, args.trials)
+            _write(sweep_safety(cfg, args.max_teams, args.trials), out, "safety_sweep.csv", "safety_summary.csv")
+        else:
+            _write(compare_controllers(cfg, sizes, args.trials), out, "comparison.csv", "comparison_summary.csv")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -115,6 +103,8 @@ def _parse_drones(text: str) -> list[int]:
         raise ConfigError("--drones", f"expected comma-separated integers, got {text!r}") from exc
     if not counts or any(c < 1 for c in counts):
         raise ConfigError("--drones", f"fleet sizes must be positive, got {text!r}")
+    if len(set(counts)) < len(counts):
+        raise ConfigError("--drones", f"fleet sizes must not repeat, got {text!r}")
     return counts
 
 
@@ -130,30 +120,11 @@ def _run_simulate(cfg, out: Path, fmt: str) -> None:
     )
 
 
-def _run_sweep(cfg, out: Path, max_teams: int, trials: int) -> None:
-    result = sweep_safety(cfg, max_teams, trials)
-    (out / "safety_sweep.csv").write_text(result.to_csv(), encoding="utf-8")
-    lines = ["case,teams,mean_min_drones,se_min_drones"]
-    for case in sorted(result.summary):
-        for teams_n in sorted(result.summary[case]):
-            mean, se = result.summary[case][teams_n]
-            lines.append(f"{case},{teams_n},{mean!r},{se!r}")
-    (out / "safety_summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for line in lines:
-        print(line)
-
-
-def _run_compare(cfg, out: Path, drones: list[int], trials: int) -> None:
-    result = compare_controllers(cfg, drones, trials)
-    (out / "comparison.csv").write_text(result.to_csv(), encoding="utf-8")
-    lines = ["case,controller,drones,mean_cum_uncertainty,se"]
-    for key in sorted(result.summary):
-        case, controller, count = key
-        mean, se = result.summary[key]
-        lines.append(f"{case},{controller},{count},{mean!r},{se!r}")
-    (out / "comparison_summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for line in lines:
-        print(line)
+def _write(result, out: Path, rows_file: str, summary_file: str) -> None:
+    (out / rows_file).write_text(result.to_csv(), encoding="utf-8")
+    summary = result.summary_csv()
+    (out / summary_file).write_text(summary, encoding="utf-8")
+    print(summary, end="")
 
 
 if __name__ == "__main__":

@@ -39,6 +39,11 @@ TEAM_FIRE_IDS = 100_000
 # noise tails before a float overflows.
 MAX_EXTENT = 1e100
 
+# Most fronts a run may hold. Routing builds dense (n, n, 2) distance arrays
+# over the fires it plans for; one steiner_reduce of 4096 points peaks near
+# 800 MB of RSS.
+MAX_FRONTS = 4096
+
 LAYOUTS = ("uniform", "clusters", "ring", "team_clusters")
 CONTROLLERS = ("proposed", "gradient")
 
@@ -202,6 +207,16 @@ class ScenarioConfig:
             # Fire ids are team * TEAM_FIRE_IDS + index, and must stay below 2**32.
             _check(f.initial_count <= TEAM_FIRE_IDS, "fire.initial_count", f"team_clusters allows at most {TEAM_FIRE_IDS}")
             _check(t.count * TEAM_FIRE_IDS < 2**32, "teams.count", f"team_clusters allows at most {2**32 // TEAM_FIRE_IDS}")
+        fronts = f.initial_count * (t.count if f.layout == "team_clusters" else 1)
+        _check(fronts <= MAX_FRONTS, "fire.initial_count", f"the run starts with {fronts} fronts, more than {MAX_FRONTS}")
+        if self.case == 3:
+            # A lineage holds at most max_per_lineage fronts; with no cap, every
+            # front can spawn spawn_rate_max (>= 1) children each spawn_interval
+            # steps. MAX_FRONTS.bit_length() rounds already grow one front past
+            # the cap, so counting no more keeps the power small.
+            rounds = min(self.duration // f.spawn_interval, MAX_FRONTS.bit_length())
+            most = fronts * (f.max_per_lineage or (1 + f.spawn_rate_max) ** rounds)
+            _check(most <= MAX_FRONTS, "fire.max_per_lineage", f"the run can grow past {MAX_FRONTS} fronts")
         with _fields_of(""):
             teams = tuple(
                 HumanTeam(k, pos, vicinity_radius=self.vicinity_radius)

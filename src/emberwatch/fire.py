@@ -36,8 +36,7 @@ MAX_SPAWN_RATE = 7
 # Child ids are lineage_root << 32 | index, so roots must stay below 2^32.
 _LINEAGE_SHIFT = 32
 
-# Words of a numpy SeedSequence entropy pool, and the mask of one word.
-_POOL_WORDS = 4
+# The mask of one 32-bit word.
 _MASK32 = 0xFFFFFFFF
 
 # SplitMix64's stream increment and finaliser multipliers (Steele, Lea &
@@ -357,33 +356,16 @@ def substream_key(seed: int, *key: int) -> np.random.SeedSequence:
     """SeedSequence keyed by arbitrary non-negative ints (split to 32 bits).
 
     Each key part k becomes the two words (k >> 32, k & 0xFFFFFFFF) of
-    `SeedSequence(entropy=seed, spawn_key=words)`. That SeedSequence
-    mixes one entropy array: the seed split into 32-bit words, low word
-    first, padded with zeros to the 4-word pool, followed by the
-    spawn-key words. The fast path assembles that same array as
-    `np.uint32` and passes it as the entropy with an empty spawn key, so
-    the pool, and every state drawn from it, is the same, while skipping
-    the per-int coercion that dominates the keyed form. Three inputs keep
-    the keyed form: no key parts (the seed is then not padded), a key part
-    of 2**64 or more (its high word does not fit in 32 bits) and a
-    negative seed (which SeedSequence rejects).
+    `SeedSequence(entropy=seed, spawn_key=words)`.
     """
-    entries: list[int] = []
+    words: list[int] = []
     for k in key:
         k = int(k)
         if k < 0:
             raise ValueError(f"substream key parts must be >= 0, got {k}")
-        entries.append(k >> 32)
-        entries.append(k & _MASK32)
-    if not entries or seed < 0 or max(entries) > _MASK32:
-        return np.random.SeedSequence(entropy=seed, spawn_key=tuple(entries))
-    words: list[int] = []
-    rest = int(seed)
-    while rest:
-        words.append(rest & _MASK32)
-        rest >>= 32
-    words.extend([0] * (_POOL_WORDS - len(words)))
-    return np.random.SeedSequence(np.array(words + entries, dtype=np.uint32))
+        words.append(k >> 32)
+        words.append(k & _MASK32)
+    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(words))
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

@@ -47,8 +47,6 @@ _S_OBS = 4
 _S_COVERAGE = 5
 
 STEP_CSV_HEADER = "step,uncovered_count,cum_uncertainty,mean_trace_P,active_uavs"
-SWEEP_CSV_HEADER = "case,teams,trial,min_drones"
-COMPARE_CSV_HEADER = "case,controller,drones,trial,cum_uncertainty"
 
 # The scenario cases that sweep-safety and compare run, in order.
 CASES = (1, 2, 3)
@@ -404,25 +402,23 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    rows: list[tuple[int, int, int, int]]  # (case, teams, trial, min_drones)
-    summary: dict[int, dict[int, tuple[float, float]]]  # case -> teams -> (mean, se)
+class ExperimentResult:
+    """One row per cell (its key, then its value), and (mean, se) per cell key without its trial."""
+
+    header: str
+    summary_header: str
+    rows: list[tuple]
+    summary: dict[tuple, tuple[float, float]]
 
     def to_csv(self) -> str:
-        lines = [SWEEP_CSV_HEADER]
-        lines += [f"{c},{t},{k},{d}" for c, t, k, d in self.rows]
-        return "\n".join(lines) + "\n"
+        return _csv(self.header, self.rows)
+
+    def summary_csv(self) -> str:
+        return _csv(self.summary_header, [(*key, *self.summary[key]) for key in sorted(self.summary)])
 
 
-@dataclass(frozen=True)
-class CompareResult:
-    rows: list[tuple[int, str, int, int, int]]  # (case, controller, drones, trial, cum)
-    summary: dict[tuple[int, str, int], tuple[float, float]]
-
-    def to_csv(self) -> str:
-        lines = [COMPARE_CSV_HEADER]
-        lines += [f"{c},{ctrl},{n},{k},{u}" for c, ctrl, n, k, u in self.rows]
-        return "\n".join(lines) + "\n"
+def _csv(header: str, rows: list[tuple]) -> str:
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
 
 
 def min_drones_for_run(cfg: ScenarioConfig) -> tuple[int, bool]:
@@ -437,74 +433,66 @@ def min_drones_for_run(cfg: ScenarioConfig) -> tuple[int, bool]:
     return sum(metrics.drones_recruited.values()), metrics.plans_feasible
 
 
-def _mean_and_se(values: list[int]) -> tuple[float, float]:
-    """Mean and standard error of the mean (0.0 for a single value)."""
-    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    return float(np.mean(values)), se
+def experiment_cells(cfg: ScenarioConfig, command: str, sizes: Sequence[int], trials: int):
+    """A generator of (key, cell config) over every cell of an experiment, in row order.
 
-
-def sweep_cell_config(cfg: ScenarioConfig, case: int, teams: int, trial: int = 0) -> ScenarioConfig:
-    """The config of one sweep-safety cell: team-clustered fires, no coverage fleet."""
-    return replace(
-        cfg,
-        case=case,
-        fire=replace(cfg.fire, speed=None, layout="team_clusters"),
-        teams=replace(cfg.teams, count=teams, positions=None),
-        uavs=replace(cfg.uavs, count=0),
-        controller="proposed",
-        rng_seed=cfg.rng_seed + trial,
-    )
-
-
-def sweep_safety(cfg: ScenarioConfig, max_teams: int, trials: int) -> SweepResult:
-    """Mean and standard error of the minimum fleet per team count and case."""
+    "sweep-safety" cells cluster the fires around `size` teams and fly no
+    coverage fleet; their key is (case, teams, trial). "compare" cells have
+    no teams and a coverage fleet of `size` UAVs under each controller; their
+    key is (case, controller, drones, trial). Trial k runs at rng_seed + k.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rows: list[tuple[int, int, int, int]] = []
-    summary: dict[int, dict[int, tuple[float, float]]] = {}
-    for case in CASES:
-        summary[case] = {}
-        for teams_n in range(1, max_teams + 1):
-            values = []
-            for trial in range(trials):
-                drones, _ = min_drones_for_run(sweep_cell_config(cfg, case, teams_n, trial))
-                rows.append((case, teams_n, trial, drones))
-                values.append(drones)
-            summary[case][teams_n] = _mean_and_se(values)
-    return SweepResult(rows=rows, summary=summary)
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"sizes must not repeat, got {list(sizes)}")
+    if command == "sweep-safety":
+        fire = replace(cfg.fire, speed=None, layout="team_clusters")
+        base = replace(cfg, fire=fire, uavs=replace(cfg.uavs, count=0), controller="proposed")
+        groups = (
+            ((case, n), replace(base, case=case, teams=replace(cfg.teams, count=n, positions=None)))
+            for case in CASES for n in sizes
+        )
+    elif command == "compare":
+        base = replace(cfg, fire=replace(cfg.fire, speed=None), teams=replace(cfg.teams, count=0, positions=None))
+        groups = (
+            ((case, ctrl, n), replace(base, case=case, controller=ctrl, uavs=replace(cfg.uavs, count=n)))
+            for case in CASES for ctrl in CONTROLLERS for n in sizes
+        )
+    else:
+        raise ValueError(f"unknown experiment {command!r}")
+    return (((*group, k), replace(cell, rng_seed=cfg.rng_seed + k)) for group, cell in groups for k in range(trials))
 
 
-def compare_cell_config(
-    cfg: ScenarioConfig, case: int, controller: str, drones: int, trial: int = 0
-) -> ScenarioConfig:
-    """The config of one compare cell: no teams, a coverage fleet of `drones` UAVs."""
-    return replace(
-        cfg,
-        case=case,
-        fire=replace(cfg.fire, speed=None),
-        teams=replace(cfg.teams, count=0, positions=None),
-        uavs=replace(cfg.uavs, count=drones),
-        controller=controller,
-        rng_seed=cfg.rng_seed + trial,
+def _run_cells(cells, measure, header: str, summary_header: str) -> ExperimentResult:
+    """Measure every cell in order; fold each key's trials into a mean and a standard error of the mean."""
+    rows = []
+    values: dict[tuple, list[int]] = {}
+    for key, cell in cells:
+        value = measure(cell)
+        rows.append((*key, value))
+        values.setdefault(key[:-1], []).append(value)
+    summary = {
+        key: (float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0)
+        for key, v in values.items()
+    }
+    return ExperimentResult(header, summary_header, rows, summary)
+
+
+def sweep_safety(cfg: ScenarioConfig, max_teams: int, trials: int) -> ExperimentResult:
+    """Mean and standard error of the minimum fleet per case and team count."""
+    return _run_cells(
+        experiment_cells(cfg, "sweep-safety", range(1, max_teams + 1), trials),
+        lambda cell: min_drones_for_run(cell)[0],
+        "case,teams,trial,min_drones",
+        "case,teams,mean_min_drones,se_min_drones",
     )
 
 
-def compare_controllers(
-    cfg: ScenarioConfig, drone_counts: list[int], trials: int
-) -> CompareResult:
+def compare_controllers(cfg: ScenarioConfig, drone_counts: list[int], trials: int) -> ExperimentResult:
     """Paired cumulative-uncertainty comparison of the two controllers."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rows: list[tuple[int, str, int, int, int]] = []
-    summary: dict[tuple[int, str, int], tuple[float, float]] = {}
-    for case in CASES:
-        for controller in CONTROLLERS:
-            for count in drone_counts:
-                values = []
-                for trial in range(trials):
-                    run_cfg = compare_cell_config(cfg, case, controller, count, trial)
-                    cum = run_scenario(run_cfg).final_cum_uncertainty
-                    rows.append((case, controller, count, trial, cum))
-                    values.append(cum)
-                summary[(case, controller, count)] = _mean_and_se(values)
-    return CompareResult(rows=rows, summary=summary)
+    return _run_cells(
+        experiment_cells(cfg, "compare", drone_counts, trials),
+        lambda cell: run_scenario(cell).final_cum_uncertainty,
+        "case,controller,drones,trial,cum_uncertainty",
+        "case,controller,drones,mean_cum_uncertainty,se",
+    )

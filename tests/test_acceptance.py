@@ -268,15 +268,15 @@ def test_criterion_5_safety_sweep_ordinal():
     elapsed = time.perf_counter() - tic
 
     for case in (1, 2, 3):
-        means = [result.summary[case][t][0] for t in range(1, 9)]
+        means = [result.summary[case, t][0] for t in range(1, 9)]
         assert all(a <= b + 1e-9 for a, b in zip(means, means[1:])), (case, means)
     for teams in range(1, 9):
-        by_case = [result.summary[case][teams][0] for case in (1, 2, 3)]
+        by_case = [result.summary[case, teams][0] for case in (1, 2, 3)]
         assert by_case[0] <= by_case[1] + 1e-9 <= by_case[2] + 2e-9, (teams, by_case)
 
     assert elapsed < 600.0
     summary = "; ".join(
-        f"case{case}: " + ",".join(f"{result.summary[case][t][0]:.1f}" for t in range(1, 9))
+        f"case{case}: " + ",".join(f"{result.summary[case, t][0]:.1f}" for t in range(1, 9))
         for case in (1, 2, 3)
     )
     _report("5 safety sweep ordinal", f"{elapsed:.0f}s; mean min drones {summary}")

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,13 @@ BAD_VALUES = [
         {"uavs": {"altitude": 5.0e-324}, "gradient": {"altitude_min": 5.0e-324}},
         id="altitude-footprint-underflow",
     ),
+    # more fronts than the routing layer's dense distance arrays can hold
+    pytest.param("fire.initial_count", {"fire": {"initial_count": 100_001, "layout": "uniform"}}, id="front-cap-initial"),
+    pytest.param(
+        "fire.max_per_lineage",
+        {"case": 3, "duration": 300, "fire": {"initial_count": 12, "spawn_interval": 30, "max_per_lineage": 0}},
+        id="front-cap-uncapped-lineages",
+    ),
     pytest.param(
         "filter.init_weather_std",
         {"case": 2, "filter": {"init_weather_std": [0.08, 1.0e4, 0.04]}},
@@ -287,6 +295,15 @@ def test_bad_drone_list_exits_two(tmp_path):
                  "--drones", "1,zero"]) == 2
 
 
+def test_repeated_fleet_size_exits_two_before_running(tmp_path, capsys):
+    # a per-size summary cannot tell two copies of a size's trials apart
+    cfg = write_tiny_config(tmp_path / "cfg.yaml")
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out), "--drones", "4,1,4", "--trials", "1"]) == 2
+    assert "config error: --drones: fleet sizes must not repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, extra",
     [
@@ -316,9 +333,9 @@ def test_max_teams_beyond_the_fire_id_range_exits_two_before_running(tmp_path, c
 @pytest.mark.parametrize(
     "command, extra, fire, field",
     [
-        # team_clusters caps a team's fires at 100000; the uniform layout does not
-        ("sweep-safety", ["--max-teams", "1", "--trials", "1"],
-         "  initial_count: 100001\n  layout: uniform\n", "fire.initial_count"),
+        # 3000 uniform fires pass the front cap; two teams of 3000 clustered fires do not
+        ("sweep-safety", ["--max-teams", "2", "--trials", "1"],
+         "  initial_count: 3000\n  layout: uniform\n", "fire.initial_count"),
         # case 1 runs in still air, but the case-2 cells need wind to spread
         ("sweep-safety", ["--max-teams", "1", "--trials", "1"],
          "  initial_count: 1\n  wind_speed: 0.0\n", "fire.speed"),
@@ -380,3 +397,42 @@ def test_unusable_out_exits_two_naming_it(tmp_path, capsys, command, extra, wher
     assert "config error: --out: " in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
     assert blocker.read_text() == "keep\n"
+
+
+# SHA-256 of each output file and of stdout of two small experiment runs.
+# They pin the experiments' bytes across commits: a change that moves one
+# changes results and must say so.
+PINNED_EXPERIMENTS = [
+    pytest.param(
+        "sweep-safety", "sweep.yaml", 30, ["--max-teams", "2", "--trials", "2"],
+        {
+            "safety_sweep.csv": "c29b12314a379f5afd0ebd2c7076ba55ce816b4768606e46e6e0724c1b39dfb1",
+            "safety_summary.csv": "035cc091ef5ac5b4b666d704f752e0b5050ff0f8fac93514b8f4436c5b008a40",
+            "stdout": "035cc091ef5ac5b4b666d704f752e0b5050ff0f8fac93514b8f4436c5b008a40",
+        },
+        id="sweep-safety",
+    ),
+    pytest.param(
+        "compare", "compare.yaml", 20, ["--drones", "2,1", "--trials", "1"],
+        {
+            "comparison.csv": "96b313d938b369bafade03a2a95becf3dcce44faf72219f6c79b810c0c8f96cb",
+            "comparison_summary.csv": "18fd286566acc6431a04ac60f0e92a67cb79c091cfc97803eab993a0005bde83",
+            "stdout": "18fd286566acc6431a04ac60f0e92a67cb79c091cfc97803eab993a0005bde83",
+        },
+        id="compare",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, config, duration, extra, digests", PINNED_EXPERIMENTS)
+def test_experiment_outputs_keep_their_bytes(tmp_path, capsys, command, config, duration, extra, digests):
+    data = yaml.safe_load((CONFIG_DIR / config).read_text())
+    data["duration"] = duration
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests if name != "stdout"}
+    got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == digests

@@ -16,6 +16,7 @@ from emberwatch.config import (
 )
 from emberwatch.harness import (
     compare_controllers,
+    experiment_cells,
     min_drones_for_run,
     run_scenario,
     sweep_safety,
@@ -249,8 +250,7 @@ class TestSweeps:
     def test_sweep_shapes_and_rows(self):
         result = sweep_safety(safety_config(duration=40), max_teams=2, trials=2)
         assert len(result.rows) == 3 * 2 * 2  # cases x teams x trials
-        for case in (1, 2, 3):
-            assert set(result.summary[case]) == {1, 2}
+        assert set(result.summary) == {(case, teams) for case in (1, 2, 3) for teams in (1, 2)}
         header = result.to_csv().splitlines()[0]
         assert header == "case,teams,trial,min_drones"
 
@@ -262,6 +262,37 @@ class TestSweeps:
         assert header == "case,controller,drones,trial,cum_uncertainty"
         for key, (mean, se) in result.summary.items():
             assert mean >= 0 and se >= 0
+
+    @pytest.mark.parametrize(
+        "command, sizes, run",
+        [
+            ("sweep-safety", range(1, 3), lambda cfg: sweep_safety(cfg, 2, 2)),
+            ("compare", [2, 1], lambda cfg: compare_controllers(cfg, [2, 1], 2)),
+        ],
+    )
+    def test_plan_keys_are_the_csv_row_keys_in_order(self, command, sizes, run):
+        cfg = safety_config(duration=20) if command == "sweep-safety" else coverage_config(duration=10)
+        keys = [key for key, _ in experiment_cells(cfg, command, sizes, 2)]
+        rows = [line.split(",")[:-1] for line in run(cfg).to_csv().splitlines()[1:]]
+        assert rows == [[str(part) for part in key] for key in keys]
+        assert len(keys) == 3 * (1 if command == "sweep-safety" else 2) * 2 * 2
+
+    def test_plan_derives_each_cell_from_the_base_config(self):
+        cfg = coverage_config(rng_seed=7)
+        for (case, teams, trial), cell in experiment_cells(cfg, "sweep-safety", [3], 2):
+            assert (cell.case, cell.teams.count, cell.rng_seed) == (case, teams, 7 + trial)
+            assert (cell.fire.layout, cell.uavs.count, cell.controller) == ("team_clusters", 0, "proposed")
+        for (case, controller, drones, trial), cell in experiment_cells(cfg, "compare", [3], 2):
+            assert (cell.case, cell.controller, cell.uavs.count, cell.rng_seed) == (case, controller, drones, 7 + trial)
+            assert (cell.fire.layout, cell.teams.count) == ("clusters", 0)
+
+    @pytest.mark.parametrize(
+        "command, sizes, trials",
+        [("compare", [4, 1, 4], 1), ("sweep-safety", [1], 0), ("compare", [1], 0), ("simulate", [1], 1)],
+    )
+    def test_plan_refuses_bad_arguments_before_any_cell(self, command, sizes, trials):
+        with pytest.raises(ValueError):
+            experiment_cells(coverage_config(), command, sizes, trials)
 
 
 class TestRunInvariants:
