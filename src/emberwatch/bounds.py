@@ -8,7 +8,9 @@ into the smaller positive root of a quadratic self-consistency equation.
 
 Infeasibility is a value, not an exception: callers branch on it to
 trigger UAV recruitment. The uncertainty ratio divides two closed-form
-residual traces (`tracking.residual_trace`), each plus tr R.
+residual traces (`tracking.residual_trace`), each plus tr R. Both the
+worst-case speed and the ratio read per-track terms that
+`tracking.certificate_terms` computes for many tracks in one pass.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable
 
 from . import tracking
 from .errors import DomainError
-from .fire import EllipseParams, spread_velocity
+from .fire import EllipseParams
 
 # Slack when comparing an uncertainty ratio against 1.
 RATIO_PASS_TOL = 1e-12
@@ -115,19 +117,17 @@ def worst_case_speed(
 
     Each per-axis speed is bounded by |mean| + z * std, with the std
     taken from the weather block of P pushed through the velocity
-    sensitivity. The two axes are maximized over fires independently, so
-    the result can combine the x-bound of one fire with the y-bound of
-    another.
+    sensitivity (`tracking.SpeedTerms`). The two axes are maximized over
+    fires independently, so the result can combine the x-bound of one fire
+    with the y-bound of another. The fold starts at 0.0 and skips a NaN
+    bound.
     """
     z = _upper_quantile(confidence_level)
     x_bound = 0.0
     y_bound = 0.0
-    for track in tracks:
-        vel, jac = spread_velocity(*track.mean[tracking.SPREAD_RATE:], params)
-        weather_cov = track.covariance[tracking.SPREAD_RATE:, tracking.SPREAD_RATE:]
-        vel_cov = jac @ weather_cov @ jac.T
-        x_bound = max(x_bound, abs(vel[0]) + z * math.sqrt(max(vel_cov[0, 0], 0.0)))
-        y_bound = max(y_bound, abs(vel[1]) + z * math.sqrt(max(vel_cov[1, 1], 0.0)))
+    for terms in tracking.speed_terms(list(tracks), params):
+        x_bound = max(x_bound, terms.speed_x + z * terms.std_x)
+        y_bound = max(y_bound, terms.speed_y + z * terms.std_y)
     return math.hypot(x_bound, y_bound)
 
 
@@ -222,7 +222,7 @@ def uncertainty_ratio(
     if track.prior_mean is None:
         raise ValueError("uncertainty_ratio requires a predicted track")
     steps = max(1, math.ceil(horizon_seconds / dt))
-    noise = float(track.observation_noise.trace())
+    noise = tracking.residual_terms(track).noise
     den = tracking.residual_trace(track, 1) + noise
     if not 0.0 < den < math.inf:
         return math.inf

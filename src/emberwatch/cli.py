@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .config import TEAM_FIRE_IDS, load_config
 from .errors import ConfigError
-from .harness import compare_controllers, experiment_cells, run_scenario, sweep_safety
+from .harness import CELL_KEY_FIELDS, compare_controllers, experiment_cells, run_scenario, sweep_safety
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,8 +69,7 @@ def main(argv=None) -> int:
             sizes = _parse_drones(args.drones)
         if args.command != "simulate":
             _check_positive("--trials", args.trials)
-            for _, cell in experiment_cells(cfg, args.command, sizes, args.trials):
-                cell.validate()
+            _validate_cells(cfg, args.command, sizes, args.trials)
         # Only a run that passed every check leaves an output directory.
         out = Path(args.out)
         try:
@@ -94,6 +93,22 @@ def main(argv=None) -> int:
 def _check_positive(flag: str, value: int) -> None:
     if value < 1:
         raise ConfigError(flag, f"must be >= 1, got {value}")
+
+
+def _validate_cells(cfg, command: str, sizes, trials: int) -> None:
+    """Validate every cell of the experiment, the largest size first.
+
+    A sweep cell's front count grows with its team count, so a size the
+    front cap refuses is found before thousands of smaller cells are
+    built. A refusal names its cell by its key without the trial.
+    """
+    for size in sorted(sizes, reverse=True):
+        for key, cell in experiment_cells(cfg, command, [size], trials):
+            try:
+                cell.validate()
+            except ConfigError as exc:
+                where = ", ".join(f"{name} {value}" for name, value in zip(CELL_KEY_FIELDS[command], key[:-1]))
+                raise ConfigError(exc.path, f"{exc.message} ({where})") from exc
 
 
 def _parse_drones(text: str) -> list[int]:

@@ -98,13 +98,23 @@ class MissionPlan:
 
 
 def vicinity_fires(
-    tracks: Mapping[int, tracking.TrackEstimate], team: HumanTeam
-) -> dict[int, tracking.TrackEstimate]:
-    """Tracks whose estimated position lies within the team's vicinity."""
+    tracks: Mapping[int, tracking.TrackEstimate], teams: Sequence[HumanTeam]
+) -> list[dict[int, tracking.TrackEstimate]]:
+    """Per team, in order, the tracks whose estimated position lies within its vicinity, in id order.
+
+    The track positions are stacked once and every team is tested in one
+    broadcast; each distance has the bits of that team's own `row_norms`.
+    """
     fire_ids = sorted(tracks)
     positions = np.array([tracks[f].mean[:2] for f in fire_ids]).reshape(-1, 2)
-    near = row_norms(positions - team.position) <= team.vicinity_radius
-    return {f: tracks[f] for f, inside in zip(fire_ids, near.tolist()) if inside}
+    centres = np.array([team.position for team in teams]).reshape(-1, 1, 2)
+    radii = np.array([team.vicinity_radius for team in teams]).reshape(-1, 1)
+    # nonzero lists the (team, track) pairs team by team, each team's in id order.
+    team_rows, track_rows = np.nonzero(row_norms(positions - centres) <= radii)
+    near: list[dict[int, tracking.TrackEstimate]] = [{} for _ in teams]
+    for t, i in zip(team_rows.tolist(), track_rows.tolist()):
+        near[t][fire_ids[i]] = tracks[fire_ids[i]]
+    return near
 
 
 def first_observers(agents: Sequence[UavAgent], points) -> list[UavAgent | None]:

@@ -37,7 +37,7 @@ from .coordination import (
 )
 from .errors import DomainError, NoUavAvailable, SingularResidual
 from .fire import WindFuelState, keyed_normal, simulate_step, substream_key
-from .tracking import TrackEstimate, predict, step_track
+from .tracking import TrackEstimate, certificate_terms, predict, step_track
 
 # Substream purposes; fire.py keys the fire step's motion (6) and spawns (7).
 _S_LAYOUT = 1
@@ -50,6 +50,9 @@ STEP_CSV_HEADER = "step,uncovered_count,cum_uncertainty,mean_trace_P,active_uavs
 
 # The scenario cases that sweep-safety and compare run, in order.
 CASES = (1, 2, 3)
+
+# The fields of an experiment cell's key, in order; the last is the trial.
+CELL_KEY_FIELDS = {"sweep-safety": ("case", "teams", "trial"), "compare": ("case", "controller", "drones", "trial")}
 
 
 @dataclass
@@ -332,8 +335,13 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
 
         dismissed = False
         if cfg.controller == "proposed":
-            for team in built.teams:
-                vicinity = vicinity_fires(tracks, team)
+            vicinities = []
+            if built.teams:
+                # Every team's certificate reads its tracks' terms from one pass.
+                vicinities = vicinity_fires(tracks, built.teams)
+                near = set().union(*vicinities)
+                certificate_terms([tracks[f] for f in track_ids if f in near], params)
+            for team, vicinity in zip(built.teams, vicinities):
                 if not vicinity:
                     continue
                 assigned = team_assigned.get(team.id, [])

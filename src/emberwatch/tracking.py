@@ -15,11 +15,17 @@ comes from the flight controller rather than from the previous state.
 
 There are two filter operations: `predict` (time update) and `update`
 (measurement update plus forgetting-factor adaptation of Q and R);
-`step_track` is one observed cycle of both; `residual_trace` gives the
-uncertainty ratio its forecast in closed form. The filter is a pure
+`step_track` is one observed cycle of both. The filter is a pure
 state machine: every operation takes a TrackEstimate and returns a new
 one without touching its input's arrays, so distinct fires can be
 filtered concurrently as long as each track is advanced sequentially.
+
+The safety certificate reads each track through a few scalars:
+`certificate_terms` computes them for a whole set of tracks in one array
+pass and keeps them on each track; `speed_terms` and `residual_terms`
+read them, computing the missing ones in the same pass (a lone track's
+with N = 1), and `residual_trace` gives the uncertainty ratio its
+forecast in closed form from them.
 
 Each operation evaluates each quantity once. `predict` takes the next
 mean and the transition Jacobian from one evaluation of the spread model
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,6 +87,38 @@ class FilterConfig:
             raise DomainError("alpha_forget", f"alpha_forget must be in [0, 1], got {self.alpha_forget}")
 
 
+class SpeedTerms(NamedTuple):
+    """A track's spread speed and its standard deviation per planar axis, at `params`.
+
+    The speed is |v| of `fire.spread_velocity` at the mean's weather; the
+    deviation is sqrt(max(var, 0)) of J P_ww J^T, J the velocity
+    sensitivity and P_ww the weather block of the covariance.
+    """
+
+    params: fire.EllipseParams
+    speed_x: float
+    speed_y: float
+    std_x: float
+    std_y: float
+
+
+class ResidualTerms(NamedTuple):
+    """The closed-form residual forecast of a predicted track (see `residual_trace`).
+
+    With H at `prior_mean`, P the prior covariance and G the velocity block
+    of the transition matrix: `current` is tr(H P H^T), the forecast r >= 2
+    steps ahead is c0 + c1 k + c2 k^2 with k = r - 1, and `noise` is tr R.
+    `altitude` is the UAV altitude of `prior_mean`; H exists only above 0.
+    """
+
+    altitude: float
+    current: float
+    c0: float
+    c1: float
+    c2: float
+    noise: float
+
+
 @dataclass(frozen=True)
 class TrackEstimate:
     """Per-fire filter state.
@@ -101,6 +140,12 @@ class TrackEstimate:
     track built by a caller or by `dataclasses.replace` starts without
     it and recomputes.
 
+    `_speed` and `_residual` hold the track's certificate terms once
+    `certificate_terms` or a reader has computed them; they read the
+    track's arrays only, so they hold for as long as the track does,
+    and `_speed` is kept for one `params` object, compared by identity.
+    Neither takes a constructor argument either.
+
     The public constructor coerces the four arrays to float64. The
     filter builds its tracks through `_filtered`, which skips that
     coercion because its arrays are float64 already.
@@ -114,6 +159,8 @@ class TrackEstimate:
     prior_covariance: np.ndarray | None = None
     transition_matrix: np.ndarray | None = None
     _motion: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _speed: SpeedTerms | None = field(default=None, init=False, repr=False, compare=False)
+    _residual: ResidualTerms | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
@@ -273,6 +320,48 @@ def kalman_gain(HP: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.linalg.solve(S, HP).T
 
 
+# ---------------------------------------------------------------------------
+# safety-certificate terms
+
+
+def certificate_terms(tracks: Sequence[TrackEstimate], params: fire.EllipseParams) -> None:
+    """Keep on every track its speed terms at `params` and, on each predicted
+    track, its residual terms, each kind computed for all tracks in one array pass.
+
+    Every term has the bits that the same numpy operations give on the
+    track alone: the stacked `matmul`s multiply the same strided blocks one
+    matrix at a time, and each sum and trace reduces the same entries in
+    the same order (tests/test_certificate_terms.py checks them against
+    frozen references).
+    """
+    _keep_speed_terms(tracks, params)
+    _keep_residual_terms([t for t in tracks if _predicted(t)])
+
+
+def speed_terms(tracks: Sequence[TrackEstimate], params: fire.EllipseParams) -> list[SpeedTerms]:
+    """Each track's `SpeedTerms` at `params`; the tracks without terms kept for that
+    object get them now, from one pass over those tracks."""
+    _keep_speed_terms([t for t in tracks if t._speed is None or t._speed.params is not params], params)
+    return [t._speed for t in tracks]
+
+
+def residual_terms(track: TrackEstimate) -> ResidualTerms:
+    """The `ResidualTerms` of a predicted track, computed now unless kept.
+
+    An unpredicted track raises ValueError; a prior UAV altitude that is not
+    above 0 raises DomainError, as building H there does.
+    """
+    terms = track._residual
+    if terms is None:
+        if not _predicted(track):
+            raise ValueError("the residual forecast requires a predicted track")
+        _keep_residual_terms([track])
+        terms = track._residual
+    if terms.altitude <= 0:
+        raise DomainError("uav_z", f"uav_z must be > 0 to observe, got {terms.altitude}")
+    return terms
+
+
 def residual_trace(track: TrackEstimate, steps: int) -> float:
     """tr(H F^(r-1) P (H F^(r-1))^T) for r = `steps` >= 1, with H at `prior_mean`.
 
@@ -285,18 +374,74 @@ def residual_trace(track: TrackEstimate, steps: int) -> float:
     c2 = sum a_i^2 (G P_ww G^T)[i, i]. No pose entry of P enters. In Python
     floats, a horizon too long overflows to +inf without a warning.
     """
-    H, P = observation_jacobian(track.prior_mean), track.prior_covariance
+    terms = residual_terms(track)
     if steps == 1:
-        return float(((H @ P) * H).sum())
-    fire_pos = slice(FIRE_X, FIRE_Y + 1)
-    a2 = H.diagonal()[fire_pos] ** 2
-    G = track.transition_matrix[fire_pos, SPREAD_RATE:]
-    GP = G @ P[SPREAD_RATE:]  # its fire columns are G P_wf = (P_fw G^T)^T
-    c0 = float(a2 @ P.diagonal()[fire_pos]) + float(P[SPREAD_RATE:, SPREAD_RATE:].trace())
-    c1 = 2.0 * float(a2 @ GP.diagonal()[fire_pos])
-    c2 = float(a2 @ (GP[:, SPREAD_RATE:] * G).sum(axis=1))
+        return terms.current
     k = float(steps - 1)
-    return c0 + k * (c1 + k * c2)
+    return terms.c0 + k * (terms.c1 + k * terms.c2)
+
+
+def _predicted(track: TrackEstimate) -> bool:
+    return not (track.prior_mean is None or track.prior_covariance is None or track.transition_matrix is None)
+
+
+def _keep_speed_terms(tracks: Sequence[TrackEstimate], params: fire.EllipseParams) -> None:
+    """Per track: `fire.spread_velocity` at the mean's weather (in `math`, one track at
+    a time), then J P_ww J^T for all tracks in two stacked `matmul`s."""
+    if not tracks:
+        return
+    velocities, sensitivities = zip(*(fire.spread_velocity(*t.mean[SPREAD_RATE:], params) for t in tracks))
+    J = np.array(sensitivities)
+    weather = np.array([t.covariance for t in tracks])[:, SPREAD_RATE:, SPREAD_RATE:]
+    variances = (J @ weather @ J.transpose(0, 2, 1)).diagonal(axis1=1, axis2=2).tolist()
+    speeds = np.abs(np.array(velocities)).tolist()
+    for track, (vx, vy), (var_x, var_y) in zip(tracks, speeds, variances):
+        terms = SpeedTerms(params, vx, vy, math.sqrt(max(var_x, 0.0)), math.sqrt(max(var_y, 0.0)))
+        object.__setattr__(track, "_speed", terms)
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (N, 2) arrays, each row the `matmul` of its two vectors."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _keep_residual_terms(tracks: Sequence[TrackEstimate]) -> None:
+    """H at every prior mean from elementwise operations, as `_observation`
+    builds it, then the terms of `residual_trace` from stacked operations."""
+    n = len(tracks)
+    if not n:
+        return
+    prior = np.array([t.prior_mean for t in tracks])
+    P = np.array([t.prior_covariance for t in tracks])
+    F = np.array([t.transition_matrix for t in tracks])
+    R = np.array([t.observation_noise for t in tracks])
+    altitude = prior[:, UAV_Z]
+    # H is undefined at an altitude that is not above 0 (`residual_terms`
+    # refuses it); NaN keeps such rows from dividing by zero.
+    pz = np.where(altitude > 0, altitude, np.nan)[:, None]
+    fire_pos = slice(FIRE_X, FIRE_Y + 1)
+    q = prior[:, fire_pos] - prior[:, UAV_X:UAV_Y + 1]
+    u = q / pz
+    w = 1.0 / (1.0 + u * u)
+    look = np.arange(2)
+    H = _H_BASE[None].repeat(n, axis=0)
+    H[:, look, look + FIRE_X] = w / pz
+    H[:, look, look + UAV_X] = -w / pz
+    H[:, look, UAV_Z] = -w * q / (pz * pz)
+
+    current = ((H @ P) * H).reshape(n, -1).sum(axis=1)
+    a2 = H.diagonal(axis1=1, axis2=2)[:, fire_pos] ** 2
+    G = F[:, fire_pos, SPREAD_RATE:]
+    GP = G @ P[:, SPREAD_RATE:]  # its fire columns are G P_wf = (P_fw G^T)^T
+    c0 = _dots(a2, P.diagonal(axis1=1, axis2=2)[:, fire_pos]) + np.trace(
+        P[:, SPREAD_RATE:, SPREAD_RATE:], axis1=1, axis2=2
+    )
+    c1 = 2.0 * _dots(a2, GP.diagonal(axis1=1, axis2=2)[:, fire_pos])
+    c2 = _dots(a2, (GP[:, :, SPREAD_RATE:] * G).sum(axis=2))
+    noise = np.trace(R, axis1=1, axis2=2)
+    rows = zip(altitude.tolist(), current.tolist(), c0.tolist(), c1.tolist(), c2.tolist(), noise.tolist())
+    for track, row in zip(tracks, rows):
+        object.__setattr__(track, "_residual", ResidualTerms(*row))
 
 
 # ---------------------------------------------------------------------------

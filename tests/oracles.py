@@ -438,6 +438,37 @@ def reference_worst_case_speed(means, covariances, z, params):
     return math.hypot(x_bound, y_bound)
 
 
+def reference_speed_terms(mean, P, params):
+    """(|v_x|, |v_y|, std_x, std_y) of one track: the per-axis terms of `reference_worst_case_speed`."""
+    jac = _ref_velocity_jacobian(*mean[5:], params)
+    vel_cov = jac @ P[5:, 5:] @ jac.T
+    vel = _ref_state_velocity(mean, params)
+    return (
+        float(abs(vel[0])),
+        float(abs(vel[1])),
+        math.sqrt(max(vel_cov[0, 0], 0.0)),
+        math.sqrt(max(vel_cov[1, 1], 0.0)),
+    )
+
+
+def reference_residual_terms(prior_mean, P, F, R):
+    """(tr(H P H^T), c0, c1, c2, tr R) of one predicted track, H at prior_mean.
+
+    The closed form of the residual forecast evaluated one track at a time:
+    r >= 2 steps ahead its trace is c0 + c1 k + c2 k^2 with k = r - 1, which
+    is the trace of `reference_residual_cov` with R = 0 up to rounding.
+    """
+    H = _ref_observation_jacobian(prior_mean)
+    current = float(((H @ P) * H).sum())
+    a2 = H.diagonal()[0:2] ** 2
+    G = F[0:2, 5:]
+    GP = G @ P[5:]
+    c0 = float(a2 @ P.diagonal()[0:2]) + float(P[5:, 5:].trace())
+    c1 = 2.0 * float(a2 @ GP.diagonal()[0:2])
+    c2 = float(a2 @ (GP[:, 5:] * G).sum(axis=1))
+    return current, c0, c1, c2, float(R.trace())
+
+
 def reference_simulate_step(fire_map, dt):
     """Fronts after one fire step, as (id, position, velocity, lineage) tuples.
 

@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from emberwatch.cli import main
-from emberwatch.config import load_config
+from emberwatch.config import ScenarioConfig, load_config
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -357,6 +357,58 @@ def test_a_cell_config_the_base_config_allows_exits_two_before_running(tmp_path,
     load_config(cfg).validate()  # the base config itself passes
     assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 2
     assert f"config error: {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_oversized_sweep_is_refused_before_its_smaller_cells_are_validated(tmp_path, capsys, monkeypatch):
+    # 2000 teams of 3 clustered fires are 6000 fronts; the 1999 smaller sizes need not be built first
+    validated = []
+    validate = ScenarioConfig.validate
+
+    def counted(cfg):
+        validated.append((cfg.case, cfg.teams.count))
+        return validate(cfg)
+
+    monkeypatch.setattr(ScenarioConfig, "validate", counted)
+    out = tmp_path / "out"
+    argv = ["sweep-safety", "--config", str(CONFIG_DIR / "sweep.yaml"), "--out", str(out),
+            "--max-teams", "2000", "--trials", "1"]
+    assert main(argv) == 2
+    assert "config error: fire.initial_count: " in capsys.readouterr().err
+    # Besides the one-team base config, only the first cell of the largest size was validated.
+    assert [cell for cell in validated if cell != (1, 1)] == [(1, 2000)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, extra, message",
+    [
+        # case 3 lets each of 342 * 3 fires grow into 4 fronts; cases 1 and 2 pass
+        pytest.param("sweep-safety", None, ["--max-teams", "342", "--trials", "2"],
+                     "fire.max_per_lineage: the run can grow past 4096 fronts (case 3, teams 342)\n",
+                     id="sweep-safety"),
+        # case 1 runs in still air, but the case-2 cells need wind to spread
+        pytest.param("compare", "  initial_count: 1\n  wind_speed: 0.0\n", ["--drones", "1,3", "--trials", "2"],
+                     "(case 2, controller proposed, drones 3)\n", id="compare"),
+    ],
+)
+def test_a_refused_cell_is_named_by_its_key(tmp_path, capsys, command, config, extra, message):
+    if config is None:
+        cfg = CONFIG_DIR / "sweep.yaml"
+    else:
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "area: {width: 600.0, height: 600.0}\n"
+            "case: 1\n"
+            f"fire:\n{config}"
+            "teams: {count: 0}\n"
+            "uavs: {count: 1}\n"
+            "duration: 2\n"
+        )
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.endswith(message)
     assert not out.exists()
 
 

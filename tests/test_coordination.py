@@ -63,12 +63,12 @@ class TestVicinity:
     def test_empty_when_all_far(self):
         team = HumanTeam(0, np.array([0.0, 0.0]), vicinity_radius=100.0)
         tracks = {1: make_track((500.0, 0.0)), 2: make_track((0.0, -900.0))}
-        assert vicinity_fires(tracks, team) == {}
+        assert vicinity_fires(tracks, [team]) == [{}]
 
     def test_fire_at_team_position_included(self):
         team = HumanTeam(0, np.array([10.0, 10.0]), vicinity_radius=100.0)
         tracks = {5: make_track((10.0, 10.0))}
-        assert list(vicinity_fires(tracks, team)) == [5]
+        assert [list(v) for v in vicinity_fires(tracks, [team])] == [[5]]
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(3)
@@ -76,13 +76,13 @@ class TestVicinity:
         tracks = {}
         for fid in range(50):
             tracks[fid] = make_track(tuple(rng.uniform(0, 1000, size=2)), predicted=False)
-        got = set(vicinity_fires(tracks, team))
+        (got,) = vicinity_fires(tracks, [team])
         expected = {
             fid
             for fid, tr in tracks.items()
             if np.linalg.norm(tr.mean[:2] - team.position) <= 200.0
         }
-        assert got == expected
+        assert set(got) == expected
 
 
 class TestClusterAndAssign:
