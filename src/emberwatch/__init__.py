@@ -59,7 +59,6 @@ from .routing import (
 from .tracking import (
     FilterConfig,
     TrackEstimate,
-    observation_jacobian,
     observe,
     predict,
     step_track,

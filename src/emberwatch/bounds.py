@@ -10,7 +10,8 @@ Infeasibility is a value, not an exception: callers branch on it to
 trigger UAV recruitment. The uncertainty ratio divides two closed-form
 residual traces (`tracking.residual_trace`), each plus tr R. Both the
 worst-case speed and the ratio read per-track terms that
-`tracking.certificate_terms` computes for many tracks in one pass.
+`tracking.speed_terms` and `tracking.residual_terms` return for many
+tracks from one pass each.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Iterable
 
 from . import tracking
 from .errors import DomainError
-from .fire import EllipseParams
 
 # Slack when comparing an uncertainty ratio against 1.
 RATIO_PASS_TOL = 1e-12
@@ -108,16 +108,12 @@ def _upper_quantile(alpha: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
-def worst_case_speed(
-    tracks: Iterable[tracking.TrackEstimate],
-    confidence_level: float,
-    params: EllipseParams,
-) -> float:
-    """Upper confidence bound on the fastest fire speed across tracks.
+def worst_case_speed(speeds: Iterable[tracking.SpeedTerms], confidence_level: float) -> float:
+    """Upper confidence bound on the fastest fire speed across tracks, from their speed terms.
 
     Each per-axis speed is bounded by |mean| + z * std, with the std
     taken from the weather block of P pushed through the velocity
-    sensitivity (`tracking.SpeedTerms`). The two axes are maximized over
+    sensitivity (`tracking.speed_terms`). The two axes are maximized over
     fires independently, so the result can combine the x-bound of one fire
     with the y-bound of another. The fold starts at 0.0 and skips a NaN
     bound.
@@ -125,7 +121,7 @@ def worst_case_speed(
     z = _upper_quantile(confidence_level)
     x_bound = 0.0
     y_bound = 0.0
-    for terms in tracking.speed_terms(list(tracks), params):
+    for terms in speeds:
         x_bound = max(x_bound, terms.speed_x + z * terms.std_x)
         y_bound = max(y_bound, terms.speed_y + z * terms.std_y)
     return math.hypot(x_bound, y_bound)
@@ -196,13 +192,9 @@ def joint_confidence(fire_count: int, confidence_level: float) -> tuple[float, f
     return joint, 1.0 - joint
 
 
-def uncertainty_ratio(
-    track: tracking.TrackEstimate,
-    horizon_seconds: float,
-    dt: float,
-) -> float:
+def uncertainty_ratio(residual: tracking.ResidualTerms, horizon_seconds: float, dt: float) -> float:
     """Trace of the forecast residual covariance over the horizon divided by
-    the trace of the current one.
+    the trace of the current one, from the track's `tracking.residual_terms`.
 
     The horizon is converted to steps with ceil (conservative) and floored
     at one step. A value <= 1 certifies that the track will not have
@@ -215,17 +207,16 @@ def uncertainty_ratio(
       block of P, which the current residual includes; a ratio below 1
       can come from that block alone.
     A current trace that is not positive and finite (NaN included) gives
-    +inf, so a track whose covariance has broken down never passes.
+    +inf, so a track whose covariance has broken down never passes. A
+    prior UAV altitude that is not above 0 raises DomainError, unless the
+    horizon is not finite.
     """
     if not math.isfinite(horizon_seconds / dt):
         return math.inf
-    if track.prior_mean is None:
-        raise ValueError("uncertainty_ratio requires a predicted track")
     steps = max(1, math.ceil(horizon_seconds / dt))
-    noise = tracking.residual_terms(track).noise
-    den = tracking.residual_trace(track, 1) + noise
+    den = tracking.residual_trace(residual, 1) + residual.noise
     if not 0.0 < den < math.inf:
         return math.inf
     if steps == 1:
         return 1.0
-    return (tracking.residual_trace(track, steps) + noise) / den
+    return (tracking.residual_trace(residual, steps) + residual.noise) / den

@@ -92,10 +92,6 @@ class MissionPlan:
     uncertainty_ratios: dict[int, float]
     feasible: bool
 
-    @property
-    def recruited(self) -> int:
-        return len(self.segments)
-
 
 def vicinity_fires(
     tracks: Mapping[int, tracking.TrackEstimate], teams: Sequence[HumanTeam]
@@ -155,27 +151,25 @@ def _segment(uav_id: int, waypoints: list[SteinerWaypoint]) -> SafetySegment:
 
 def _segment_report(
     segment: SafetySegment,
-    tracks: Mapping[int, tracking.TrackEstimate],
+    terms: Mapping[int, tuple[tracking.SpeedTerms, tracking.ResidualTerms]],
     fleet: FleetParams,
     case: int,
     confidence_level: float,
     dt: float,
-    params: EllipseParams,
 ) -> tuple[bool, dict[int, float]]:
     """(passed, uncertainty ratio per fire) for one UAV's share of the tour."""
     if not segment.fire_ids:
         return True, {}
     centers = np.array([w.position for w in segment.waypoints])
     _, mst_length = build_mst(centers)
-    segment_tracks = [tracks[f] for f in segment.fire_ids]
     inputs = BoundInputs(
         mst_length=mst_length,
         fire_count=len(segment.fire_ids),
-        worst_speed=worst_case_speed(segment_tracks, confidence_level, params),
+        worst_speed=worst_case_speed([terms[f][0] for f in segment.fire_ids], confidence_level),
         fov_width=fov_width(fleet),
     )
     bound = traverse_bound(case, inputs, fleet)
-    ratios = {f: uncertainty_ratio(tracks[f], bound.seconds, dt) for f in segment.fire_ids}
+    ratios = {f: uncertainty_ratio(terms[f][1], bound.seconds, dt) for f in segment.fire_ids}
     passed = bound.feasible and all(v <= 1.0 + RATIO_PASS_TOL for v in ratios.values())
     return passed, ratios
 
@@ -187,11 +181,14 @@ def plan_safety_tour(
     case: int,
     confidence_level: float,
     dt: float,
-    params: EllipseParams,
+    terms: Mapping[int, tuple[tracking.SpeedTerms, tracking.ResidualTerms]],
     team: HumanTeam | None = None,
     uav_supply: Callable[[], UavAgent] | None = None,
 ) -> tuple[MissionPlan, list[UavAgent]]:
     """Build or rebuild a team's safety plan, recruiting as needed.
+
+    `terms` holds the speed and residual terms of (at least) every fire in
+    `tracks`, which the certificate reads instead of the tracks.
 
     `assigned` UAVs are kept (the tour is partitioned among them in
     order); more are pulled nearest-first from `idle`, or minted through
@@ -233,7 +230,7 @@ def plan_safety_tour(
     feasible = True
     while True:
         reports = [
-            _segment_report(seg, tracks, fleet, case, confidence_level, dt, params)
+            _segment_report(seg, terms, fleet, case, confidence_level, dt)
             for seg in segments
         ]
         failing = [i for i, (passed, _) in enumerate(reports) if not passed]
@@ -509,7 +506,8 @@ def _replan_coverage(
         _assign_route(agent, [pts[i].copy() for i in tour.order], cyclic=True)
 
         member_fires = sorted({m for i in idxs for m in waypoints[i].members})
-        speed = worst_case_speed([tracks[f] for f in member_fires], confidence_level, params)
+        member_tracks = [tracks[f] for f in member_fires]
+        speed = worst_case_speed(tracking.speed_terms(member_tracks, params), confidence_level)
         bound = traverse_bound(
             case,
             BoundInputs(

@@ -37,7 +37,7 @@ from .coordination import (
 )
 from .errors import DomainError, NoUavAvailable, SingularResidual
 from .fire import WindFuelState, keyed_normal, simulate_step, substream_key
-from .tracking import TrackEstimate, certificate_terms, predict, step_track
+from .tracking import TrackEstimate, predict, residual_terms, speed_terms, step_track
 
 # Substream purposes; fire.py keys the fire step's motion (6) and spawns (7).
 _S_LAYOUT = 1
@@ -337,10 +337,11 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
         if cfg.controller == "proposed":
             vicinities = []
             if built.teams:
-                # Every team's certificate reads its tracks' terms from one pass.
+                # Every team's certificate reads its tracks' terms from one pass of each kind.
                 vicinities = vicinity_fires(tracks, built.teams)
-                near = set().union(*vicinities)
-                certificate_terms([tracks[f] for f in track_ids if f in near], params)
+                near_ids = sorted(set().union(*vicinities))
+                near = [tracks[f] for f in near_ids]
+                terms = dict(zip(near_ids, zip(speed_terms(near, params), residual_terms(near))))
             for team, vicinity in zip(built.teams, vicinities):
                 if not vicinity:
                     continue
@@ -359,7 +360,7 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
                         case,
                         cfg.alpha_conf,
                         dt,
-                        params,
+                        terms,
                         team=team,
                         uav_supply=_supply_for(team),
                     )

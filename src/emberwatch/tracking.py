@@ -21,11 +21,10 @@ one without touching its input's arrays, so distinct fires can be
 filtered concurrently as long as each track is advanced sequentially.
 
 The safety certificate reads each track through a few scalars:
-`certificate_terms` computes them for a whole set of tracks in one array
-pass and keeps them on each track; `speed_terms` and `residual_terms`
-read them, computing the missing ones in the same pass (a lone track's
-with N = 1), and `residual_trace` gives the uncertainty ratio its
-forecast in closed form from them.
+`speed_terms` and `residual_terms` return them for a whole set of tracks,
+each from one array pass (a lone track's with N = 1), and
+`residual_trace` gives the uncertainty ratio its forecast in closed form
+from them.
 
 Each operation evaluates each quantity once. `predict` takes the next
 mean and the transition Jacobian from one evaluation of the spread model
@@ -88,14 +87,13 @@ class FilterConfig:
 
 
 class SpeedTerms(NamedTuple):
-    """A track's spread speed and its standard deviation per planar axis, at `params`.
+    """A track's spread speed and its standard deviation per planar axis.
 
     The speed is |v| of `fire.spread_velocity` at the mean's weather; the
     deviation is sqrt(max(var, 0)) of J P_ww J^T, J the velocity
     sensitivity and P_ww the weather block of the covariance.
     """
 
-    params: fire.EllipseParams
     speed_x: float
     speed_y: float
     std_x: float
@@ -140,12 +138,6 @@ class TrackEstimate:
     track built by a caller or by `dataclasses.replace` starts without
     it and recomputes.
 
-    `_speed` and `_residual` hold the track's certificate terms once
-    `certificate_terms` or a reader has computed them; they read the
-    track's arrays only, so they hold for as long as the track does,
-    and `_speed` is kept for one `params` object, compared by identity.
-    Neither takes a constructor argument either.
-
     The public constructor coerces the four arrays to float64. The
     filter builds its tracks through `_filtered`, which skips that
     coercion because its arrays are float64 already.
@@ -159,8 +151,6 @@ class TrackEstimate:
     prior_covariance: np.ndarray | None = None
     transition_matrix: np.ndarray | None = None
     _motion: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _speed: SpeedTerms | None = field(default=None, init=False, repr=False, compare=False)
-    _residual: ResidualTerms | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
@@ -213,17 +203,15 @@ def transition(
     return out, F, displacement
 
 
-def _observation(
-    state: np.ndarray, angles: bool = True, jacobian: bool = True
-) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _observation(state: np.ndarray, jacobian: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """h(state) and its 5x8 Jacobian H, from one read of the state.
 
     Per planar axis, q is the fire's offset from the UAV and pz the UAV
     altitude. The look angle is atan(u) with u = q / pz; with
     w = 1 / (1 + u^2) its derivatives are w / pz in the fire position,
     -w / pz in the UAV position and -w q / pz^2 in the altitude. The
-    weather triple passes straight through. Each of h and H is None
-    unless asked for, so a caller that needs one pays for no more.
+    weather triple passes straight through. H is None unless asked for,
+    so a caller that needs only h pays for no more.
     """
     pz = state[UAV_Z]
     if pz <= 0:
@@ -231,9 +219,8 @@ def _observation(
     qx = state[FIRE_X] - state[UAV_X]
     qy = state[FIRE_Y] - state[UAV_Y]
     ux, uy = qx / pz, qy / pz
-    h = H = None
-    if angles:
-        h = np.array([math.atan(ux), math.atan(uy), state[SPREAD_RATE], state[WIND_SPEED], state[WIND_AZIMUTH]])
+    h = np.array([math.atan(ux), math.atan(uy), state[SPREAD_RATE], state[WIND_SPEED], state[WIND_AZIMUTH]])
+    H = None
     if jacobian:
         H = _H_BASE.copy()
         for row, qcol, pcol, q, u in ((0, FIRE_X, UAV_X, qx, ux), (1, FIRE_Y, UAV_Y, qy, uy)):
@@ -247,11 +234,6 @@ def _observation(
 def observe(state: np.ndarray) -> np.ndarray:
     """Project the state to look angles and pass the weather through."""
     return _observation(state, jacobian=False)[0]
-
-
-def observation_jacobian(state: np.ndarray) -> np.ndarray:
-    """5x8 Jacobian of the observation at the given state."""
-    return _observation(state, angles=False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -324,80 +306,27 @@ def kalman_gain(HP: np.ndarray, S: np.ndarray) -> np.ndarray:
 # safety-certificate terms
 
 
-def certificate_terms(tracks: Sequence[TrackEstimate], params: fire.EllipseParams) -> None:
-    """Keep on every track its speed terms at `params` and, on each predicted
-    track, its residual terms, each kind computed for all tracks in one array pass.
+def speed_terms(tracks: Sequence[TrackEstimate], params: fire.EllipseParams) -> list[SpeedTerms]:
+    """Each track's `SpeedTerms` at `params`, from one pass over the tracks:
+    `fire.spread_velocity` at the mean's weather (in `math`, one track at a
+    time), then J P_ww J^T for all tracks in two stacked `matmul`s.
 
     Every term has the bits that the same numpy operations give on the
     track alone: the stacked `matmul`s multiply the same strided blocks one
-    matrix at a time, and each sum and trace reduces the same entries in
-    the same order (tests/test_certificate_terms.py checks them against
+    matrix at a time (tests/test_certificate_terms.py checks them against
     frozen references).
     """
-    _keep_speed_terms(tracks, params)
-    _keep_residual_terms([t for t in tracks if _predicted(t)])
-
-
-def speed_terms(tracks: Sequence[TrackEstimate], params: fire.EllipseParams) -> list[SpeedTerms]:
-    """Each track's `SpeedTerms` at `params`; the tracks without terms kept for that
-    object get them now, from one pass over those tracks."""
-    _keep_speed_terms([t for t in tracks if t._speed is None or t._speed.params is not params], params)
-    return [t._speed for t in tracks]
-
-
-def residual_terms(track: TrackEstimate) -> ResidualTerms:
-    """The `ResidualTerms` of a predicted track, computed now unless kept.
-
-    An unpredicted track raises ValueError; a prior UAV altitude that is not
-    above 0 raises DomainError, as building H there does.
-    """
-    terms = track._residual
-    if terms is None:
-        if not _predicted(track):
-            raise ValueError("the residual forecast requires a predicted track")
-        _keep_residual_terms([track])
-        terms = track._residual
-    if terms.altitude <= 0:
-        raise DomainError("uav_z", f"uav_z must be > 0 to observe, got {terms.altitude}")
-    return terms
-
-
-def residual_trace(track: TrackEstimate, steps: int) -> float:
-    """tr(H F^(r-1) P (H F^(r-1))^T) for r = `steps` >= 1, with H at `prior_mean`.
-
-    F and P are those of the latest predict. r = 1 is tr(H P H^T), pose
-    block included. For k = r - 1 >= 1 every F that `transition` builds
-    gives F^k = [[I2, 0, k G], [0, 0, 0], [0, 0, I3]] over the (fire,
-    pose, weather) blocks, G its velocity block. With a_i = H[i, i] the
-    look-angle entry of fire axis i, the trace is c0 + c1 k + c2 k^2 for
-    c0 = sum a_i^2 P_ff[i, i] + tr P_ww, c1 = 2 sum a_i^2 (P_fw G^T)[i, i],
-    c2 = sum a_i^2 (G P_ww G^T)[i, i]. No pose entry of P enters. In Python
-    floats, a horizon too long overflows to +inf without a warning.
-    """
-    terms = residual_terms(track)
-    if steps == 1:
-        return terms.current
-    k = float(steps - 1)
-    return terms.c0 + k * (terms.c1 + k * terms.c2)
-
-
-def _predicted(track: TrackEstimate) -> bool:
-    return not (track.prior_mean is None or track.prior_covariance is None or track.transition_matrix is None)
-
-
-def _keep_speed_terms(tracks: Sequence[TrackEstimate], params: fire.EllipseParams) -> None:
-    """Per track: `fire.spread_velocity` at the mean's weather (in `math`, one track at
-    a time), then J P_ww J^T for all tracks in two stacked `matmul`s."""
     if not tracks:
-        return
+        return []
     velocities, sensitivities = zip(*(fire.spread_velocity(*t.mean[SPREAD_RATE:], params) for t in tracks))
     J = np.array(sensitivities)
     weather = np.array([t.covariance for t in tracks])[:, SPREAD_RATE:, SPREAD_RATE:]
     variances = (J @ weather @ J.transpose(0, 2, 1)).diagonal(axis1=1, axis2=2).tolist()
     speeds = np.abs(np.array(velocities)).tolist()
-    for track, (vx, vy), (var_x, var_y) in zip(tracks, speeds, variances):
-        terms = SpeedTerms(params, vx, vy, math.sqrt(max(var_x, 0.0)), math.sqrt(max(var_y, 0.0)))
-        object.__setattr__(track, "_speed", terms)
+    return [
+        SpeedTerms(vx, vy, math.sqrt(max(var_x, 0.0)), math.sqrt(max(var_y, 0.0)))
+        for (vx, vy), (var_x, var_y) in zip(speeds, variances)
+    ]
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -405,19 +334,28 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _keep_residual_terms(tracks: Sequence[TrackEstimate]) -> None:
-    """H at every prior mean from elementwise operations, as `_observation`
-    builds it, then the terms of `residual_trace` from stacked operations."""
+def residual_terms(tracks: Sequence[TrackEstimate]) -> list[ResidualTerms]:
+    """Each predicted track's `ResidualTerms`, from one pass over the tracks:
+    H at every prior mean from elementwise operations, as `_observation`
+    builds it, then the terms of `residual_trace` from stacked operations.
+
+    Each sum and trace reduces the same entries in the same order as on the
+    track alone, so every term has that track's bits. An unpredicted track
+    raises ValueError. A prior UAV altitude that is not above 0 gives its
+    row NaN terms, which `residual_trace` refuses.
+    """
+    if any(t.prior_mean is None or t.prior_covariance is None or t.transition_matrix is None for t in tracks):
+        raise ValueError("the residual forecast requires a predicted track")
     n = len(tracks)
     if not n:
-        return
+        return []
     prior = np.array([t.prior_mean for t in tracks])
     P = np.array([t.prior_covariance for t in tracks])
     F = np.array([t.transition_matrix for t in tracks])
     R = np.array([t.observation_noise for t in tracks])
     altitude = prior[:, UAV_Z]
-    # H is undefined at an altitude that is not above 0 (`residual_terms`
-    # refuses it); NaN keeps such rows from dividing by zero.
+    # H is undefined at an altitude that is not above 0; NaN keeps such
+    # rows from dividing by zero.
     pz = np.where(altitude > 0, altitude, np.nan)[:, None]
     fire_pos = slice(FIRE_X, FIRE_Y + 1)
     q = prior[:, fire_pos] - prior[:, UAV_X:UAV_Y + 1]
@@ -440,8 +378,30 @@ def _keep_residual_terms(tracks: Sequence[TrackEstimate]) -> None:
     c2 = _dots(a2, (GP[:, :, SPREAD_RATE:] * G).sum(axis=2))
     noise = np.trace(R, axis1=1, axis2=2)
     rows = zip(altitude.tolist(), current.tolist(), c0.tolist(), c1.tolist(), c2.tolist(), noise.tolist())
-    for track, row in zip(tracks, rows):
-        object.__setattr__(track, "_residual", ResidualTerms(*row))
+    return [ResidualTerms(*row) for row in rows]
+
+
+def residual_trace(residual: ResidualTerms, steps: int) -> float:
+    """tr(H F^(r-1) P (H F^(r-1))^T) for r = `steps` >= 1, with H at `prior_mean`,
+    from the track's `residual_terms`.
+
+    F and P are those of the latest predict. r = 1 is tr(H P H^T), pose
+    block included. For k = r - 1 >= 1 every F that `transition` builds
+    gives F^k = [[I2, 0, k G], [0, 0, 0], [0, 0, I3]] over the (fire,
+    pose, weather) blocks, G its velocity block. With a_i = H[i, i] the
+    look-angle entry of fire axis i, the trace is c0 + c1 k + c2 k^2 for
+    c0 = sum a_i^2 P_ff[i, i] + tr P_ww, c1 = 2 sum a_i^2 (P_fw G^T)[i, i],
+    c2 = sum a_i^2 (G P_ww G^T)[i, i]. No pose entry of P enters. In Python
+    floats, a horizon too long overflows to +inf without a warning. A
+    prior UAV altitude that is not above 0 raises DomainError, as building
+    H there does.
+    """
+    if residual.altitude <= 0:
+        raise DomainError("uav_z", f"uav_z must be > 0 to observe, got {residual.altitude}")
+    if steps == 1:
+        return residual.current
+    k = float(steps - 1)
+    return residual.c0 + k * (residual.c1 + k * residual.c2)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from emberwatch.tracking import (
     WIND_SPEED,
     FilterConfig,
     TrackEstimate,
-    observation_jacobian,
+    _observation,
     observe,
     predict,
     step_track,
@@ -53,6 +53,7 @@ from oracles import (
     finite_difference_jacobian,
     jacobian_mismatch,
 )
+from test_coordination import certificate
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -99,7 +100,7 @@ def test_criterion_1_jacobian_fidelity():
         worst_h = max(
             worst_h,
             jacobian_mismatch(
-                observation_jacobian(s), finite_difference_jacobian(observe, s, h=1e-6)
+                _observation(s)[1], finite_difference_jacobian(observe, s, h=1e-6)
             ),
         )
     elapsed = time.perf_counter() - tic
@@ -177,8 +178,9 @@ def test_criterion_3_urr_guarantee_monte_carlo():
         attempts += 1
         rng = np.random.default_rng(10_000 + attempts)
         tracks = _mc_tracks(rng, int(rng.integers(3, 6)))
+        terms = certificate(tracks)
         plan, _ = plan_safety_tour(
-            tracks, [uav], [], case=2, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE
+            tracks, [uav], [], case=2, confidence_level=0.05, dt=1.0, terms=terms
         )
         if not plan.feasible:
             continue
@@ -211,7 +213,7 @@ def test_criterion_3_urr_guarantee_monte_carlo():
         from emberwatch.bounds import uncertainty_ratio
 
         realized = max(
-            uncertainty_ratio(tracks[f], float(steps_real), 1.0) for f in ids
+            uncertainty_ratio(terms[f][1], float(steps_real), 1.0) for f in ids
         )
         if realized > 1.0 + 1e-12:
             violations += 1

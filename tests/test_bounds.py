@@ -28,9 +28,11 @@ from emberwatch.tracking import (
     UAV_X,
     UAV_Z,
     TrackEstimate,
-    observation_jacobian,
+    _observation,
     predict,
+    residual_terms,
     residual_trace,
+    speed_terms,
 )
 from oracles import reference_innovation_cov, reference_residual_cov
 
@@ -60,30 +62,30 @@ def track_with_velocity(
 class TestWorstCaseSpeed:
     def test_stationary_zero_variance(self):
         tracks = [track_with_velocity(0.3, 0.0)] * 3
-        assert worst_case_speed(tracks, 0.05, DEFAULT_ELLIPSE) == 0.0
+        assert worst_case_speed(speed_terms(tracks, DEFAULT_ELLIPSE), 0.05) == 0.0
 
     def test_pythagorean_single_fire(self):
         # velocity (3, 4) via azimuth atan2(3, 4), speed 5
         az = math.atan2(3.0, 4.0)
         track = track_with_velocity(az, 5.0)
-        assert worst_case_speed([track], 0.05, DEFAULT_ELLIPSE) == pytest.approx(5.0, rel=1e-9)
+        assert worst_case_speed(speed_terms([track], DEFAULT_ELLIPSE), 0.05) == pytest.approx(5.0, rel=1e-9)
 
     def test_cross_fire_axis_maximization(self):
         east = track_with_velocity(math.pi / 2, 3.0)  # x-speed 3, y 0
         north = track_with_velocity(0.0, 4.0)  # y-speed 4, x 0
-        assert worst_case_speed([east, north], 0.05, DEFAULT_ELLIPSE) == pytest.approx(5.0, rel=1e-9)
+        assert worst_case_speed(speed_terms([east, north], DEFAULT_ELLIPSE), 0.05) == pytest.approx(5.0, rel=1e-9)
 
     def test_uncertainty_widens_bound(self):
         certain = track_with_velocity(0.7, 1.0)
         uncertain = track_with_velocity(0.7, 1.0, weather_var=(0.05, 0.1, 0.02))
-        a = worst_case_speed([certain], 0.05, DEFAULT_ELLIPSE)
-        b = worst_case_speed([uncertain], 0.05, DEFAULT_ELLIPSE)
+        a = worst_case_speed(speed_terms([certain], DEFAULT_ELLIPSE), 0.05)
+        b = worst_case_speed(speed_terms([uncertain], DEFAULT_ELLIPSE), 0.05)
         assert b > a
 
     def test_tighter_confidence_is_larger(self):
         track = track_with_velocity(0.7, 1.0, weather_var=(0.05, 0.1, 0.02))
-        loose = worst_case_speed([track], 0.2, DEFAULT_ELLIPSE)
-        tight = worst_case_speed([track], 0.01, DEFAULT_ELLIPSE)
+        loose = worst_case_speed(speed_terms([track], DEFAULT_ELLIPSE), 0.2)
+        tight = worst_case_speed(speed_terms([track], DEFAULT_ELLIPSE), 0.01)
         assert tight > loose
 
 
@@ -275,25 +277,25 @@ class TestUncertaintyRatio:
         return predict(track, 1.0, DEFAULT_ELLIPSE)
 
     def test_one_step_horizon_is_unity(self):
-        track = self._predicted_track()
-        assert uncertainty_ratio(track, 0.5, 1.0) == pytest.approx(1.0)
-        assert uncertainty_ratio(track, 0.0, 1.0) == pytest.approx(1.0)
+        (residual,) = residual_terms([self._predicted_track()])
+        assert uncertainty_ratio(residual, 0.5, 1.0) == pytest.approx(1.0)
+        assert uncertainty_ratio(residual, 0.0, 1.0) == pytest.approx(1.0)
 
     def test_grows_with_horizon(self):
-        track = self._predicted_track()
-        r10 = uncertainty_ratio(track, 10.0, 1.0)
-        r100 = uncertainty_ratio(track, 100.0, 1.0)
+        (residual,) = residual_terms([self._predicted_track()])
+        r10 = uncertainty_ratio(residual, 10.0, 1.0)
+        r100 = uncertainty_ratio(residual, 100.0, 1.0)
         assert r100 > r10
 
     def test_infeasible_horizon_is_infinite(self):
-        track = self._predicted_track()
-        assert uncertainty_ratio(track, math.inf, 1.0) == math.inf
+        (residual,) = residual_terms([self._predicted_track()])
+        assert uncertainty_ratio(residual, math.inf, 1.0) == math.inf
 
     def test_overlong_horizon_is_infinite_without_a_warning(self):
-        track = self._predicted_track()
+        (residual,) = residual_terms([self._predicted_track()])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert uncertainty_ratio(track, 1e300, 1.0) == math.inf
+            assert uncertainty_ratio(residual, 1e300, 1.0) == math.inf
 
     def test_broken_current_residual_never_passes(self):
         # a current trace that is NaN, zero or negative gives +inf at every horizon
@@ -303,7 +305,7 @@ class TestUncertaintyRatio:
             (np.zeros((8, 8)), np.zeros((5, 5))),
             (-np.eye(8), np.zeros((5, 5))),
         ):
-            broken = replace(track, prior_covariance=P, observation_noise=R)
+            (broken,) = residual_terms([replace(track, prior_covariance=P, observation_noise=R)])
             for horizon in (0.5, 1.0, 2.0, 40.0):
                 assert uncertainty_ratio(broken, horizon, 1.0) == math.inf
 
@@ -317,8 +319,8 @@ class TestUncertaintyRatio:
             prior_covariance=track.prior_covariance * 7.0,
             observation_noise=track.observation_noise * 7.0,
         )
-        a = uncertainty_ratio(track, 40.0, 1.0)
-        b = uncertainty_ratio(scaled, 40.0, 1.0)
+        a = uncertainty_ratio(residual_terms([track])[0], 40.0, 1.0)
+        b = uncertainty_ratio(residual_terms([scaled])[0], 40.0, 1.0)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_scalar_ratio_with_growing_dynamics(self):
@@ -359,15 +361,15 @@ class TestCertificateScope:
     def test_one_step_horizon_is_exactly_one(self, run_tracks):
         dt, tracks = run_tracks
         assert len(tracks) > 100
-        for track in tracks:
-            assert uncertainty_ratio(track, dt, dt) == 1.0
-            assert uncertainty_ratio(track, 0.5 * dt, dt) == 1.0
+        for residual in residual_terms(tracks):
+            assert uncertainty_ratio(residual, dt, dt) == 1.0
+            assert uncertainty_ratio(residual, 0.5 * dt, dt) == 1.0
 
     def test_forecast_ignores_uav_pose_block(self, run_tracks):
         _, tracks = run_tracks
         pose = slice(UAV_X, UAV_Z + 1)
         for track in tracks:
-            H = observation_jacobian(track.prior_mean)
+            H = _observation(track.prior_mean)[1]
             P = track.prior_covariance
             assert np.any(P[pose, pose] != 0)
             no_pose = P.copy()
@@ -389,20 +391,20 @@ class TestCertificateScope:
             no_pose = track.prior_covariance.copy()
             no_pose[pose, :] = 0.0
             no_pose[:, pose] = 0.0
-            cut = replace(track, prior_covariance=no_pose)
-            assert residual_trace(cut, 1) != residual_trace(track, 1)  # the current residual keeps it
+            cut, whole = residual_terms([replace(track, prior_covariance=no_pose), track])
+            assert residual_trace(cut, 1) != residual_trace(whole, 1)  # the current residual keeps it
             for steps in (2, 5, 20):
-                assert residual_trace(cut, steps) == residual_trace(track, steps)
+                assert residual_trace(cut, steps) == residual_trace(whole, steps)
 
     def test_closed_form_matches_matrix_power(self, run_tracks):
         dt, tracks = run_tracks
-        for track in tracks:
-            H = observation_jacobian(track.prior_mean)
+        for track, residual in zip(tracks, residual_terms(tracks)):
+            H = _observation(track.prior_mean)[1]
             F, P, R = track.transition_matrix, track.prior_covariance, track.observation_noise
             current = np.trace(reference_innovation_cov(P, H, R))
             for steps in (1, 2, 3, 5, 20, 1000):
                 no_noise = np.trace(reference_residual_cov(F, H, P, np.zeros_like(R), steps))
-                assert residual_trace(track, steps) == pytest.approx(no_noise, rel=1e-12, abs=0.0)
+                assert residual_trace(residual, steps) == pytest.approx(no_noise, rel=1e-12, abs=0.0)
                 expected = np.trace(reference_residual_cov(F, H, P, R, steps)) / current
-                ratio = uncertainty_ratio(track, (steps - 0.5) * dt, dt)
+                ratio = uncertainty_ratio(residual, (steps - 0.5) * dt, dt)
                 assert ratio == pytest.approx(expected, rel=1e-12, abs=0.0)

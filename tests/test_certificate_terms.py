@@ -12,7 +12,7 @@ read from the wrong field shows.
 import math
 import struct
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,8 @@ from emberwatch import harness, tracking
 from emberwatch.bounds import _upper_quantile, uncertainty_ratio, worst_case_speed
 from emberwatch.config import load_config
 from emberwatch.errors import DomainError
-from emberwatch.fire import DEFAULT_ELLIPSE, EllipseParams
-from emberwatch.tracking import TrackEstimate, certificate_terms, residual_terms, residual_trace, speed_terms
+from emberwatch.fire import DEFAULT_ELLIPSE
+from emberwatch.tracking import TrackEstimate, residual_terms, residual_trace, speed_terms
 from oracles import (
     reference_residual_cov,
     reference_residual_terms,
@@ -85,11 +85,12 @@ def _bits(values):
 
 
 def _speed_bits(track, params):
-    return _bits(_outcome(lambda: speed_terms([track], params)[0][1:]))
+    return _bits(_outcome(lambda: speed_terms([track], params)[0]))
 
 
-def _residual_bits(track):
-    return _bits(_outcome(lambda: tuple(residual_terms(track)[1:])))
+def _residual_bits(residual):
+    """The residual terms, or DomainError where `residual_trace` refuses them."""
+    return _bits(_outcome(lambda: (residual_trace(residual, 1), *residual[2:])))
 
 
 @pytest.fixture(autouse=True)
@@ -105,12 +106,12 @@ def test_terms_match_references_bit_for_bit():
     params = DEFAULT_ELLIPSE
     speed_refs = [_bits(_outcome(lambda: reference_speed_terms(t.mean, t.covariance, params))) for t in tracks]
     batch = [t for t, ref in zip(tracks, speed_refs) if not isinstance(ref, type)]
-    certificate_terms(batch, params)
-    assert all(t._speed is not None and t._residual is not None for t in batch)
+    in_batch = {id(t): _bits(terms) for t, terms in zip(batch, speed_terms(batch, params))}
     outcomes = {"values": 0, "raised": 0, "nan": 0, "inf": 0}
-    for track, ref in zip(tracks, speed_refs):
+    for track, ref, residual in zip(tracks, speed_refs, residual_terms(tracks)):
         # A track whose spread model raises raises the same type alone.
-        assert _speed_bits(track, params) == ref
+        got = in_batch[id(track)] if id(track) in in_batch else _speed_bits(track, params)
+        assert got == ref
         want = _bits(
             _outcome(
                 lambda: reference_residual_terms(
@@ -118,7 +119,7 @@ def test_terms_match_references_bit_for_bit():
                 )
             )
         )
-        assert _residual_bits(track) == want
+        assert _residual_bits(residual) == want
         for got in (ref, want):
             if isinstance(got, type):
                 outcomes["raised"] += 1
@@ -134,12 +135,12 @@ def test_terms_match_references_bit_for_bit():
 def test_worst_case_speed_from_the_pass_matches_reference():
     rng = np.random.default_rng(5)
     tracks = [t for t in _tracks(11, 400) if not isinstance(_outcome(lambda: speed_terms([t], DEFAULT_ELLIPSE)), type)]
-    tracks = [replace(t) for t in tracks]  # drop the terms the filter above kept
-    certificate_terms(tracks, DEFAULT_ELLIPSE)
+    speeds = speed_terms(tracks, DEFAULT_ELLIPSE)
     for _ in range(300):
-        group = [tracks[i] for i in rng.choice(len(tracks), size=int(rng.integers(0, 6)), replace=False)]
+        picked = rng.choice(len(tracks), size=int(rng.integers(0, 6)), replace=False)
+        group = [tracks[i] for i in picked]
         alpha = float(rng.choice([0.05, 0.01, 0.2]))
-        got = worst_case_speed(group, alpha, DEFAULT_ELLIPSE)
+        got = worst_case_speed([speeds[i] for i in picked], alpha)
         want = reference_worst_case_speed(
             [t.mean for t in group], [t.covariance for t in group], _upper_quantile(alpha), DEFAULT_ELLIPSE
         )
@@ -149,18 +150,21 @@ def test_worst_case_speed_from_the_pass_matches_reference():
 def test_closed_form_terms_give_the_matrix_power_trace():
     rng = np.random.default_rng(17)
     tracks = [_predicted_track(rng, "plain") for _ in range(200)]
-    certificate_terms(tracks, DEFAULT_ELLIPSE)
-    for t in tracks:
-        H = tracking.observation_jacobian(t.prior_mean)
+    for t, residual in zip(tracks, residual_terms(tracks)):
+        H = tracking._observation(t.prior_mean)[1]
         F, P, R = t.transition_matrix, t.prior_covariance, t.observation_noise
-        assert residual_terms(t).noise == np.trace(R)
+        assert residual.noise == np.trace(R)
         for steps in (1, 2, 5, 40):
             no_noise = np.trace(reference_residual_cov(F, H, P, np.zeros_like(R), steps))
-            assert residual_trace(t, steps) == pytest.approx(no_noise, rel=1e-12, abs=0.0)
+            assert residual_trace(residual, steps) == pytest.approx(no_noise, rel=1e-12, abs=0.0)
 
 
 def _all_bits(tracks, params):
-    return [(_speed_bits(t, params), _residual_bits(t)) for t in tracks]
+    """(speed bits, residual bits) per track, from one pass of each kind over `tracks`."""
+    return [
+        (_bits(speed), _residual_bits(residual))
+        for speed, residual in zip(speed_terms(tracks, params), residual_terms(tracks), strict=True)
+    ]
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 7, 60])
@@ -170,89 +174,57 @@ def test_a_row_does_not_depend_on_its_batch(size):
     base = [t for t in _tracks(size + 100, 3 * size) if not isinstance(_outcome(lambda: speed_terms([t], params)), type)]
     base = base[:size]
     assert len(base) == size
-    alone = [replace(t) for t in base]
-    for t in alone:
-        certificate_terms([t], params)
-    expected = _all_bits(alone, params)
+    # A lone track's terms come from the same pass with N = 1.
+    expected = [bits for t in base for bits in _all_bits([t], params)]
 
-    in_order = [replace(t) for t in base]
-    certificate_terms(in_order, params)
-    assert _all_bits(in_order, params) == expected
+    assert _all_bits(base, params) == expected
 
     order = rng.permutation(size)
-    shuffled = [replace(t) for t in base]
-    certificate_terms([shuffled[i] for i in order], params)
-    assert _all_bits(shuffled, params) == expected
+    shuffled = _all_bits([base[i] for i in order], params)
+    assert [shuffled[k] for k in np.argsort(order)] == expected
 
     # Among other tracks, and repeated within the batch.
-    padded = [replace(t) for t in base]
     others = _tracks(size + 200, 12)[:6]
     others = [t for t in others if not isinstance(_outcome(lambda: speed_terms([t], params)), type)]
-    certificate_terms(others + padded + padded[:1], params)
-    assert _all_bits(padded, params) == expected
-
-    # The readers compute a lone track's terms in the same pass.
-    lazy = [replace(t) for t in base]
-    assert _all_bits(lazy, params) == expected
-
-
-def test_terms_are_kept_per_params_object_and_dropped_by_replace(monkeypatch):
-    tracks = _tracks(3, 5)[:3]
-    track = tracks[0]
-    params = DEFAULT_ELLIPSE
-    calls = []
-    keep = tracking._keep_speed_terms
-    monkeypatch.setattr(tracking, "_keep_speed_terms", lambda ts, p: (calls.append(len(ts)), keep(ts, p)))
-    (first,) = speed_terms([track], params)
-    assert speed_terms([track], params)[0] is first
-    assert calls == [1, 0]
-    # The speed bound computes the missing terms of its tracks in one pass.
-    worst_case_speed(tracks, 0.05, params)
-    assert calls == [1, 0, 2] and speed_terms(tracks, params)[0] is first
-    equal = replace(params)
-    assert equal == params and equal is not params
-    assert speed_terms([track], equal)[0][1:] == first[1:]
-    assert calls[-1] == 1
-    other = EllipseParams(a=params.a * 2.0)
-    assert speed_terms([track], other)[0][1:] != first[1:]
-    copied = replace(track)
-    assert copied._speed is None and copied._residual is None
-    residual_terms(track)
-    assert replace(track, prior_covariance=track.prior_covariance * 2.0)._residual is None
+    padded = _all_bits(others + base + base[:1], params)
+    assert padded[len(others):len(others) + size] == expected
+    assert padded[len(others) + size:] == expected[:1]
 
 
 def test_unpredicted_and_grounded_tracks_refuse_a_forecast():
     rng = np.random.default_rng(8)
     mean, P, Q, R, *_ = _random_track(rng, "plain")
     fresh = TrackEstimate(mean, P, Q, R)
-    certificate_terms([fresh], DEFAULT_ELLIPSE)  # speed terms only
-    assert fresh._speed is not None and fresh._residual is None
+    assert len(speed_terms([fresh], DEFAULT_ELLIPSE)) == 1  # speed terms only
     with pytest.raises(ValueError):
-        residual_trace(fresh, 1)
+        residual_terms([fresh])
     with pytest.raises(ValueError):
-        uncertainty_ratio(fresh, 10.0, 1.0)
-    grounded = _predicted_track(rng, "grounded")
-    certificate_terms([grounded], DEFAULT_ELLIPSE)
+        residual_terms([_predicted_track(rng, "plain"), fresh])
+    (grounded,) = residual_terms([_predicted_track(rng, "grounded")])
     with pytest.raises(DomainError, match="uav_z must be > 0"):
         uncertainty_ratio(grounded, 10.0, 1.0)
     assert uncertainty_ratio(grounded, math.inf, 1.0) == math.inf
 
 
 def _count_passes(monkeypatch):
-    """The sizes of the per-step passes, and the count of each kind of term computed at all."""
-    passes = []
-    monkeypatch.setattr(harness, "certificate_terms", lambda ts, p: (passes.append(len(ts)), certificate_terms(ts, p)))
+    """The sizes of the closed loop's per-step passes, and the count of each
+    kind of term computed anywhere else."""
+    passes = {"speed": [], "residual": []}
     computed = {"speed": 0, "residual": 0}
 
-    def counted(kind, fn):
+    def counted(fn, kind, in_pass):
         def call(tracks, *args):
-            computed[kind] += len(tracks)
+            if in_pass:
+                passes[kind].append(len(tracks))
+            else:
+                computed[kind] += len(tracks)
             return fn(tracks, *args)
 
         return call
 
-    monkeypatch.setattr(tracking, "_keep_speed_terms", counted("speed", tracking._keep_speed_terms))
-    monkeypatch.setattr(tracking, "_keep_residual_terms", counted("residual", tracking._keep_residual_terms))
+    for kind, fn in (("speed", speed_terms), ("residual", residual_terms)):
+        monkeypatch.setattr(harness, fn.__name__, counted(fn, kind, in_pass=True))
+        monkeypatch.setattr(tracking, fn.__name__, counted(fn, kind, in_pass=False))
     return passes, computed
 
 
@@ -261,12 +233,12 @@ def test_a_run_without_teams_makes_no_pass(monkeypatch):
     cfg = load_config(CONFIG_DIR / "case3.yaml")
     assert cfg.teams.count == 0
     harness.run_scenario(replace(cfg, duration=20))
-    assert passes == []
-    # Only the coverage replans' speed bounds compute terms, track by track.
+    assert passes == {"speed": [], "residual": []}
+    # Only the coverage replans compute terms, and only speed terms.
     assert computed["residual"] == 0
     before = dict(computed)
     harness.run_scenario(replace(cfg, duration=20, controller="gradient"))
-    assert passes == [] and computed == before
+    assert passes == {"speed": [], "residual": []} and computed == before
 
 
 def test_a_teams_run_makes_one_pass_per_step(monkeypatch):
@@ -274,7 +246,30 @@ def test_a_teams_run_makes_one_pass_per_step(monkeypatch):
     cfg = load_config(CONFIG_DIR / "sweep.yaml")
     cfg = replace(cfg, case=3, duration=30, teams=replace(cfg.teams, count=3))
     harness.min_drones_for_run(cfg)
-    assert len(passes) == cfg.duration
-    assert min(passes) > 0
+    assert len(passes["speed"]) == cfg.duration
+    assert passes["residual"] == passes["speed"]
+    assert min(passes["speed"]) > 0
     # The safety plans read every term from the step's pass.
-    assert computed == {"speed": sum(passes), "residual": sum(passes)}
+    assert computed == {"speed": 0, "residual": 0}
+
+
+def test_tracks_hold_only_their_fields_after_a_run(monkeypatch):
+    # Teams and a coverage fleet together: certificate passes and coverage replans both read the tracks.
+    seen = []
+
+    def keep(fn):
+        def call(*args, **kwargs):
+            track = fn(*args, **kwargs)
+            seen.append(track)
+            return track
+
+        return call
+
+    monkeypatch.setattr(harness, "predict", keep(harness.predict))
+    monkeypatch.setattr(harness, "step_track", keep(harness.step_track))
+    cfg = load_config(CONFIG_DIR / "case3.yaml")
+    harness.run_scenario(replace(cfg, duration=40, teams=replace(cfg.teams, count=2)))
+    names = [f.name for f in fields(TrackEstimate)]
+    assert len(names) == 8 and "_motion" in names
+    assert len(seen) > 100
+    assert {tuple(sorted(vars(t))) for t in seen} == {tuple(sorted(names))}

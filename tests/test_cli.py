@@ -488,3 +488,65 @@ def test_experiment_outputs_keep_their_bytes(tmp_path, capsys, command, config, 
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests if name != "stdout"}
     got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == digests
+
+
+# SHA-256 of the output file and of stdout of `simulate` runs. The last two
+# run case 3 with both teams and a coverage fleet, which no shipped config
+# combines: there the coverage replans read tracks that the safety
+# certificate's per-step pass has read too.
+PINNED_SIMULATIONS = [
+    pytest.param(
+        "case1.yaml", {}, "csv",
+        {
+            "steps.csv": "24364f2c9f85e83796bf76df01068e12f92a8cde68866d709b589c185fc2a808",
+            "stdout": "ddfecc8761e5e91207db0c8a9b6906a0060ca89961b83d15f127089c637b5ed4",
+        },
+        id="case1-csv",
+    ),
+    pytest.param(
+        "case2.yaml", {}, "csv",
+        {
+            "steps.csv": "2c34ba1a7e7044172163659be5ee6ac6faebf6dfa76a5de0fab65e175a656602",
+            "stdout": "35cf647b19260509b515093ba221be52617123b4bbe34f941af071914b688cb8",
+        },
+        id="case2-csv",
+    ),
+    pytest.param(
+        "case3.yaml", {}, "csv",
+        {
+            "steps.csv": "4b1173446d81ffda89f030c6d1d1046eb4a0d5054ea2c70d17b9e8e77d90fd81",
+            "stdout": "4416fb29b6ed8c4f38a44b8336334768b294c62487a8fbca71eafc2fe721ce67",
+        },
+        id="case3-csv",
+    ),
+    pytest.param(
+        "case3.yaml", {"teams": {"count": 2}}, "csv",
+        {
+            "steps.csv": "cfe86a7b7aea2a13d8966d6f91973890241ef23a0ec7b44d95663f5c464a0402",
+            "stdout": "b090525b97ff9ebb2e3426141a106e49fb18d0e2ab6563c881064581dae97254",
+        },
+        id="case3-teams-csv",
+    ),
+    pytest.param(
+        "case3.yaml", {"teams": {"count": 2}}, "json",
+        {
+            "steps.json": "0e76e486038fc4ec460c76a9b50e67fe9b7bf0ece8b3661e16354d4aefd88a9a",
+            "stdout": "b090525b97ff9ebb2e3426141a106e49fb18d0e2ab6563c881064581dae97254",
+        },
+        id="case3-teams-json",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, overrides, fmt, digests", PINNED_SIMULATIONS)
+def test_simulate_outputs_keep_their_bytes(tmp_path, capsys, config, overrides, fmt, digests):
+    data = yaml.safe_load((CONFIG_DIR / config).read_text())
+    data.update(overrides)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests if name != "stdout"}
+    got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == digests

@@ -21,7 +21,7 @@ from emberwatch.coordination import (
 from emberwatch.errors import NoUavAvailable
 from emberwatch.fire import DEFAULT_ELLIPSE, calibrate_spread_rate
 from emberwatch.routing import build_mst
-from emberwatch.tracking import TrackEstimate, observation_jacobian, predict
+from emberwatch.tracking import TrackEstimate, _observation, predict, residual_terms, speed_terms
 from oracles import reference_innovation_cov
 
 
@@ -57,6 +57,13 @@ def make_track(
     if predicted:
         track = predict(track, 1.0, DEFAULT_ELLIPSE)
     return track
+
+
+def certificate(tracks):
+    """Each fire's (speed terms, residual terms), as the closed loop hands them to a safety plan."""
+    ids = sorted(tracks)
+    rows = [tracks[f] for f in ids]
+    return dict(zip(ids, zip(speed_terms(rows, DEFAULT_ELLIPSE), residual_terms(rows))))
 
 
 class TestVicinity:
@@ -200,7 +207,7 @@ class TestAssignmentPort:
 def solo_plan(tracks, uav, case):
     """Can this one UAV keep every track fresh? No pool, so no recruiting."""
     plan, _ = plan_safety_tour(
-        tracks, [uav], [], case=case, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE
+        tracks, [uav], [], case=case, confidence_level=0.05, dt=1.0, terms=certificate(tracks)
     )
     return plan
 
@@ -222,7 +229,7 @@ class TestFeasibility:
         uav = make_agent(0)
         plan = solo_plan(tracks, uav, case=3)
         assert not plan.feasible
-        assert plan.recruited == 1
+        assert len(plan.segments) == 1
         # an infeasible traverse bound gives every fire an infinite ratio
         assert sorted(plan.uncertainty_ratios) == sorted(tracks)
         assert all(v == math.inf for v in plan.uncertainty_ratios.values())
@@ -241,7 +248,7 @@ class TestFeasibility:
             inputs = BoundInputs(
                 mst_length=build_mst(centers)[1],
                 fire_count=len(tracks),
-                worst_speed=worst_case_speed(tracks.values(), 0.05, DEFAULT_ELLIPSE),
+                worst_speed=worst_case_speed(speed_terms(list(tracks.values()), DEFAULT_ELLIPSE), 0.05),
                 fov_width=fov_width(uav.fleet()),
             )
             bound = traverse_bound(2, inputs, uav.fleet())
@@ -251,7 +258,7 @@ class TestFeasibility:
             oracle_pass = True
             for track in tracks.values():
                 F = track.transition_matrix
-                H = observation_jacobian(track.prior_mean)
+                H = _observation(track.prior_mean)[1]
                 M = H.copy()
                 for _ in range(steps - 1):
                     M = M @ F
@@ -267,7 +274,7 @@ class TestFeasibility:
 def plan_from_pool(tracks, pool, case):
     """Plan from an idle pool with nobody assigned yet, then fly the plan."""
     plan, assigned = plan_safety_tour(
-        tracks, [], pool, case=case, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE
+        tracks, [], pool, case=case, confidence_level=0.05, dt=1.0, terms=certificate(tracks)
     )
     apply_safety_plan(plan, {a.id: a for a in assigned})
     return plan
@@ -279,7 +286,7 @@ class TestRecruitment:
         pool = [make_agent(0, xy=(25.0, 25.0))]
         plan = plan_from_pool(tracks, pool, case=1)
         assert plan.feasible
-        assert plan.recruited == 1
+        assert len(plan.segments) == 1
         assert pool[0].mode == "safety"
         assert plan.uncertainty_ratios[1] <= 1.0 + 1e-12
 
@@ -302,7 +309,7 @@ class TestRecruitment:
         pool = [make_agent(i, xy=(130.0 * i, -20.0)) for i in range(4)]
         plan = plan_from_pool(tracks, pool, case=2)
         assert plan.feasible
-        assert plan.recruited == 2
+        assert len(plan.segments) == 2
         assert all(v <= 1.0 + 1e-12 for v in plan.uncertainty_ratios.values())
 
     def test_pool_exhaustion_marks_infeasible(self):
@@ -313,7 +320,7 @@ class TestRecruitment:
         pool = [make_agent(0), make_agent(1)]
         plan = plan_from_pool(tracks, pool, case=2)
         if not plan.feasible:
-            assert plan.recruited == 2  # everyone assigned before giving up
+            assert len(plan.segments) == 2  # everyone assigned before giving up
             assert all(a.mode == "safety" for a in pool)
 
     def test_monotone_in_pool_size(self):
@@ -337,13 +344,13 @@ class TestRecruitment:
         tracks = self._hard_case2_tracks()
         pool = [make_agent(i) for i in range(4)]
         plan, assigned = plan_safety_tour(
-            tracks, [], pool, case=2, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE,
+            tracks, [], pool, case=2, confidence_level=0.05, dt=1.0, terms=certificate(tracks),
         )
         again, assigned2 = plan_safety_tour(
-            tracks, assigned, pool, case=2, confidence_level=0.05, dt=1.0, params=DEFAULT_ELLIPSE,
+            tracks, assigned, pool, case=2, confidence_level=0.05, dt=1.0, terms=certificate(tracks),
         )
         assert [a.id for a in assigned2[: len(assigned)]] == [a.id for a in assigned]
-        assert again.recruited >= plan.recruited
+        assert len(again.segments) >= len(plan.segments)
 
 
 def observers_by_loop(agents, points):

@@ -24,7 +24,7 @@ from emberwatch import fire
 from emberwatch.bounds import _upper_quantile, worst_case_speed
 from emberwatch.errors import DomainError, SingularResidual
 from emberwatch.fire import DEFAULT_ELLIPSE, EllipseParams, FireMap, WindFuelState, simulate_step
-from emberwatch.tracking import FilterConfig, TrackEstimate, predict, update
+from emberwatch.tracking import FilterConfig, TrackEstimate, predict, speed_terms, update
 from oracles import reference_predict, reference_simulate_step, reference_update, reference_worst_case_speed
 
 TRACKS = 1200
@@ -312,7 +312,7 @@ def test_worst_case_speed_matches_reference_bit_for_bit():
         estimates = [TrackEstimate(m, P, Q, R) for m, P, Q, R, *_ in tracks]
         alpha = float(rng.choice([0.05, 0.01, 0.2]))
         for strict in (False, True):
-            got = _outcome(lambda: worst_case_speed(estimates, alpha, DEFAULT_ELLIPSE), strict)
+            got = _outcome(lambda: worst_case_speed(speed_terms(estimates, DEFAULT_ELLIPSE), alpha), strict)
             want = _outcome(
                 lambda: reference_worst_case_speed(
                     [t[0] for t in tracks], [t[1] for t in tracks], _upper_quantile(alpha), DEFAULT_ELLIPSE

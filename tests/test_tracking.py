@@ -25,11 +25,12 @@ from emberwatch.tracking import (
     FilterConfig,
     TrackEstimate,
     floor_psd,
+    _observation,
     kalman_gain,
-    observation_jacobian,
     observe,
     predict,
     propagate_covariance,
+    residual_terms,
     residual_trace,
     step_track,
     symmetrize,
@@ -171,7 +172,7 @@ class TestObservation:
         with pytest.raises(DomainError):
             observe(s)
         with pytest.raises(DomainError):
-            observation_jacobian(s)
+            _observation(s)[1]
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(23)
@@ -179,21 +180,21 @@ class TestObservation:
         for _ in range(100):
             s = random_state(rng)
 
-            analytic = observation_jacobian(s)
+            analytic = _observation(s)[1]
             numeric = finite_difference_jacobian(observe, s, h=1e-6)
             worst = max(worst, jacobian_mismatch(analytic, numeric))
         assert worst < 1e-4
 
     def test_nadir_position_sensitivity(self):
         s = np.array([10, 20, 10, 20, 40, 1, 5, 0.3], dtype=float)
-        H = observation_jacobian(s)
+        H = _observation(s)[1]
         assert H[0, 0] == pytest.approx(1 / 40)
 
     def test_antisymmetry_of_fire_and_uav_columns(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
             s = random_state(rng)
-            H = observation_jacobian(s)
+            H = _observation(s)[1]
             assert H[0, 0] + H[0, 2] == pytest.approx(0.0, abs=1e-15)
             assert H[1, 1] + H[1, 3] == pytest.approx(0.0, abs=1e-15)
 
@@ -241,7 +242,7 @@ class TestPredictUpdate:
         z = observe(track.mean)
         out = update(track, z, FilterConfig(alpha_forget=0.0))
         # with alpha 0 the adapted R is y y^T + H P H^T, so R == H P H^T means y == 0
-        H = observation_jacobian(track.mean)
+        H = _observation(track.mean)[1]
         assert np.allclose(out.observation_noise, H @ track.covariance @ H.T, rtol=0.0, atol=1e-12)
         assert np.allclose(out.mean, track.mean, atol=1e-9)
 
@@ -323,13 +324,14 @@ class TestPurity:
 class TestMultiStep:
     def test_one_step_equals_current_residual(self):
         track = predict(make_track(), 1.0, DEFAULT_ELLIPSE)
-        H = observation_jacobian(track.prior_mean)
+        H = _observation(track.prior_mean)[1]
         P, R = track.prior_covariance, track.observation_noise
         expected = reference_innovation_cov(P, H, R)
         S = reference_residual_cov(track.transition_matrix, H, P, R, 1)
         assert np.allclose(S, expected, atol=1e-12)
-        assert residual_trace(track, 1) + np.trace(R) == pytest.approx(np.trace(expected), rel=1e-12)
-        assert uncertainty_ratio(track, 1.0, 1.0) == pytest.approx(1.0)
+        (residual,) = residual_terms([track])
+        assert residual_trace(residual, 1) + np.trace(R) == pytest.approx(np.trace(expected), rel=1e-12)
+        assert uncertainty_ratio(residual, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_scalar_identity_dynamics(self):
         F = np.array([[1.0]])
@@ -349,7 +351,7 @@ class TestMultiStep:
 
     def test_requires_predict_and_positive_steps(self):
         with pytest.raises(ValueError):
-            uncertainty_ratio(make_track(), 1.0, 1.0)
+            uncertainty_ratio(residual_terms([make_track()])[0], 1.0, 1.0)
         one = np.array([[1.0]])
         for steps in (0, -1, 1.5):
             with pytest.raises(ValueError):
@@ -371,7 +373,7 @@ class TestAdaptNoise:
     def test_alpha_zero_is_pure_residual(self):
         track, z = self._pieces(np.random.default_rng(47))
         out = update(track, z, FilterConfig(alpha_forget=0.0))
-        P, H = track.covariance, observation_jacobian(track.mean)
+        P, H = track.covariance, _observation(track.mean)[1]
         gain = kalman_gain(H @ P, reference_innovation_cov(P, H, track.observation_noise))
         residual = z - observe(out.mean)
         kd = gain @ residual
@@ -458,7 +460,7 @@ class TestFastPaths:
 
     def test_kalman_gain_refuses_exactly_what_cond_refuses(self):
         rng = np.random.default_rng(2024)
-        H = observation_jacobian(random_state(rng))
+        H = _observation(random_state(rng))[1]
         P = make_track(rng).covariance
         cases = [_spd(rng, 10.0**e) for e in self.EXPONENTS for _ in range(4)]
         low_rank = rng.normal(size=(5, 3))
