@@ -24,12 +24,12 @@ _ZERO_GRAD = 1e-12
 
 @dataclass(frozen=True)
 class GradientConfig:
-    step_size: float = 0.5  # attraction step length, m per step
-    separation_weight: float = 1.0
-    separation_radius: float = 50.0  # m; typically the footprint width
-    altitude_min: float = 10.0
-    altitude_max: float = 120.0
-    kernel_bandwidth: float = 25.0  # m; typically half the footprint width
+    step_size: float  # attraction step length, m per step
+    separation_weight: float
+    separation_radius: float  # m; the footprint width unless configured
+    altitude_min: float
+    altitude_max: float
+    kernel_bandwidth: float  # m; half the footprint width
 
     def __post_init__(self):
         for name in ("step_size", "separation_radius", "kernel_bandwidth"):

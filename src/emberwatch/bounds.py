@@ -68,25 +68,13 @@ class BoundInputs:
 
 @dataclass(frozen=True)
 class TraverseBound:
-    """A traverse-time upper bound with its case tag and diagnostics.
-
-    gamma/beta/delta are the coefficients of the spreading-case quadratic
-    gamma*T^2 - beta*T + delta = 0 (None for the other cases). When
-    infeasible, seconds is +inf.
-    """
+    """A traverse-time upper bound in seconds; +inf when it is not feasible."""
 
     seconds: float
-    case: int
     feasible: bool = True
-    gamma: float | None = None
-    beta: float | None = None
-    delta: float | None = None
 
 
-def _infeasible(case: int, gamma=None, beta=None, delta=None) -> TraverseBound:
-    return TraverseBound(
-        seconds=math.inf, case=case, feasible=False, gamma=gamma, beta=beta, delta=delta
-    )
+_INFEASIBLE = TraverseBound(seconds=math.inf, feasible=False)
 
 
 def fov_width(fleet: FleetParams) -> float:
@@ -129,7 +117,7 @@ def worst_case_speed(speeds: Iterable[tracking.SpeedTerms], confidence_level: fl
 
 def bound_stationary(inputs: BoundInputs, fleet: FleetParams) -> TraverseBound:
     """Case 1: twice the MST length at UAV speed. Always feasible."""
-    return TraverseBound(seconds=2.0 * inputs.mst_length / fleet.speed, case=1)
+    return TraverseBound(seconds=2.0 * inputs.mst_length / fleet.speed)
 
 
 def bound_moving(inputs: BoundInputs, fleet: FleetParams) -> TraverseBound:
@@ -140,37 +128,39 @@ def bound_moving(inputs: BoundInputs, fleet: FleetParams) -> TraverseBound:
     """
     denom = fleet.speed / 2.0 - 2.0 * inputs.worst_speed * (inputs.fire_count - 1)
     if denom <= 0:
-        return _infeasible(2)
-    return TraverseBound(seconds=inputs.mst_length / denom, case=2)
+        return _INFEASIBLE
+    return TraverseBound(seconds=inputs.mst_length / denom)
 
 
 def bound_spreading(inputs: BoundInputs, fleet: FleetParams) -> TraverseBound:
     """Case 3: smaller positive root of gamma*T^2 - beta*T + delta = 0.
 
-    T must satisfy T = delta + a*T*(b*T + 1) with a = 2*count*speed/v and
-    b = 2*speed/g: the moving-case time plus the scan of every front's
-    growth box. gamma = a*b and beta = 1 - a; the bound fails when the
-    fleet cannot outrun the growth (a >= 1 or negative discriminant).
+    T must satisfy T = delta + a*T*(b*T + 1) with delta the moving-case
+    time (`bound_moving`), a = 2*count*speed/v and b = 2*speed/g: the
+    moving-case time plus the scan of every front's growth box.
+    gamma = a*b and beta = 1 - a; the bound fails with the moving case, or
+    when the fleet cannot outrun the growth (a >= 1 or negative
+    discriminant).
     """
     if inputs.fov_width <= 0:
         raise DomainError("fov_width", f"fov_width must be > 0, got {inputs.fov_width}")
     moving = bound_moving(inputs, fleet)
     if not moving.feasible:
-        return _infeasible(3)
+        return _INFEASIBLE
     delta = moving.seconds
     a = 2.0 * inputs.fire_count * inputs.worst_speed / fleet.speed
     b = 2.0 * inputs.worst_speed / inputs.fov_width
     gamma = a * b
     beta = 1.0 - a
     if beta <= 0:
-        return _infeasible(3, gamma=gamma, beta=beta, delta=delta)
+        return _INFEASIBLE
     disc = beta * beta - 4.0 * gamma * delta
     if disc < 0:
-        return _infeasible(3, gamma=gamma, beta=beta, delta=delta)
+        return _INFEASIBLE
     # Smaller positive root in the cancellation-free form; reduces to the
     # linear solution delta/beta as gamma -> 0.
     seconds = 2.0 * delta / (beta + math.sqrt(disc))
-    return TraverseBound(seconds=seconds, case=3, gamma=gamma, beta=beta, delta=delta)
+    return TraverseBound(seconds=seconds)
 
 
 def traverse_bound(case: int, inputs: BoundInputs, fleet: FleetParams) -> TraverseBound:

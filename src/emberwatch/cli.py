@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import TEAM_FIRE_IDS, load_config
+from .config import CONTROLLERS, TEAM_FIRE_IDS, load_config
 from .errors import ConfigError
 from .harness import CELL_KEY_FIELDS, compare_controllers, experiment_cells, run_scenario, sweep_safety
 
@@ -44,9 +44,7 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="scenario config file (YAML)")
     parser.add_argument("--seed", type=int, default=None, help="override rng_seed")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument(
-        "--controller", choices=("proposed", "gradient"), default=None, help="override controller"
-    )
+    parser.add_argument("--controller", choices=CONTROLLERS, default=None, help="override controller")
 
 
 def main(argv=None) -> int:

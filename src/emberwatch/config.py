@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -33,9 +34,9 @@ CASE_SPEEDS = {1: 0.0, 2: 0.5, 3: 1.0}
 # In the team_clusters layout, fire j of team t has id t * TEAM_FIRE_IDS + j + 1.
 TEAM_FIRE_IDS = 100_000
 
-# Largest distance, in metres, over which a run's positions may spread, and
-# largest filter standard deviation. Its square leaves room for sums of
-# squares (the k-means++ weights, the filter's covariance sums) and for
+# Largest distance (m) over which a run's positions may spread, filter
+# standard deviation and duration (steps). Its square leaves room for sums
+# of squares (the k-means++ weights, the filter's covariance sums) and for
 # noise tails before a float overflows.
 MAX_EXTENT = 1e100
 
@@ -142,7 +143,7 @@ class ScenarioConfig:
         _check(self.area.width > 0, "area.width", "must be > 0")
         _check(self.area.height > 0, "area.height", "must be > 0")
         _check(self.dt > 0, "dt", "must be > 0")
-        _check(self.duration >= 1, "duration", "must be >= 1")
+        _check(1 <= self.duration <= MAX_EXTENT, "duration", f"must be in [1, {MAX_EXTENT:g}]")
         _check(self.rng_seed >= 0, "rng_seed", "must be >= 0")
         # At alpha_conf <= 2**-54, 1 - alpha_conf rounds to 1 and has no finite normal quantile.
         _check(0 < 1 - self.alpha_conf < 1, "alpha_conf", "must be in (2**-54, 1)")
@@ -192,6 +193,7 @@ class ScenarioConfig:
             )
         schedule = {}
         for i, shift in enumerate(f.schedule):
+            _check(shift.step not in schedule, f"fire.schedule[{i}].step", f"step {shift.step} is already scheduled")
             with _fields_of(f"fire.schedule[{i}]"):
                 schedule[shift.step] = WindFuelState(rate, shift.wind_speed, shift.wind_azimuth)
 
@@ -284,9 +286,9 @@ class ScenarioConfig:
         # How far each field can spread the run's positions, in metres. For
         # dt * duration seconds fronts move at most at their spread rate,
         # estimates at that plus the initial rate error, and UAVs at their
-        # speed; the travel is charged to dt when dt exceeds every speed.
+        # speed; the travel is charged to its largest factor, first on ties.
         speeds = {"fire.speed": rate, "filter.init_weather_std": fl.init_weather_std[0], "uavs.speed": u.speed}
-        quickest = max(speeds, key=speeds.get)
+        factors = {**speeds, "dt": self.dt, "duration": self.duration}
         reach = {
             "area.width": self.area.width,
             "area.height": self.area.height,
@@ -296,7 +298,7 @@ class ScenarioConfig:
             "fire.process_noise_std": f.process_noise_std * math.sqrt(self.duration),
             "filter.init_position_std": fl.init_position_std,
             "uavs.altitude": width,
-            "dt" if self.dt > speeds[quickest] else quickest: sum(speeds.values()) * self.dt * self.duration,
+            max(factors, key=factors.get): sum(speeds.values()) * self.dt * self.duration,
         }
         extent = sum(reach.values())
         _check(extent <= MAX_EXTENT, max(reach, key=reach.get), f"too large: the run could spread over {extent:.3g} m")
@@ -416,7 +418,8 @@ def _typed(value, kind: str, path: str):
             raise ConfigError(path, f"must be an integer, got {value!r}")
         return value
     if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        # An int compares exactly, so one beyond float range fails as NaN and inf do.
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
             raise ConfigError(path, f"must be a finite number, got {value!r}")
         return float(value)
     if kind == "str":

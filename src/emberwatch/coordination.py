@@ -45,7 +45,7 @@ KMEANS_MAX_ITER = 100
 class HumanTeam:
     id: int
     position: np.ndarray  # (2,)
-    vicinity_radius: float = 150.0
+    vicinity_radius: float
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
@@ -182,8 +182,8 @@ def plan_safety_tour(
     confidence_level: float,
     dt: float,
     terms: Mapping[int, tuple[tracking.SpeedTerms, tracking.ResidualTerms]],
-    team: HumanTeam | None = None,
-    uav_supply: Callable[[], UavAgent] | None = None,
+    team: HumanTeam,
+    uav_supply: Callable[[], UavAgent] | None,
 ) -> tuple[MissionPlan, list[UavAgent]]:
     """Build or rebuild a team's safety plan, recruiting as needed.
 
@@ -191,12 +191,14 @@ def plan_safety_tour(
     `tracks`, which the certificate reads instead of the tracks.
 
     `assigned` UAVs are kept (the tour is partitioned among them in
-    order); more are pulled nearest-first from `idle`, or minted through
-    `uav_supply` when given. Returns the plan and the full list of UAVs
-    now assigned. Splitting stops when every failing segment is down to a
-    single waypoint or no UAV can be recruited; the plan is then marked
-    infeasible. With one assigned UAV, no idle pool and no supply, the
-    plan answers whether that UAV alone can keep every track fresh.
+    order). With none assigned, the first UAV is the one nearest `team`;
+    each recruit is the one nearest its new segment. Both come from `idle`
+    or, once it is empty, from `uav_supply` unless that is None. Returns
+    the plan and the full list of UAVs now assigned. Splitting stops when
+    every failing segment is down to a single waypoint or no UAV can be
+    recruited; the plan is then marked infeasible. With one assigned UAV,
+    no idle pool and no supply, the plan answers whether that UAV alone
+    can keep every track fresh.
     """
     fire_ids = sorted(tracks)
     if not fire_ids:
@@ -204,9 +206,8 @@ def plan_safety_tour(
 
     assigned = list(assigned)
     idle = sorted(idle, key=lambda a: a.id)
-    anchor = team.position if team is not None else tracks[fire_ids[0]].mean[:2]
     if not assigned:
-        first = _take_nearest(idle, anchor, uav_supply)
+        first = _take_nearest(idle, team.position, uav_supply)
         if first is None:
             raise NoUavAvailable("no UAV available for a safety request")
         assigned.append(first)
@@ -454,7 +455,7 @@ def coverage_step(
     params: EllipseParams,
     make_rng: Callable[[], np.random.Generator],
     step: int,
-    force_replan: bool = False,
+    force_replan: bool,
 ) -> None:
     """Advance every coverage UAV; replan partitions when deadlines expire.
 

@@ -30,6 +30,9 @@ LB_TOLERANCE = 1e-9
 # treated as flat; the true derivative diverges at the windless boundary.
 _GB_FLOOR = 1e-12
 
+# Wind speeds at which `EllipseParams.validate_range` evaluates LB.
+RANGE_SAMPLES = 257
+
 # Bound on the uniform spawn draw; generous for the usual up-to-3 setting.
 MAX_SPAWN_RATE = 7
 
@@ -73,12 +76,12 @@ class EllipseParams:
         decay = math.exp(-self.d * wind_speed)
         return self.a * grow + self.c * decay + self.l, self.a * self.b * grow - self.c * self.d * decay
 
-    def validate_range(self, max_wind_speed: float, samples: int = 257) -> None:
-        """Raise DomainError unless 1 <= LB and (2 LB)^2 is finite on [0, max_wind_speed].
+    def validate_range(self, max_wind_speed: float) -> None:
+        """Raise DomainError unless 1 <= LB and (2 LB)^2 is finite on RANGE_SAMPLES winds in [0, max_wind_speed].
 
         The spread model and its Jacobian square LB + sqrt(LB^2 - 1).
         """
-        for u in np.linspace(0.0, max(max_wind_speed, 0.0), samples):
+        for u in np.linspace(0.0, max(max_wind_speed, 0.0), RANGE_SAMPLES):
             try:
                 lb = self.length_to_breadth(float(u))
             except OverflowError:
@@ -269,20 +272,18 @@ def spawn_fronts(
     dt: float,
     velocity: np.ndarray,
     draws: np.ndarray,
-    id_base: int | None = None,
+    id_base: int,
 ) -> list[FireFront]:
     """Place 0..spawn_rate_max children inside the parent's per-step growth box.
 
     `draws` holds at least 1 + 2 * spawn_rate_max uniforms in [0, 1): the
     first sets the count, and each child k takes its x and y offsets from
     draws 1 + 2k and 2 + 2k. Children carry `velocity`, the step's spread
-    velocity. Child ids count up from `id_base` (default: the lineage's id
-    space, lineage << 32), so ids stay unique per lineage without global
-    state.
+    velocity. Child ids count up from `id_base`, which the caller places in
+    the lineage's id space (lineage << 32 on), so ids stay unique per
+    lineage without global state.
     """
     count = int(draws[0] * (spawn_rate_max + 1))
-    if id_base is None:
-        id_base = front.lineage << _LINEAGE_SHIFT
     offsets = (2.0 * draws[1 : 1 + 2 * count].reshape(count, 2) - 1.0) * (np.abs(front.velocity) * dt)
     return [
         FireFront(id=id_base + k, position=front.position + offset, velocity=velocity, lineage=front.lineage)

@@ -178,7 +178,7 @@ def _two_opt(order: list[int], dist: list[list[float]]) -> None:
             return
 
 
-def steiner_reduce(points, fov_width: float, ids=None, max_members: int | None = None) -> list[SteinerWaypoint]:
+def steiner_reduce(points, fov_width: float, ids, max_members: int | None = None) -> list[SteinerWaypoint]:
     """Merge fire points into waypoints whose enclosing circle fits the footprint.
 
     Greedy in id order: each unassigned point seeds a group, then the
@@ -192,8 +192,6 @@ def steiner_reduce(points, fov_width: float, ids=None, max_members: int | None =
         raise ValueError(f"fov_width must be > 0, got {fov_width}")
     points = np.asarray(points, dtype=float)
     n = len(points)
-    if ids is None:
-        ids = list(range(n))
     ids = list(ids)
     order = sorted(range(n), key=lambda k: ids[k])
 
@@ -228,7 +226,7 @@ def steiner_reduce(points, fov_width: float, ids=None, max_members: int | None =
     return waypoints
 
 
-def split_sequence(order: list[int], nodes, parts: int, cyclic: bool = False) -> list[list[int]]:
+def split_sequence(order: list[int], nodes, parts: int, cyclic: bool) -> list[list[int]]:
     """Greedy near-equal-length split of a node sequence into open paths."""
     nodes = np.asarray(nodes, dtype=float)
     n = len(order)

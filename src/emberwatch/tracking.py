@@ -79,7 +79,7 @@ _H_BASE.flags.writeable = False
 class FilterConfig:
     """Knobs of the adaptive filter."""
 
-    alpha_forget: float = 0.97
+    alpha_forget: float
 
     def __post_init__(self):
         if not 0.0 <= self.alpha_forget <= 1.0:
@@ -174,14 +174,14 @@ def transition(
     state: np.ndarray,
     dt: float,
     params: fire.EllipseParams,
-    uav_pose=None,
+    uav_pose: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The next state, the 8x8 transition Jacobian at `state`, and the fire displacement.
 
     The fire position advances by its spread velocity times dt, with
     negative rate and wind clamped to 0 (`fire.spread_velocity`); the
-    weather is constant. `uav_pose`, when given, overwrites the pose
-    components (control input); otherwise the pose is carried over.
+    weather is constant. `uav_pose`, unless None, overwrites the pose
+    components (control input); None carries the pose over.
 
     Jacobian fire rows: identity in position plus dt-scaled velocity
     sensitivities to the weather triple. Weather rows: identity. UAV
@@ -491,7 +491,7 @@ def step_track(
     dt: float,
     cfg: FilterConfig,
     params: fire.EllipseParams,
-    uav_pose=None,
+    uav_pose: np.ndarray,
 ) -> TrackEstimate:
     """One observed filter cycle: predict, then update."""
     return update(predict(track, dt, params, uav_pose=uav_pose), z, cfg)

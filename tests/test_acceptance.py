@@ -53,7 +53,7 @@ from oracles import (
     finite_difference_jacobian,
     jacobian_mismatch,
 )
-from test_coordination import certificate
+from test_coordination import certificate, team_at_first_fire
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -93,7 +93,7 @@ def test_criterion_1_jacobian_fidelity():
         worst_f = max(
             worst_f,
             jacobian_mismatch(
-                transition(s, dt, DEFAULT_ELLIPSE)[1],
+                transition(s, dt, DEFAULT_ELLIPSE, None)[1],
                 finite_difference_jacobian(f, s, h=1e-6),
             ),
         )
@@ -140,7 +140,7 @@ def test_criterion_2_bound_self_consistency():
         b = 2 * inputs.worst_speed / inputs.fov_width
         residual = abs(
             spreading.seconds
-            - (spreading.delta + a * spreading.seconds * (b * spreading.seconds + 1.0))
+            - (moving.seconds + a * spreading.seconds * (b * spreading.seconds + 1.0))
         )
         worst_residual = max(worst_residual, residual / max(1.0, spreading.seconds))
         assert residual < 1e-9 * max(1.0, spreading.seconds)
@@ -180,7 +180,8 @@ def test_criterion_3_urr_guarantee_monte_carlo():
         tracks = _mc_tracks(rng, int(rng.integers(3, 6)))
         terms = certificate(tracks)
         plan, _ = plan_safety_tour(
-            tracks, [uav], [], case=2, confidence_level=0.05, dt=1.0, terms=terms
+            tracks, [uav], [], case=2, confidence_level=0.05, dt=1.0, terms=terms,
+            team=team_at_first_fire(tracks), uav_supply=None,
         )
         if not plan.feasible:
             continue
@@ -355,7 +356,7 @@ def test_criterion_8_filter_sanity():
     cfg2 = FilterConfig(alpha_forget=0.97)
     for _ in range(500):
         z = observe(truth2) + rng.normal(size=5) * true_std
-        track2 = step_track(track2, z, 1.0, cfg2, DEFAULT_ELLIPSE)
+        track2 = step_track(track2, z, 1.0, cfg2, DEFAULT_ELLIPSE, uav_pose=truth2[UAV_X:UAV_Z + 1])
     estimated = float(np.trace(track2.observation_noise))
     expected = float(np.sum(true_std**2))
     rel = abs(estimated - expected) / expected

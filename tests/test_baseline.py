@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -42,8 +44,7 @@ def test_coincident_agents_separate():
 
 
 def test_step_capped_by_vehicle_speed():
-    cfg = GradientConfig(step_size=100.0, separation_weight=0.0, separation_radius=50.0,
-                         kernel_bandwidth=25.0)
+    cfg = replace(CFG, step_size=100.0, separation_weight=0.0)
     agent = make_agent(speed=3.0)
     gradient_coverage_step([agent], np.array([[40.0, 0.0]]), cfg, dt=1.0)
     assert np.linalg.norm(agent.pose[:2]) <= 3.0 + 1e-9
@@ -56,8 +57,7 @@ def test_altitude_clamped_to_band():
 
 
 def test_single_fire_convergence_within_200_steps():
-    cfg = GradientConfig(step_size=0.5, separation_weight=0.0, separation_radius=50.0,
-                         kernel_bandwidth=25.0)
+    cfg = replace(CFG, separation_weight=0.0)
     agent = make_agent(xy=(60.0, -40.0))
     fire = np.array([[0.0, 0.0]])
     for _ in range(200):

@@ -45,6 +45,13 @@ def make_inputs(mst=100.0, count=3, speed=0.5, g=20.0):
     return BoundInputs(mst_length=mst, fire_count=count, worst_speed=speed, fov_width=g)
 
 
+def spreading_coefficients(inputs, fleet):
+    """(gamma, beta, delta) of the spreading case's quadratic, as `bound_spreading` defines them."""
+    a = 2 * inputs.fire_count * inputs.worst_speed / fleet.speed
+    b = 2 * inputs.worst_speed / inputs.fov_width
+    return a * b, 1.0 - a, bound_moving(inputs, fleet).seconds
+
+
 def track_with_velocity(
     azimuth, target_speed, weather_var=(0.0, 0.0, 0.0), pos=(0.0, 0.0)
 ) -> TrackEstimate:
@@ -165,13 +172,15 @@ class TestSpreadingBound:
         out = bound_spreading(inputs, FLEET)
         assert out.feasible
         assert out.seconds == pytest.approx(13.3333333333, rel=1e-6)
-        assert out.gamma == pytest.approx(0.015)
-        assert out.beta == pytest.approx(0.7)
-        assert out.delta == pytest.approx(20.0 / 3.0)
+        gamma, beta, delta = spreading_coefficients(inputs, FLEET)
+        assert gamma == pytest.approx(0.015)
+        assert beta == pytest.approx(0.7)
+        assert delta == pytest.approx(20.0 / 3.0)
+        assert abs(gamma * out.seconds**2 - beta * out.seconds + delta) < 1e-9 * max(1.0, out.seconds)
         # substituting the root back into T = delta + a T (b T + 1)
         a = 2 * 3 * 0.5 / 10.0
         b = 2 * 0.5 / 20.0
-        rhs = out.delta + a * out.seconds * (b * out.seconds + 1.0)
+        rhs = delta + a * out.seconds * (b * out.seconds + 1.0)
         assert abs(out.seconds - rhs) < 1e-9 * max(1.0, out.seconds)
 
     def test_negative_discriminant_infeasible(self):
@@ -199,7 +208,7 @@ class TestSpreadingBound:
             checked += 1
             a = 2 * inputs.fire_count * inputs.worst_speed / FLEET.speed
             b = 2 * inputs.worst_speed / inputs.fov_width
-            rhs = out.delta + a * out.seconds * (b * out.seconds + 1.0)
+            rhs = bound_moving(inputs, FLEET).seconds + a * out.seconds * (b * out.seconds + 1.0)
             assert abs(out.seconds - rhs) < 1e-9 * max(1.0, out.seconds)
 
 
@@ -244,9 +253,9 @@ class TestBoundOrdering:
 
     def test_dispatch(self):
         inputs = make_inputs()
-        assert traverse_bound(1, inputs, FLEET).case == 1
-        assert traverse_bound(2, inputs, FLEET).case == 2
-        assert traverse_bound(3, inputs, FLEET).case == 3
+        bounds = [traverse_bound(case, inputs, FLEET) for case in (1, 2, 3)]
+        assert bounds == [bound_stationary(inputs, FLEET), bound_moving(inputs, FLEET), bound_spreading(inputs, FLEET)]
+        assert len({b.seconds for b in bounds}) == 3  # the three cases differ on these inputs
         with pytest.raises(DomainError):
             traverse_bound(4, inputs, FLEET)
 
@@ -408,3 +417,62 @@ class TestCertificateScope:
                 expected = np.trace(reference_residual_cov(F, H, P, R, steps)) / current
                 ratio = uncertainty_ratio(residual, (steps - 0.5) * dt, dt)
                 assert ratio == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def sweep_cell(case, teams, **filter_overrides):
+    """The (case, teams) sweep-safety cell of configs/sweep.yaml at seed 0."""
+    cfg = load_config(CONFIG_DIR / "sweep.yaml")
+    cell = dict(harness.experiment_cells(cfg, "sweep-safety", [teams], 1))[(case, teams, 0)]
+    return replace(cell, filter=replace(cell.filter, **filter_overrides))
+
+
+class TestWhatTheRatioDecides:
+    """Today's certificate, pinned before it is made to compare like with like:
+    the ratio is 1 at one step, can drop below 1 at two steps from the UAV-pose
+    block alone, never sees more than one step in case 3, and makes min drones
+    follow the pose noise knob."""
+
+    def test_one_step_is_one_and_two_steps_drop_from_the_pose_block_alone(self):
+        mean = np.array([30.0, -10.0, 0.0, 0.0, 50.0, 1.0, 5.0, 0.8])
+        track = predict(
+            TrackEstimate(
+                mean=mean,
+                covariance=np.diag([4.0, 4.0, 100.0, 100.0, 100.0, 0.01, 0.02, 0.005]),
+                process_noise=np.diag([0.01] * 2 + [1.0] * 3 + [1e-4] * 3),
+                observation_noise=np.diag([1e-4, 1e-4, 0.0025, 0.01, 4e-4]),
+            ),
+            1.0,
+            DEFAULT_ELLIPSE,
+        )
+        pose = slice(UAV_X, UAV_Z + 1)
+        no_pose = track.prior_covariance.copy()
+        no_pose[pose, :] = 0.0
+        no_pose[:, pose] = 0.0
+        whole, cut = residual_terms([track, replace(track, prior_covariance=no_pose)])
+        for horizon in (0.0, 0.5, 1.0):
+            assert uncertainty_ratio(whole, horizon, 1.0) == 1.0
+            assert uncertainty_ratio(cut, horizon, 1.0) == 1.0
+        # Two steps: the same forecast over a current residual with and without the pose block.
+        assert residual_trace(whole, 2) == residual_trace(cut, 2)
+        assert uncertainty_ratio(whole, 2.0, 1.0) < 1.0 < uncertainty_ratio(cut, 2.0, 1.0)
+
+    def test_case3_sweep_horizons_are_one_step(self, monkeypatch):
+        from emberwatch import coordination
+
+        cell = sweep_cell(3, 2)
+        horizons = []
+
+        def recorded(residual, horizon_seconds, dt):
+            horizons.append(horizon_seconds)
+            return uncertainty_ratio(residual, horizon_seconds, dt)
+
+        monkeypatch.setattr(coordination, "uncertainty_ratio", recorded)
+        harness.min_drones_for_run(cell)
+        finite = [h for h in horizons if math.isfinite(h)]
+        assert len(finite) > 1000  # 1132 of 1169 calls when pinned
+        assert max(finite) <= cell.dt
+
+    def test_case1_min_drones_follow_the_pose_noise(self):
+        default = harness.min_drones_for_run(sweep_cell(1, 4, process_pose_std=2.0))
+        quiet = harness.min_drones_for_run(sweep_cell(1, 4, process_pose_std=0.1))
+        assert default[0] < quiet[0]  # 4 and 6 drones when pinned

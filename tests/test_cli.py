@@ -201,6 +201,20 @@ BAD_VALUES = [
         {"fire": {"schedule": [{"step": 1, "wind_speed": 1.7e308, "wind_azimuth": 0.5}]}},
         id="schedule-wind-range-inf",
     ),
+    # integers beyond float range, where a float conversion overflows
+    pytest.param("fire.wind_speed", {"fire": {"wind_speed": 10**400}}, id="wind-speed-int-beyond-float"),
+    pytest.param("duration", {"duration": 10**400}, id="duration-beyond-float"),
+    # the extent rule charges the travel to its largest factor
+    pytest.param("duration", {"duration": 10**300}, id="duration-1e300"),
+    pytest.param("duration", {"duration": 10**99}, id="duration-1e99"),
+    pytest.param(
+        "fire.schedule[1].step",
+        {"case": 2, "fire": {"schedule": [
+            {"step": 5, "wind_speed": 3.0, "wind_azimuth": 0.5},
+            {"step": 5, "wind_speed": 9.0, "wind_azimuth": 0.5},
+        ]}},
+        id="schedule-step-repeated",
+    ),
 ]
 
 

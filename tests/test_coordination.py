@@ -204,10 +204,16 @@ class TestAssignmentPort:
             _linear_sum_assignment(cost)
 
 
+def team_at_first_fire(tracks):
+    """A team at the lowest-id fire's estimate, so an empty plan pulls the UAV nearest that fire first."""
+    return HumanTeam(0, tracks[min(tracks)].mean[:2], vicinity_radius=150.0)
+
+
 def solo_plan(tracks, uav, case):
     """Can this one UAV keep every track fresh? No pool, so no recruiting."""
     plan, _ = plan_safety_tour(
-        tracks, [uav], [], case=case, confidence_level=0.05, dt=1.0, terms=certificate(tracks)
+        tracks, [uav], [], case=case, confidence_level=0.05, dt=1.0, terms=certificate(tracks),
+        team=team_at_first_fire(tracks), uav_supply=None,
     )
     return plan
 
@@ -274,7 +280,8 @@ class TestFeasibility:
 def plan_from_pool(tracks, pool, case):
     """Plan from an idle pool with nobody assigned yet, then fly the plan."""
     plan, assigned = plan_safety_tour(
-        tracks, [], pool, case=case, confidence_level=0.05, dt=1.0, terms=certificate(tracks)
+        tracks, [], pool, case=case, confidence_level=0.05, dt=1.0, terms=certificate(tracks),
+        team=team_at_first_fire(tracks), uav_supply=None,
     )
     apply_safety_plan(plan, {a.id: a for a in assigned})
     return plan
@@ -345,9 +352,11 @@ class TestRecruitment:
         pool = [make_agent(i) for i in range(4)]
         plan, assigned = plan_safety_tour(
             tracks, [], pool, case=2, confidence_level=0.05, dt=1.0, terms=certificate(tracks),
+            team=team_at_first_fire(tracks), uav_supply=None,
         )
         again, assigned2 = plan_safety_tour(
             tracks, assigned, pool, case=2, confidence_level=0.05, dt=1.0, terms=certificate(tracks),
+            team=team_at_first_fire(tracks), uav_supply=None,
         )
         assert [a.id for a in assigned2[: len(assigned)]] == [a.id for a in assigned]
         assert len(again.segments) >= len(plan.segments)
@@ -411,7 +420,7 @@ class TestCoverageStep:
         agent = make_agent(0, xy=(50.0, 50.0), mode="coverage")
         coverage_step(
             [agent], tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(0), step=0,
+            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(0), step=0, force_replan=False,
         )
         assert first_observers([agent], [(50.0, 50.0)]) == [agent]
 
@@ -420,7 +429,7 @@ class TestCoverageStep:
         agents = [make_agent(0, mode="coverage"), make_agent(1, xy=(300.0, 0.0), mode="coverage")]
         coverage_step(
             agents, tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(1), step=0,
+            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(1), step=0, force_replan=False,
         )
         assert all(a.route for a in agents)
         assert all(a.replan_deadline > 0 for a in agents)
@@ -430,7 +439,7 @@ class TestCoverageStep:
         agent = make_agent(0, xy=(290.0, 0.0), speed=1.0, mode="coverage")
         coverage_step(
             [agent], tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(5), step=0,
+            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(5), step=0, force_replan=False,
         )
         assert agent.route[agent.route_index] == pytest.approx([300.0, 0.0])
         assert agent.pose[:2] == pytest.approx([291.0, 0.0])
@@ -440,7 +449,7 @@ class TestCoverageStep:
         agents = [make_agent(i, xy=(40.0 * i, 10.0), mode="coverage") for i in range(3)]
         coverage_step(
             agents, tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(2), step=0,
+            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(2), step=0, force_replan=False,
         )
         before = {a.id: list(map(tuple, a.route)) for a in agents}
         # dismiss agent 1 to safety duty; survivors must replan immediately
@@ -458,7 +467,7 @@ class TestCoverageStep:
         idle = make_agent(5, xy=(0.0, 0.0), mode="idle")
         coverage_step(
             [idle], tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(4), step=0,
+            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(4), step=0, force_replan=False,
         )
         assert idle.pose[:2] == pytest.approx([0.0, 0.0])
 

@@ -178,6 +178,10 @@ def spawn_draws(seed, n=7):
     return keyed_uniform(seed, (SPAWN, 0), [9], n)[0]
 
 
+# The first child id of lineage 9, the parent's, as simulate_step places it.
+BASE = 9 << 32
+
+
 class TestSpawning:
     def _parent(self):
         wf = WindFuelState(
@@ -190,26 +194,26 @@ class TestSpawning:
 
     def test_zero_rate_spawns_nothing(self):
         parent, wf = self._parent()
-        assert spawn_fronts(parent, 0, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), spawn_draws(0, 1)) == []
+        assert spawn_fronts(parent, 0, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), spawn_draws(0, 1), BASE) == []
 
     def test_count_bounded(self):
         parent, wf = self._parent()
         counts = set()
         for seed in range(200):
-            kids = spawn_fronts(parent, 3, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), spawn_draws(seed))
+            kids = spawn_fronts(parent, 3, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), spawn_draws(seed), BASE)
             counts.add(len(kids))
         assert counts == {0, 1, 2, 3}
         for first, count in ((0.0, 0), (0.2499, 0), (0.25, 1), (1.0 - 2.0**-53, 3)):
             draws = np.full(7, 0.5)
             draws[0] = first
-            assert len(spawn_fronts(parent, 3, 1.0, parent.velocity, draws)) == count
+            assert len(spawn_fronts(parent, 3, 1.0, parent.velocity, draws, BASE)) == count
 
     def test_children_inside_growth_box(self):
         parent, wf = self._parent()
         half = np.abs(parent.velocity) * 1.0
         seen = 0
         for seed in range(1000):
-            for kid in spawn_fronts(parent, 3, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), spawn_draws(seed)):
+            for kid in spawn_fronts(parent, 3, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), spawn_draws(seed), BASE):
                 seen += 1
                 offset = kid.position - parent.position
                 assert abs(offset[0]) <= half[0] + 1e-12
@@ -220,7 +224,7 @@ class TestSpawning:
         parent, wf = self._parent()
         draws = np.full(7, 0.5)
         draws[0] = 0.9  # three children
-        kids = spawn_fronts(parent, 3, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), draws)
+        kids = spawn_fronts(parent, 3, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), draws, BASE)
         ids = [k.id for k in kids]
         assert len(ids) == 3 and len(set(ids)) == len(ids)
         assert all(i != parent.id and i >= (1 << 32) for i in ids)

@@ -230,13 +230,13 @@ class TestKOpt:
 
 class TestSteinerReduce:
     def test_coincident_pair_merges(self):
-        wps = steiner_reduce([(2.0, 2.0), (2.0, 2.0)], fov_width=10.0)
+        wps = steiner_reduce([(2.0, 2.0), (2.0, 2.0)], fov_width=10.0, ids=[0, 1])
         assert len(wps) == 1
         assert wps[0].members == (0, 1)
         assert wps[0].position == pytest.approx((2.0, 2.0))
 
     def test_distant_pair_stays_apart(self):
-        wps = steiner_reduce([(0.0, 0.0), (50.0, 0.0)], fov_width=10.0)
+        wps = steiner_reduce([(0.0, 0.0), (50.0, 0.0)], fov_width=10.0, ids=[0, 1])
         assert len(wps) == 2
         assert [w.members for w in wps] == [(0,), (1,)]
 
@@ -245,7 +245,7 @@ class TestSteinerReduce:
 
         pts = [(0.0, 0.0), (4.0, 0.0), (2.0, 3.0)]
         g = 16.0  # cluster diameter 4 < g/2
-        wps = steiner_reduce(pts, fov_width=g)
+        wps = steiner_reduce(pts, fov_width=g, ids=range(3))
         assert len(wps) == 1
         center, radius = naive_enclosing_circle(pts)
         assert radius <= g / 2
@@ -257,7 +257,7 @@ class TestSteinerReduce:
             n = int(rng.integers(1, 25))
             pts = rng.uniform(0, 200, size=(n, 2))
             g = float(rng.uniform(10, 80))
-            wps = steiner_reduce(pts, fov_width=g)
+            wps = steiner_reduce(pts, fov_width=g, ids=range(n))
             covered = sorted(m for w in wps for m in w.members)
             assert covered == list(range(n))  # exactly one waypoint per point
             for w in wps:
@@ -266,12 +266,12 @@ class TestSteinerReduce:
 
     def test_vanishing_width_keeps_all_points(self):
         pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
-        wps = steiner_reduce(pts, fov_width=1e-9)
+        wps = steiner_reduce(pts, fov_width=1e-9, ids=range(3))
         assert len(wps) == 3
 
     def test_max_members_cap(self):
         pts = [(0.0, 0.0), (0.1, 0.0), (0.2, 0.0), (0.3, 0.0)]
-        wps = steiner_reduce(pts, fov_width=50.0, max_members=2)
+        wps = steiner_reduce(pts, fov_width=50.0, ids=range(4), max_members=2)
         assert all(len(w.members) <= 2 for w in wps)
         assert sorted(m for w in wps for m in w.members) == [0, 1, 2, 3]
 

@@ -77,13 +77,13 @@ class TestStateTransition:
     def test_flat_spread_leaves_position(self):
         flat = replace(DEFAULT_ELLIPSE, a=1.0, b=0.0, c=0.0, d=0.0, l=0.0)  # LB == 1
         s = np.array([1, 2, 3, 4, 50, 2.0, 5.0, 0.7], dtype=float)
-        out = transition(s, 1.0, flat)[0]
+        out = transition(s, 1.0, flat, None)[0]
         assert (out[FIRE_X], out[FIRE_Y]) == (1, 2)
 
     def test_unit_speed_north(self):
         rate = calibrate_spread_rate(1.0, 5.0, DEFAULT_ELLIPSE)
         s = np.array([0, 0, 3, 4, 50, rate, 5.0, 0.0], dtype=float)
-        out = transition(s, 1.0, DEFAULT_ELLIPSE)[0]
+        out = transition(s, 1.0, DEFAULT_ELLIPSE, None)[0]
         assert out[FIRE_X] == pytest.approx(0.0, abs=1e-15)
         assert out[FIRE_Y] == pytest.approx(1.0)
         # everything else untouched
@@ -100,7 +100,7 @@ class TestStateTransition:
         front = replace(front, velocity=fire.front_velocity(wf, DEFAULT_ELLIPSE))
         moved = fire.simulate_step(fire.FireMap((front,), wf, case=2, noise_std=0.0), 0.5).fronts[0]
         s = np.array([7.0, -2.0, 0, 0, 40, 2.0, 5.0, math.pi / 3], dtype=float)
-        out = transition(s, 0.5, DEFAULT_ELLIPSE)[0]
+        out = transition(s, 0.5, DEFAULT_ELLIPSE, None)[0]
         assert out[FIRE_X] == pytest.approx(moved.position[0])
         assert out[FIRE_Y] == pytest.approx(moved.position[1])
 
@@ -122,7 +122,7 @@ class TestTransitionJacobian:
             def f(vec):
                 return transition(vec, dt, DEFAULT_ELLIPSE, uav_pose=pose)[0]
 
-            analytic = transition(s, dt, DEFAULT_ELLIPSE)[1]
+            analytic = transition(s, dt, DEFAULT_ELLIPSE, None)[1]
             numeric = finite_difference_jacobian(f, s, h=1e-6)
             worst = max(worst, jacobian_mismatch(analytic, numeric))
         assert worst < 1e-4
@@ -131,7 +131,7 @@ class TestTransitionJacobian:
         rate = calibrate_spread_rate(1.3, 5.0, DEFAULT_ELLIPSE)
         s = np.array([0, 0, 0, 0, 40, rate, 5.0, 0.0], dtype=float)
         dt = 0.5
-        F = transition(s, dt, DEFAULT_ELLIPSE)[1]
+        F = transition(s, dt, DEFAULT_ELLIPSE, None)[1]
         c = spread_coefficient(rate, 5.0, DEFAULT_ELLIPSE)
         assert F[0, 7] == pytest.approx(c * dt)  # d fire_x / d azimuth = C cos(0) dt
         assert F[1, 7] == pytest.approx(0.0, abs=1e-12)
@@ -139,7 +139,7 @@ class TestTransitionJacobian:
     def test_zero_dt_identity_on_fire_weather_block(self):
         rng = np.random.default_rng(5)
         s = random_state(rng)
-        F = transition(s, 0.0, DEFAULT_ELLIPSE)[1]
+        F = transition(s, 0.0, DEFAULT_ELLIPSE, None)[1]
         keep = [0, 1, 5, 6, 7]
         assert np.allclose(F[np.ix_(keep, keep)], np.eye(5))
         assert np.allclose(F[2:5, :], 0.0)  # pose rows are control input
@@ -251,14 +251,14 @@ class TestPredictUpdate:
         for _ in range(20):
             track = predict(make_track(rng), 1.0, DEFAULT_ELLIPSE)
             z = observe(track.mean) + rng.normal(0, 0.05, size=5)
-            out = update(track, z, FilterConfig())
+            out = update(track, z, FilterConfig(alpha_forget=0.97))
             gap = np.linalg.eigvalsh(out.prior_covariance - out.covariance)
             assert gap.min() >= -1e-9
 
     def test_update_requires_predict(self):
         track = make_track()
         with pytest.raises(ValueError):
-            update(track, observe(track.mean), FilterConfig())
+            update(track, observe(track.mean), FilterConfig(alpha_forget=0.97))
 
     def test_singular_residual_detected(self):
         track = predict(make_track(), 1.0, DEFAULT_ELLIPSE)
@@ -269,7 +269,7 @@ class TestPredictUpdate:
             observation_noise=np.zeros((5, 5)),
         )
         with pytest.raises(SingularResidual):
-            update(bad, observe(bad.mean), FilterConfig())
+            update(bad, observe(bad.mean), FilterConfig(alpha_forget=0.97))
 
     def test_covariances_stay_symmetric_psd(self):
         rng = np.random.default_rng(41)
@@ -394,7 +394,7 @@ class TestAdaptNoise:
         truth = np.array([5.0, -3.0, 0.0, 0.0, 60.0, 0.0, 5.0, 1.0])
         for _ in range(500):
             z = observe(truth) + rng.normal(size=5) * true_std
-            track = step_track(track, z, 1.0, cfg, DEFAULT_ELLIPSE)
+            track = step_track(track, z, 1.0, cfg, DEFAULT_ELLIPSE, uav_pose=pose_of(truth))
         estimated = np.trace(track.observation_noise)
         expected = float(np.sum(true_std**2))
         assert abs(estimated - expected) / expected < 0.25
@@ -424,10 +424,10 @@ def test_filter_runs_are_deterministic():
     def run():
         rng = np.random.default_rng(99)
         track = make_track(np.random.default_rng(7))
-        cfg = FilterConfig()
+        cfg = FilterConfig(alpha_forget=0.97)
         for _ in range(20):
             z = observe(track.mean) + rng.normal(0, 0.01, size=5)
-            track = step_track(track, z, 1.0, cfg, DEFAULT_ELLIPSE)
+            track = step_track(track, z, 1.0, cfg, DEFAULT_ELLIPSE, uav_pose=pose_of(track.mean))
         return track
 
     a, b = run(), run()
