@@ -40,9 +40,10 @@ TEAM_FIRE_IDS = 100_000
 # noise tails before a float overflows.
 MAX_EXTENT = 1e100
 
-# Most fronts a run may hold. Routing builds dense (n, n, 2) distance arrays
-# over the fires it plans for; one steiner_reduce of 4096 points peaks near
-# 800 MB of RSS.
+# Most fronts a run may hold, and the cap on every other per-run entity
+# count: fire clusters, teams and UAVs. Routing builds dense (n, n, 2)
+# distance arrays over the fires it plans for; one steiner_reduce of 4096
+# points peaks near 800 MB of RSS.
 MAX_FRONTS = 4096
 
 LAYOUTS = ("uniform", "clusters", "ring", "team_clusters")
@@ -156,7 +157,7 @@ class ScenarioConfig:
         f = self.fire
         _check(f.layout in LAYOUTS, "fire.layout", f"must be one of {LAYOUTS}, got {f.layout!r}")
         _check(f.initial_count >= 0, "fire.initial_count", "must be >= 0")
-        _check(f.cluster_count >= 1, "fire.cluster_count", "must be >= 1")
+        _check(1 <= f.cluster_count <= MAX_FRONTS, "fire.cluster_count", f"must be in [1, {MAX_FRONTS}]")
         _check(f.cluster_spread > 0, "fire.cluster_spread", "must be > 0")
         _check(f.process_noise_std >= 0, "fire.process_noise_std", "must be >= 0")
         _check(f.max_per_lineage >= 0, "fire.max_per_lineage", "must be >= 0")
@@ -197,8 +198,9 @@ class ScenarioConfig:
             with _fields_of(f"fire.schedule[{i}]"):
                 schedule[shift.step] = WindFuelState(rate, shift.wind_speed, shift.wind_azimuth)
 
-        t = self.teams
-        _check(t.count >= 0, "teams.count", "must be >= 0")
+        t, u = self.teams, self.uavs
+        _check(0 <= t.count <= MAX_FRONTS, "teams.count", f"must be in [0, {MAX_FRONTS}]")
+        _check(0 <= u.count <= MAX_FRONTS, "uavs.count", f"must be in [0, {MAX_FRONTS}]")
         if t.positions is not None:
             _check(
                 len(t.positions) == t.count,
@@ -227,8 +229,6 @@ class ScenarioConfig:
             if not teams:  # the radius is checked even when no team uses it
                 HumanTeam(0, (0.0, 0.0), vicinity_radius=self.vicinity_radius)
 
-        u = self.uavs
-        _check(u.count >= 0, "uavs.count", "must be >= 0")
         with _fields_of("uavs"):
             fleet = FleetParams(u.speed, u.altitude, u.half_angle)
 
@@ -360,7 +360,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(str(path), f"cannot read config file: {exc}") from exc
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # a scalar that YAML's constructors refuse raises ValueError
         raise ConfigError(str(path), f"invalid YAML: {exc}") from exc
     if data is None:
         data = {}

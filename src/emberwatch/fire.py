@@ -116,18 +116,19 @@ class WindFuelState:
         object.__setattr__(self, "wind_azimuth", self.wind_azimuth % tau)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FireFront:
-    """One discretized firefront point."""
+    """One discretized firefront point.
+
+    The constructor stores the arrays it is given; the fire step passes
+    float64 arrays. The fire step never writes a front's fields or arrays
+    after building it, and callers must not either.
+    """
 
     id: int
     position: np.ndarray  # (2,) meters
     velocity: np.ndarray  # (2,) m/s
     lineage: int = 0  # id of the initial ancestor, used for spawn caps
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -308,7 +309,7 @@ def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
     if fire_map.noise_std > 0:
         positions += fire_map.noise_std * keyed_normal(fire_map.rng_seed, (_S_MOTION, step), ids, 2)
     fronts = [
-        _assembled(FireFront, id=f.id, position=position, velocity=velocity, lineage=f.lineage)
+        FireFront(id=f.id, position=position, velocity=velocity, lineage=f.lineage)
         for f, position in zip(fire_map.fronts, positions)
     ]
 
@@ -336,20 +337,20 @@ def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
             children.extend(kids)
         fronts.extend(children)
 
-    return _assembled(FireMap, **{**fire_map.__dict__, "fronts": tuple(fronts), "step": new_step})
+    return _assembled(fire_map, fronts=tuple(fronts), step=new_step)
 
 
-def _assembled(cls, **fields):
-    """An instance of the frozen dataclass `cls` holding `fields` as given.
+def _assembled(fire_map: FireMap, **fields) -> FireMap:
+    """`fire_map` with `fields` replaced, built without `FireMap.__post_init__`.
 
-    It skips `__post_init__`: the step's own float64 arrays need no
-    coercion, and a stepped map keeps its predecessor's settings, ids
-    (moved fronts keep theirs, and children take ids unused in their
-    lineage) and, in case 1, zero speed. The public constructors still
-    coerce and validate.
+    A stepped map needs no re-validation: it keeps its predecessor's
+    settings, ids (moved fronts keep theirs, and children take ids unused
+    in their lineage) and, in case 1, zero speed. The fire step never
+    writes a map's fields after building it, and callers must not either.
+    The public constructor still validates.
     """
-    instance = object.__new__(cls)
-    instance.__dict__.update(fields)
+    instance = object.__new__(FireMap)
+    instance.__dict__.update(fire_map.__dict__, **fields)
     return instance
 
 

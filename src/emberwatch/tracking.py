@@ -17,7 +17,7 @@ There are two filter operations: `predict` (time update) and `update`
 (measurement update plus forgetting-factor adaptation of Q and R);
 `step_track` is one observed cycle of both. The filter is a pure
 state machine: every operation takes a TrackEstimate and returns a new
-one without touching its input's arrays, so distinct fires can be
+one without touching its input, so distinct fires can be
 filtered concurrently as long as each track is advanced sequentially.
 
 The safety certificate reads each track through a few scalars:
@@ -117,7 +117,7 @@ class ResidualTerms(NamedTuple):
     noise: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrackEstimate:
     """Per-fire filter state.
 
@@ -125,22 +125,20 @@ class TrackEstimate:
     quantities of the most recent predict step; `residual_trace`
     forecasts from them without re-linearizing along the horizon.
 
-    The filter never writes into a track's arrays, and callers must not
-    either: a track that `predict` returned carries, in `_motion`, the
-    (dt, params, displacement) of that predict, and the next `predict`
-    with the same `dt` and `params` objects reuses its displacement and
-    its `transition_matrix`. That is exact because its mean is still
-    the one predict made (`prior_mean is mean`), and predict does not
-    change the weather, which alone sets both. `dt` and `params` are
-    compared by identity: an equal value in another object recomputes,
-    which is always exact (0.0 and -0.0 compare equal but scale to
-    different bits). `_motion` takes no constructor argument, so a
-    track built by a caller or by `dataclasses.replace` starts without
-    it and recomputes.
-
-    The public constructor coerces the four arrays to float64. The
-    filter builds its tracks through `_filtered`, which skips that
-    coercion because its arrays are float64 already.
+    The constructor stores the arrays it is given; the filter passes
+    float64 arrays. The filter never writes a track's fields or arrays
+    after building it, and callers must not either: a track that
+    `predict` returned carries, in `_motion`, the (dt, params,
+    displacement) of that predict, and the next `predict` with the same
+    `dt` and `params` objects reuses its displacement and its
+    `transition_matrix`. That is exact because its mean is still the one
+    predict made (`prior_mean is mean`), and predict does not change the
+    weather, which alone sets both. `dt` and `params` are compared by
+    identity: an equal value in another object recomputes, which is
+    always exact (0.0 and -0.0 compare equal but scale to different
+    bits). `_motion` takes no constructor argument, so a track built by
+    a caller or by `dataclasses.replace` starts without it and
+    recomputes.
     """
 
     mean: np.ndarray  # (8,), indexed by FIRE_X ... WIND_AZIMUTH
@@ -151,19 +149,6 @@ class TrackEstimate:
     prior_covariance: np.ndarray | None = None
     transition_matrix: np.ndarray | None = None
     _motion: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float))
-        object.__setattr__(self, "process_noise", np.asarray(self.process_noise, dtype=float))
-        object.__setattr__(self, "observation_noise", np.asarray(self.observation_noise, dtype=float))
-
-
-def _filtered(**fields) -> TrackEstimate:
-    """A TrackEstimate of every field, float64 arrays as the filter built them, without coercion."""
-    track = object.__new__(TrackEstimate)
-    track.__dict__.update(fields)
-    return track
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +416,7 @@ def predict(
         mean, F, displacement = transition(track.mean, dt, params, uav_pose)
         motion = (dt, params, displacement)
     P = propagate_covariance(track.covariance, F, track.process_noise)
-    return _filtered(
+    predicted = TrackEstimate(
         mean=mean,
         covariance=P,
         process_noise=track.process_noise,
@@ -439,8 +424,9 @@ def predict(
         prior_mean=mean,
         prior_covariance=P,
         transition_matrix=F,
-        _motion=motion,
     )
+    predicted._motion = motion
+    return predicted
 
 
 def _residual(z: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -471,7 +457,7 @@ def update(track: TrackEstimate, z: np.ndarray, cfg: FilterConfig) -> TrackEstim
     a = cfg.alpha_forget
     # v[:, None] * v is np.outer(v, v): numpy forms the outer product by
     # that same broadcast multiply.
-    return _filtered(
+    return TrackEstimate(
         mean=mean,
         covariance=floor_psd((_IDENTITY - K @ H) @ P),
         process_noise=symmetrize(a * track.process_noise + (1 - a) * (kd[:, None] * kd)),
@@ -481,7 +467,6 @@ def update(track: TrackEstimate, z: np.ndarray, cfg: FilterConfig) -> TrackEstim
         prior_mean=track.prior_mean,
         prior_covariance=track.prior_covariance,
         transition_matrix=track.transition_matrix,
-        _motion=None,
     )
 
 

@@ -22,7 +22,7 @@ from emberwatch import harness, tracking
 from emberwatch.bounds import _upper_quantile, uncertainty_ratio, worst_case_speed
 from emberwatch.config import load_config
 from emberwatch.errors import DomainError
-from emberwatch.fire import DEFAULT_ELLIPSE
+from emberwatch.fire import DEFAULT_ELLIPSE, FireFront
 from emberwatch.tracking import TrackEstimate, residual_terms, residual_trace, speed_terms
 from oracles import (
     reference_residual_cov,
@@ -257,19 +257,24 @@ def test_tracks_hold_only_their_fields_after_a_run(monkeypatch):
     # Teams and a coverage fleet together: certificate passes and coverage replans both read the tracks.
     seen = []
 
-    def keep(fn):
+    def keep(fn, records):
         def call(*args, **kwargs):
-            track = fn(*args, **kwargs)
-            seen.append(track)
-            return track
+            result = fn(*args, **kwargs)
+            seen.extend(records(result))
+            return result
 
         return call
 
-    monkeypatch.setattr(harness, "predict", keep(harness.predict))
-    monkeypatch.setattr(harness, "step_track", keep(harness.step_track))
+    monkeypatch.setattr(harness, "predict", keep(harness.predict, lambda track: [track]))
+    monkeypatch.setattr(harness, "step_track", keep(harness.step_track, lambda track: [track]))
+    monkeypatch.setattr(harness, "simulate_step", keep(harness.simulate_step, lambda fire_map: fire_map.fronts))
     cfg = load_config(CONFIG_DIR / "case3.yaml")
     harness.run_scenario(replace(cfg, duration=40, teams=replace(cfg.teams, count=2)))
     names = [f.name for f in fields(TrackEstimate)]
     assert len(names) == 8 and "_motion" in names
-    assert len(seen) > 100
-    assert {tuple(sorted(vars(t))) for t in seen} == {tuple(sorted(names))}
+    kinds = {type(r) for r in seen}
+    assert kinds == {TrackEstimate, FireFront}
+    assert all(sum(type(r) is kind for r in seen) > 100 for kind in kinds)
+    # A slotted record has no __dict__, so it can hold nothing but its fields.
+    assert not any(hasattr(r, "__dict__") for r in seen)
+    assert all(kind.__slots__ == tuple(f.name for f in fields(kind)) for kind in kinds)

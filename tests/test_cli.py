@@ -180,6 +180,10 @@ BAD_VALUES = [
     ),
     # more fronts than the routing layer's dense distance arrays can hold
     pytest.param("fire.initial_count", {"fire": {"initial_count": 100_001, "layout": "uniform"}}, id="front-cap-initial"),
+    # every other per-run entity count shares the front cap
+    pytest.param("fire.cluster_count", {"fire": {"cluster_count": 10**400}}, id="cluster-count-1e400"),
+    pytest.param("teams.count", {"teams": {"count": 4097}}, id="team-count-above-cap"),
+    pytest.param("uavs.count", {"uavs": {"count": 4097}}, id="uav-count-above-cap"),
     pytest.param(
         "fire.max_per_lineage",
         {"case": 3, "duration": 300, "fire": {"initial_count": 12, "spawn_interval": 30, "max_per_lineage": 0}},
@@ -227,6 +231,21 @@ def test_bad_value_exits_two_naming_field(tmp_path, capsys, field, override):
     cfg.write_text(yaml.safe_dump(data))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # written as text: dumping an int of more than 4300 digits raises the same error
+        pytest.param("fire: {wind_speed: 1" + "0" * 5000 + "}\n", id="int-beyond-digit-limit"),
+        pytest.param("dt: 2024-13-45\n", id="timestamp-month-13"),
+    ],
+)
+def test_unconstructible_yaml_value_exits_two_naming_file(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {cfg}: invalid YAML: " in capsys.readouterr().err
 
 
 FUZZ_FLOATS = [
