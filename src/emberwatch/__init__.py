@@ -30,7 +30,6 @@ from .errors import (
     DomainError,
     EmberwatchError,
     InvalidSplit,
-    NoUavAvailable,
     SingularResidual,
 )
 from .fire import (

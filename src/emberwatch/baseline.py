@@ -17,8 +17,8 @@ import numpy as np
 
 from .coordination import UavAgent
 from .errors import DomainError
+from .geometry import GOLDEN_ANGLE
 
-_GOLDEN_ANGLE = 2.399963229728653
 _ZERO_GRAD = 1e-12
 
 
@@ -91,7 +91,7 @@ def _repulsion(
         if dist >= cfg.separation_radius:
             continue
         if dist < 1e-9:
-            angle = _GOLDEN_ANGLE * agent.id
+            angle = GOLDEN_ANGLE * agent.id
             direction = np.array([math.cos(angle), math.sin(angle)])
         else:
             direction = delta / dist

@@ -22,11 +22,12 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .baseline import _GOLDEN_ANGLE, GradientConfig
+from .baseline import GradientConfig
 from .bounds import FleetParams, fov_width
 from .coordination import HumanTeam
 from .errors import ConfigError, DomainError
 from .fire import EllipseParams, FireMap, WindFuelState, calibrate_spread_rate
+from .geometry import golden_ring
 from .tracking import FilterConfig
 
 CASE_SPEEDS = {1: 0.0, 2: 0.5, 3: 1.0}
@@ -327,10 +328,7 @@ def team_positions(cfg: ScenarioConfig) -> list[np.ndarray]:
         return [np.asarray(p, dtype=float) for p in cfg.teams.positions]
     center = np.array([cfg.area.width / 2.0, cfg.area.height / 2.0])
     radius = 0.35 * min(cfg.area.width, cfg.area.height)
-    return [
-        center + radius * np.array([math.cos(_GOLDEN_ANGLE * t), math.sin(_GOLDEN_ANGLE * t)])
-        for t in range(cfg.teams.count)
-    ]
+    return [golden_ring(center, radius, t) for t in range(cfg.teams.count)]
 
 
 @contextlib.contextmanager

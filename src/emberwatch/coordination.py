@@ -29,7 +29,7 @@ from .bounds import (
     uncertainty_ratio,
     worst_case_speed,
 )
-from .errors import DomainError, NoUavAvailable
+from .errors import DomainError
 from .fire import EllipseParams
 from .geometry import row_norms
 from .routing import SteinerWaypoint, build_mst, k_opt_improve, split_sequence, steiner_reduce, tour_from_mst
@@ -63,7 +63,6 @@ class UavAgent:
     half_angle: float
     mode: str = "idle"  # idle | coverage | safety
     route: list = field(default_factory=list)  # waypoint positions, (2,) each
-    route_cyclic: bool = True
     route_index: int = 0
     route_direction: int = 1
     replan_deadline: int = 0
@@ -194,7 +193,8 @@ def plan_safety_tour(
     order). With none assigned, the first UAV is the one nearest `team`;
     each recruit is the one nearest its new segment. Both come from `idle`
     or, once it is empty, from `uav_supply` unless that is None. Returns
-    the plan and the full list of UAVs now assigned. Splitting stops when
+    the plan and the full list of UAVs now assigned; with no first UAV to
+    take, the plan is infeasible and has no segments. Splitting stops when
     every failing segment is down to a single waypoint or no UAV can be
     recruited; the plan is then marked infeasible. With one assigned UAV,
     no idle pool and no supply, the plan answers whether that UAV alone
@@ -209,7 +209,7 @@ def plan_safety_tour(
     if not assigned:
         first = _take_nearest(idle, team.position, uav_supply)
         if first is None:
-            raise NoUavAvailable("no UAV available for a safety request")
+            return MissionPlan([], {}, False), []
         assigned.append(first)
 
     fleet = assigned[0].fleet()
@@ -265,17 +265,16 @@ def apply_safety_plan(plan: MissionPlan, agents_by_id: Mapping[int, UavAgent]) -
     for segment in plan.segments:
         agent = agents_by_id[segment.uav_id]
         agent.mode = "safety"
-        _assign_route(agent, [np.asarray(w.position, dtype=float) for w in segment.waypoints], cyclic=False)
+        _assign_route(agent, [np.asarray(w.position, dtype=float) for w in segment.waypoints])
 
 
-def _assign_route(agent: UavAgent, route: list[np.ndarray], cyclic: bool) -> None:
+def _assign_route(agent: UavAgent, route: list[np.ndarray]) -> None:
     """Give the agent a new route, resumed at its nearest waypoint (lowest index on ties).
 
     Resuming there keeps a replan from resetting progress along a route
     that takes longer to fly than the replan interval.
     """
     agent.route = route
-    agent.route_cyclic = cyclic
     agent.route_index = min(
         range(len(route)), key=lambda i: (float(np.linalg.norm(route[i] - agent.pose[:2])), i), default=0
     )
@@ -504,7 +503,7 @@ def _replan_coverage(
         pts = centers[idxs]
         mst_edges, mst_length = build_mst(pts)
         tour = k_opt_improve(tour_from_mst(pts, mst_edges), pts)
-        _assign_route(agent, [pts[i].copy() for i in tour.order], cyclic=True)
+        _assign_route(agent, [pts[i].copy() for i in tour.order])
 
         member_fires = sorted({m for i in idxs for m in waypoints[i].members})
         member_tracks = [tracks[f] for f in member_fires]
@@ -527,7 +526,11 @@ def _replan_coverage(
 
 
 def _follow_route(agent: UavAgent, dt: float) -> None:
-    """Move along the route at constant speed, cyclic or ping-pong."""
+    """Move along the route at constant speed: a coverage agent loops it, any other ping-pongs.
+
+    Only coverage routes are cycles, and a UAV recruited for safety never
+    returns to coverage.
+    """
     if not agent.route:
         return
     budget = agent.speed * dt
@@ -542,7 +545,7 @@ def _follow_route(agent: UavAgent, dt: float) -> None:
             budget -= dist
             if len(agent.route) == 1:
                 break
-            if agent.route_cyclic:
+            if agent.mode == "coverage":
                 agent.route_index = (agent.route_index + 1) % len(agent.route)
             else:
                 nxt = agent.route_index + agent.route_direction

@@ -24,10 +24,6 @@ class InvalidSplit(EmberwatchError):
     """A path partition was requested with more parts than nodes."""
 
 
-class NoUavAvailable(EmberwatchError):
-    """A safety request arrived while the UAV pool was empty."""
-
-
 class ConfigError(EmberwatchError):
     """A scenario configuration is invalid.
 

@@ -243,7 +243,8 @@ def spread_velocity(
     Jacobian columns where the input is clamped (negative rate or wind)
     are zero, matching the clamped forward model. The wind column uses
     the chain rule through sqrt(LB^2 - 1) and is treated as flat at the
-    windless boundary where the analytic slope diverges.
+    windless boundary where the analytic slope diverges, and where its
+    denominator overflows a float.
     """
     r = max(rate, 0.0)
     lb, lb_prime, gb, sq = _ellipse(wind_speed, params)
@@ -254,7 +255,12 @@ def spread_velocity(
     if wind_speed < 0 or gb <= _GB_FLOOR or r == 0.0:
         dc_du = 0.0
     else:
-        dc_du = r * lb_prime / (sq * (lb + sq) ** 2)
+        try:
+            dc_du = r * lb_prime / (sq * (lb + sq) ** 2)
+        except OverflowError:
+            # (LB + sqrt(LB^2 - 1))^2 passes the float range near LB = 7e153,
+            # where the true slope is subnormal.
+            dc_du = 0.0
 
     s, co = math.sin(azimuth), math.cos(azimuth)
     jacobian = np.array(
@@ -337,21 +343,7 @@ def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
             children.extend(kids)
         fronts.extend(children)
 
-    return _assembled(fire_map, fronts=tuple(fronts), step=new_step)
-
-
-def _assembled(fire_map: FireMap, **fields) -> FireMap:
-    """`fire_map` with `fields` replaced, built without `FireMap.__post_init__`.
-
-    A stepped map needs no re-validation: it keeps its predecessor's
-    settings, ids (moved fronts keep theirs, and children take ids unused
-    in their lineage) and, in case 1, zero speed. The fire step never
-    writes a map's fields after building it, and callers must not either.
-    The public constructor still validates.
-    """
-    instance = object.__new__(FireMap)
-    instance.__dict__.update(fire_map.__dict__, **fields)
-    return instance
+    return replace(fire_map, fronts=fronts, step=new_step)
 
 
 def substream_key(seed: int, *key: int) -> np.random.SeedSequence:

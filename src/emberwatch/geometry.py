@@ -1,4 +1,4 @@
-"""Planar geometry helpers: row norms and the smallest enclosing circle.
+"""Planar geometry helpers: row norms, golden-angle rings and the smallest enclosing circle.
 
 Incremental Welzl-style construction. The input order is left untouched
 so that results are deterministic; group sizes in this codebase are small
@@ -16,6 +16,8 @@ import numpy as np
 # rejected by rounding.
 _REL_EPSILON = 1 + 1e-14
 
+GOLDEN_ANGLE = 2.399963229728653
+
 
 def row_norms(vectors: np.ndarray) -> np.ndarray:
     """Euclidean norm along the last axis, equal bit for bit to `np.linalg.norm` of each vector.
@@ -27,6 +29,11 @@ def row_norms(vectors: np.ndarray) -> np.ndarray:
     """
     vectors = np.asarray(vectors, dtype=float)
     return np.sqrt((vectors[..., None, :] @ vectors[..., :, None])[..., 0, 0])
+
+
+def golden_ring(centre: np.ndarray, radius: float, k: int) -> np.ndarray:
+    """Point k of a ring about `centre`, k golden angles round: point k depends only on k."""
+    return centre + radius * np.array([math.cos(GOLDEN_ANGLE * k), math.sin(GOLDEN_ANGLE * k)])
 
 
 def smallest_enclosing_circle(points: Sequence) -> tuple[tuple[float, float], float]:

@@ -21,12 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .baseline import _GOLDEN_ANGLE, gradient_coverage_step
+from .baseline import gradient_coverage_step
 from .bounds import joint_confidence
 from .config import CONTROLLERS, TEAM_FIRE_IDS, ScenarioConfig
 from .coordination import (
     HumanTeam,
-    MissionPlan,
     UavAgent,
     apply_safety_plan,
     coverage_step,
@@ -35,8 +34,9 @@ from .coordination import (
     plan_safety_tour,
     vicinity_fires,
 )
-from .errors import DomainError, NoUavAvailable, SingularResidual
+from .errors import DomainError, SingularResidual
 from .fire import WindFuelState, keyed_normal, simulate_step, substream_key
+from .geometry import golden_ring
 from .tracking import TrackEstimate, predict, residual_terms, speed_terms, step_track
 
 # Substream purposes; fire.py keys the fire step's motion (6) and spawns (7).
@@ -159,21 +159,10 @@ def _initial_layout(cfg: ScenarioConfig, teams: tuple[HumanTeam, ...]) -> tuple[
     return positions, list(range(1, n + 1))
 
 
-def _initial_agents(cfg: ScenarioConfig) -> list[UavAgent]:
-    center = np.array([cfg.area.width / 2.0, cfg.area.height / 2.0])
-    agents = []
-    for i in range(cfg.uavs.count):
-        offset = 40.0 * np.array([math.cos(_GOLDEN_ANGLE * i), math.sin(_GOLDEN_ANGLE * i)])
-        agents.append(
-            UavAgent(
-                id=i,
-                pose=np.array([center[0] + offset[0], center[1] + offset[1], cfg.uavs.altitude]),
-                speed=cfg.uavs.speed,
-                half_angle=cfg.uavs.half_angle,
-                mode="coverage",
-            )
-        )
-    return agents
+def _uav(cfg: ScenarioConfig, uav_id: int, position: np.ndarray, mode: str) -> UavAgent:
+    """A UAV of the configured type over the planar `position`, at the configured altitude."""
+    u = cfg.uavs
+    return UavAgent(id=uav_id, pose=np.append(position, u.altitude), speed=u.speed, half_angle=u.half_angle, mode=mode)
 
 
 def _init_track(
@@ -246,12 +235,14 @@ def _mean_trace(covariances: Sequence[np.ndarray]) -> float:
     return sum(traces) / len(traces)
 
 
-def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
+def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     """Run one closed-loop scenario and return its metrics.
 
-    safety_only drops the coverage controller and starts with an empty
-    fleet; every safety UAV is minted from an unlimited staging pool per
-    team (the safety sweep).
+    A config with a fleet (`uavs.count` > 0) flies it as coverage UAVs,
+    and the proposed controller recruits each team's safety UAVs from it.
+    A config without one has no coverage, and each team's safety UAVs are
+    minted on demand from an unlimited staging pool at the team, as in a
+    sweep-safety cell.
     """
     built = cfg.validate()
     params = cfg.fire.ellipse
@@ -261,26 +252,18 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
 
     fire_map = built.fire_map.with_fronts(*_initial_layout(cfg, built.teams))
 
-    agents: list[UavAgent] = [] if safety_only else _initial_agents(cfg)
-    staging = np.array([cfg.area.width / 2.0, cfg.area.height / 2.0, cfg.uavs.altitude])
-    supply_counts: dict[int, int] = {}
+    centre = np.array([cfg.area.width / 2.0, cfg.area.height / 2.0])
+    agents = [_uav(cfg, i, golden_ring(centre, 40.0, i), "coverage") for i in range(cfg.uavs.count)]
+    staging = np.append(centre, cfg.uavs.altitude)
+    minted: dict[int, int] = {}
 
-    def _supply_for(team: HumanTeam):
-        def mint() -> UavAgent:
-            k = supply_counts.get(team.id, 0)
-            supply_counts[team.id] = k + 1
-            offset = 20.0 * np.array([math.cos(_GOLDEN_ANGLE * k), math.sin(_GOLDEN_ANGLE * k)])
-            agent = UavAgent(
-                id=10_000_000 * (team.id + 1) + k,
-                pose=np.array([team.position[0] + offset[0], team.position[1] + offset[1], cfg.uavs.altitude]),
-                speed=cfg.uavs.speed,
-                half_angle=cfg.uavs.half_angle,
-                mode="idle",
-            )
-            agents.append(agent)
-            return agent
-
-        return mint if safety_only else None
+    def mint(team: HumanTeam) -> UavAgent:
+        """The team's next UAV from its staging pool."""
+        k = minted.get(team.id, 0)
+        minted[team.id] = k + 1
+        agent = _uav(cfg, 10_000_000 * (team.id + 1) + k, golden_ring(team.position, 20.0, k), "idle")
+        agents.append(agent)
+        return agent
 
     tracks = _init_tracks(fire_map.fronts, cfg, wind, staging, built.priors)
     team_assigned: dict[int, list[UavAgent]] = {}
@@ -352,20 +335,17 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
                     for a in agents
                     if a.mode in ("idle", "coverage") and a.id not in assigned_ids
                 ]
-                try:
-                    plan, assigned = plan_safety_tour(
-                        vicinity,
-                        assigned,
-                        idle,
-                        case,
-                        cfg.alpha_conf,
-                        dt,
-                        terms,
-                        team=team,
-                        uav_supply=_supply_for(team),
-                    )
-                except NoUavAvailable:
-                    plan = MissionPlan([], {}, False)
+                plan, assigned = plan_safety_tour(
+                    vicinity,
+                    assigned,
+                    idle,
+                    case,
+                    cfg.alpha_conf,
+                    dt,
+                    terms,
+                    team=team,
+                    uav_supply=None if cfg.uavs.count else partial(mint, team),
+                )
                 if any(a.mode == "coverage" for a in assigned):
                     dismissed = True
                 apply_safety_plan(plan, {a.id: a for a in assigned})
@@ -379,18 +359,17 @@ def run_scenario(cfg: ScenarioConfig, safety_only: bool = False) -> RunMetrics:
                 if not plan.feasible:
                     metrics.plans_feasible = False
             patrol_step(agents, dt)
-            if not safety_only:
-                coverage_step(
-                    agents,
-                    tracks,
-                    case,
-                    cfg.alpha_conf,
-                    dt,
-                    params,
-                    partial(_stream, cfg.rng_seed, _S_COVERAGE, step),
-                    step,
-                    force_replan=dismissed,
-                )
+            coverage_step(
+                agents,
+                tracks,
+                case,
+                cfg.alpha_conf,
+                dt,
+                params,
+                partial(_stream, cfg.rng_seed, _S_COVERAGE, step),
+                step,
+                force_replan=dismissed,
+            )
         else:
             fire_positions = np.array([tracks[f].mean[:2] for f in track_ids])
             movers = [a for a in agents if a.mode == "coverage"]
@@ -433,12 +412,13 @@ def _csv(header: str, rows: list[tuple]) -> str:
 def min_drones_for_run(cfg: ScenarioConfig) -> tuple[int, bool]:
     """Minimum fleet satisfying every safety plan across one run.
 
-    Runs once with an unlimited per-team staging pool; because recruited
-    UAVs are never released, the peak concurrent demand equals the total
-    recruited, which is the smallest pool a scan over sizes would accept.
-    Returns (min_drones, feasible).
+    Runs `cfg` once without its fleet, so each team recruits from its
+    unlimited staging pool; because recruited UAVs are never released,
+    the peak concurrent demand equals the total recruited, which is the
+    smallest pool a scan over sizes would accept. Returns (min_drones,
+    feasible).
     """
-    metrics = run_scenario(cfg, safety_only=True)
+    metrics = run_scenario(replace(cfg, uavs=replace(cfg.uavs, count=0)))
     return sum(metrics.drones_recruited.values()), metrics.plans_feasible
 
 

@@ -300,7 +300,11 @@ def _ref_velocity_jacobian(rate, wind_speed, azimuth, params):
         dc_du = 0.0
     else:
         lb_prime = params.a * params.b * math.exp(params.b * u) - params.c * params.d * math.exp(-params.d * u)
-        dc_du = r * lb_prime / (sq * (lb + sq) ** 2)
+        try:
+            dc_du = r * lb_prime / (sq * (lb + sq) ** 2)
+        except OverflowError:
+            # The slope is subnormal where (LB + sqrt(LB^2 - 1))^2 overflows.
+            dc_du = 0.0
     s, co = math.sin(azimuth), math.cos(azimuth)
     return np.array([[dc_dr * s, dc_du * s, c * co], [dc_dr * co, dc_du * co, -c * s]])
 

@@ -568,6 +568,14 @@ PINNED_SIMULATIONS = [
         },
         id="case3-teams-json",
     ),
+    pytest.param(
+        "sweep.yaml", {}, "json",
+        {
+            "steps.json": "0df497b58d94950532edee83e2fba59973c4341d6f0fa738d9ce928453226e61",
+            "stdout": "0d88c9cb4b07bd28933d5d31709a5602e1c78ac9e695210860b7965a9e011ef6",
+        },
+        id="sweep-json",
+    ),
 ]
 
 

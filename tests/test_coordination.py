@@ -18,7 +18,6 @@ from emberwatch.coordination import (
     plan_safety_tour,
     vicinity_fires,
 )
-from emberwatch.errors import NoUavAvailable
 from emberwatch.fire import DEFAULT_ELLIPSE, calibrate_spread_rate
 from emberwatch.routing import build_mst
 from emberwatch.tracking import TrackEstimate, _observation, predict, residual_terms, speed_terms
@@ -297,10 +296,15 @@ class TestRecruitment:
         assert pool[0].mode == "safety"
         assert plan.uncertainty_ratios[1] <= 1.0 + 1e-12
 
-    def test_empty_pool_raises(self):
+    def test_empty_pool_gives_infeasible_plan(self):
         tracks = {1: make_track((30.0, 30.0))}
-        with pytest.raises(NoUavAvailable):
-            plan_from_pool(tracks, [], case=1)
+        plan, assigned = plan_safety_tour(
+            tracks, [], [], case=1, confidence_level=0.05, dt=1.0, terms=certificate(tracks),
+            team=team_at_first_fire(tracks), uav_supply=None,
+        )
+        assert not plan.feasible
+        assert plan.segments == [] and plan.uncertainty_ratios == {}
+        assert assigned == []
 
     def _hard_case2_tracks(self):
         # spread-out moving fires: one UAV fails, two suffice

@@ -126,6 +126,15 @@ class TestFrontVelocity:
                 fd = (plus - minus) / (2 * h)
                 assert np.allclose(jac[:, col], fd, rtol=1e-5, atol=1e-7)
 
+    @pytest.mark.parametrize("wind", [1380.8, 1381.5, 1383.2])
+    def test_wind_slope_is_flat_where_its_denominator_overflows(self, wind):
+        # (LB + sqrt(LB^2 - 1))^2 passes the float range here; the velocity does not.
+        velocity, jac = spread_velocity(0.3, wind, 0.7, DEFAULT_ELLIPSE)
+        expected = front_velocity(WindFuelState(0.3, wind, 0.7), DEFAULT_ELLIPSE)
+        assert velocity.tobytes() == expected.tobytes()
+        assert np.isfinite(jac).all()
+        assert (jac[:, 1] == 0.0).all()
+
 
 MOTION, SPAWN = 6, 7  # the fire step's keyed-draw purposes
 

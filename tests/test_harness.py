@@ -170,7 +170,7 @@ class TestRunScenario:
             assert metrics.final_cum_uncertainty == 0
 
     def test_safety_run_recruits_and_reports(self):
-        metrics = run_scenario(safety_config(), safety_only=True)
+        metrics = run_scenario(safety_config())
         assert metrics.drones_recruited[0] >= 1
         assert 0 in metrics.bound_confidence
         joint, complement = metrics.bound_confidence[0]
@@ -212,6 +212,19 @@ class TestFleetMonotonicity:
 
 
 class TestSafetyDemand:
+    def test_fleetless_config_recruits_on_demand(self):
+        cfg = load_config(CONFIG_DIR / "sweep.yaml")
+        metrics = run_scenario(cfg)
+        assert metrics.drones_recruited == {0: 1}
+        assert metrics.plans_feasible
+        assert metrics.final_cum_uncertainty == 13
+        assert min_drones_for_run(cfg) == (sum(metrics.drones_recruited.values()), True)
+
+    def test_min_drones_ignores_the_fleet(self):
+        cfg = load_config(CONFIG_DIR / "sweep.yaml")
+        fleet = replace(cfg, uavs=replace(cfg.uavs, count=4))
+        assert min_drones_for_run(fleet) == min_drones_for_run(cfg)
+
     def test_easy_single_team_needs_one_drone(self):
         cfg = safety_config(rng_seed=0)
         drones, feasible = min_drones_for_run(cfg)
@@ -233,7 +246,7 @@ class TestSafetyDemand:
             seen = set()
             for teams in (1, 2, 4, 8):
                 cfg = replace(base, case=case, rng_seed=seed, teams=replace(base.teams, count=teams))
-                metrics = run_scenario(cfg, safety_only=True)
+                metrics = run_scenario(cfg)
                 seen.add((metrics.drones_recruited[0], metrics.bound_confidence[0]))
             assert len(seen) == 1, (seed, seen)
 
@@ -341,7 +354,7 @@ class TestRunInvariants:
         assert compare_controllers(compare, [1, 2], trials=1).to_csv() == first_compare
 
 
-def keyed_draw_mismatches(cfg, monkeypatch, safety_only=False):
+def keyed_draw_mismatches(cfg, monkeypatch):
     """Run cfg and check every keyed draw a front receives against the single-id draw of its key.
 
     Detection noise is checked where `_init_track` receives it, spawn
@@ -399,7 +412,7 @@ def keyed_draw_mismatches(cfg, monkeypatch, safety_only=False):
     audit(
         fire, "spawn_fronts", 4, lambda a: ((fire._S_SPAWN, step[0]), [a[0].id]), keyed_uniform, lambda a: 1 + 2 * a[1]
     )
-    metrics = run_scenario(cfg, safety_only=safety_only)
+    metrics = run_scenario(cfg)
 
     counts: dict[str, int] = {}
     wrong = []
@@ -427,7 +440,7 @@ class TestKeyedStreams:
     def test_sweep_cell_draws_from_its_keys(self, monkeypatch):
         base = load_config(CONFIG_DIR / "sweep.yaml")
         cfg = replace(base, case=3, duration=40, rng_seed=2, teams=replace(base.teams, count=3))
-        counts, wrong = keyed_draw_mismatches(cfg, monkeypatch, safety_only=True)
+        counts, wrong = keyed_draw_mismatches(cfg, monkeypatch)
         assert not wrong, wrong[:5]
         assert set(counts) == self.AUDITED
 
