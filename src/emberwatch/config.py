@@ -222,13 +222,8 @@ class ScenarioConfig:
             rounds = min(self.duration // f.spawn_interval, MAX_FRONTS.bit_length())
             most = fronts * (f.max_per_lineage or (1 + f.spawn_rate_max) ** rounds)
             _check(most <= MAX_FRONTS, "fire.max_per_lineage", f"the run can grow past {MAX_FRONTS} fronts")
-        with _fields_of(""):
-            teams = tuple(
-                HumanTeam(k, pos, vicinity_radius=self.vicinity_radius)
-                for k, pos in enumerate(team_positions(self))
-            )
-            if not teams:  # the radius is checked even when no team uses it
-                HumanTeam(0, (0.0, 0.0), vicinity_radius=self.vicinity_radius)
+        _check(self.vicinity_radius > 0, "vicinity_radius", f"must be > 0, got {self.vicinity_radius}")
+        teams = tuple(HumanTeam(k, pos) for k, pos in enumerate(team_positions(self)))
 
         with _fields_of("uavs"):
             fleet = FleetParams(u.speed, u.altitude, u.half_angle)
@@ -337,7 +332,7 @@ def _fields_of(section: str):
     try:
         yield
     except DomainError as exc:
-        raise ConfigError(f"{section}.{exc.name}" if section else exc.name, str(exc)) from None
+        raise ConfigError(f"{section}.{exc.name}", str(exc)) from None
 
 
 def _check(condition: bool, path: str, message: str) -> None:

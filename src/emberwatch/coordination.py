@@ -29,7 +29,6 @@ from .bounds import (
     uncertainty_ratio,
     worst_case_speed,
 )
-from .errors import DomainError
 from .fire import EllipseParams
 from .geometry import row_norms
 from .routing import SteinerWaypoint, build_mst, k_opt_improve, split_sequence, steiner_reduce, tour_from_mst
@@ -44,24 +43,23 @@ KMEANS_MAX_ITER = 100
 @dataclass(frozen=True)
 class HumanTeam:
     id: int
-    position: np.ndarray  # (2,)
-    vicinity_radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        if self.vicinity_radius <= 0:
-            raise DomainError("vicinity_radius", f"vicinity_radius must be > 0, got {self.vicinity_radius}")
+    position: np.ndarray  # (2,) float
 
 
 @dataclass
 class UavAgent:
-    """One UAV with its pose, camera, and current route."""
+    """One UAV with its pose, camera, role and current route.
+
+    A UAV has one of two roles: "coverage" flies a share of the fire
+    field, "safety" a share of one team's vicinity tour. A coverage UAV
+    can be recruited for safety; a safety UAV keeps that role.
+    """
 
     id: int
     pose: np.ndarray  # (3,): x, y, altitude
     speed: float
     half_angle: float
-    mode: str = "idle"  # idle | coverage | safety
+    mode: str  # coverage | safety
     route: list = field(default_factory=list)  # waypoint positions, (2,) each
     route_index: int = 0
     route_direction: int = 1
@@ -93,9 +91,9 @@ class MissionPlan:
 
 
 def vicinity_fires(
-    tracks: Mapping[int, tracking.TrackEstimate], teams: Sequence[HumanTeam]
+    tracks: Mapping[int, tracking.TrackEstimate], teams: Sequence[HumanTeam], radius: float
 ) -> list[dict[int, tracking.TrackEstimate]]:
-    """Per team, in order, the tracks whose estimated position lies within its vicinity, in id order.
+    """Per team, in order, the tracks whose estimated position lies within `radius` of it, in id order.
 
     The track positions are stacked once and every team is tested in one
     broadcast; each distance has the bits of that team's own `row_norms`.
@@ -103,9 +101,8 @@ def vicinity_fires(
     fire_ids = sorted(tracks)
     positions = np.array([tracks[f].mean[:2] for f in fire_ids]).reshape(-1, 2)
     centres = np.array([team.position for team in teams]).reshape(-1, 1, 2)
-    radii = np.array([team.vicinity_radius for team in teams]).reshape(-1, 1)
     # nonzero lists the (team, track) pairs team by team, each team's in id order.
-    team_rows, track_rows = np.nonzero(row_norms(positions - centres) <= radii)
+    team_rows, track_rows = np.nonzero(row_norms(positions - centres) <= radius)
     near: list[dict[int, tracking.TrackEstimate]] = [{} for _ in teams]
     for t, i in zip(team_rows.tolist(), track_rows.tolist()):
         near[t][fire_ids[i]] = tracks[fire_ids[i]]
@@ -176,13 +173,12 @@ def _segment_report(
 def plan_safety_tour(
     tracks: Mapping[int, tracking.TrackEstimate],
     assigned: list[UavAgent],
-    idle: list[UavAgent],
     case: int,
     confidence_level: float,
     dt: float,
     terms: Mapping[int, tuple[tracking.SpeedTerms, tracking.ResidualTerms]],
     team: HumanTeam,
-    uav_supply: Callable[[], UavAgent] | None,
+    recruit: Callable[[np.ndarray], UavAgent | None],
 ) -> tuple[MissionPlan, list[UavAgent]]:
     """Build or rebuild a team's safety plan, recruiting as needed.
 
@@ -190,24 +186,23 @@ def plan_safety_tour(
     `tracks`, which the certificate reads instead of the tracks.
 
     `assigned` UAVs are kept (the tour is partitioned among them in
-    order). With none assigned, the first UAV is the one nearest `team`;
-    each recruit is the one nearest its new segment. Both come from `idle`
-    or, once it is empty, from `uav_supply` unless that is None. Returns
-    the plan and the full list of UAVs now assigned; with no first UAV to
-    take, the plan is infeasible and has no segments. Splitting stops when
-    every failing segment is down to a single waypoint or no UAV can be
-    recruited; the plan is then marked infeasible. With one assigned UAV,
-    no idle pool and no supply, the plan answers whether that UAV alone
-    can keep every track fresh.
+    order). With none assigned, the first UAV is `recruit(team.position)`;
+    each further one is `recruit` at the first waypoint of its new
+    segment, and None means no UAV is left. Returns the plan and the full
+    list of UAVs now assigned; with no first UAV to take, the plan is
+    infeasible and has no segments. Splitting stops when every failing
+    segment is down to a single waypoint or no UAV can be recruited; the
+    plan is then marked infeasible. With one assigned UAV and a recruiter
+    that returns None, the plan answers whether that UAV alone can keep
+    every track fresh.
     """
     fire_ids = sorted(tracks)
     if not fire_ids:
         return MissionPlan([], {}, True), list(assigned)
 
     assigned = list(assigned)
-    idle = sorted(idle, key=lambda a: a.id)
     if not assigned:
-        first = _take_nearest(idle, team.position, uav_supply)
+        first = recruit(team.position)
         if first is None:
             return MissionPlan([], {}, False), []
         assigned.append(first)
@@ -246,13 +241,13 @@ def plan_safety_tour(
         seg_centers = np.array([w.position for w in seg.waypoints])
         halves = split_sequence(list(range(len(seg.waypoints))), seg_centers, 2, cyclic=False)
         new_waypoints = [seg.waypoints[k] for k in halves[1]]
-        recruit = _take_nearest(idle, new_waypoints[0].position, uav_supply)
-        if recruit is None:
+        agent = recruit(new_waypoints[0].position)
+        if agent is None:
             feasible = False
             break
-        assigned.append(recruit)
+        assigned.append(agent)
         segments[worst] = _segment(seg.uav_id, [seg.waypoints[k] for k in halves[0]])
-        segments.insert(worst + 1, _segment(recruit.id, new_waypoints))
+        segments.insert(worst + 1, _segment(agent.id, new_waypoints))
 
     uncertainty_ratios: dict[int, float] = {}
     for _, ratios in reports:
@@ -287,16 +282,13 @@ def patrol_step(agents: list[UavAgent], dt: float) -> None:
         _follow_route(agent, dt)
 
 
-def _take_nearest(
-    idle: list[UavAgent], position: np.ndarray, uav_supply: Callable[[], UavAgent] | None
-) -> UavAgent | None:
-    if idle:
-        best = min(idle, key=lambda a: (float(np.linalg.norm(a.pose[:2] - position)), a.id))
-        idle.remove(best)
-        return best
-    if uav_supply is not None:
-        return uav_supply()
-    return None
+def take_nearest(pool: list[UavAgent], position: np.ndarray) -> UavAgent | None:
+    """Remove and return the pool's UAV nearest `position` (lowest id on ties), or None if it is empty."""
+    if not pool:
+        return None
+    best = min(pool, key=lambda a: (float(np.linalg.norm(a.pose[:2] - position)), a.id))
+    pool.remove(best)
+    return best
 
 
 # ---------------------------------------------------------------------------

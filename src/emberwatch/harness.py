@@ -32,6 +32,7 @@ from .coordination import (
     first_observers,
     patrol_step,
     plan_safety_tour,
+    take_nearest,
     vicinity_fires,
 )
 from .errors import DomainError, SingularResidual
@@ -239,10 +240,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     """Run one closed-loop scenario and return its metrics.
 
     A config with a fleet (`uavs.count` > 0) flies it as coverage UAVs,
-    and the proposed controller recruits each team's safety UAVs from it.
-    A config without one has no coverage, and each team's safety UAVs are
-    minted on demand from an unlimited staging pool at the team, as in a
-    sweep-safety cell.
+    and the proposed controller recruits each team's safety UAVs from the
+    ones still on coverage, nearest first. A config without one has no
+    coverage, and each team's safety UAVs are minted on demand from an
+    unlimited staging pool at the team, as in a sweep-safety cell. Either
+    way each team plans with one recruiter, and every UAV in the air is
+    counted active.
     """
     built = cfg.validate()
     params = cfg.fire.ellipse
@@ -257,11 +260,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     staging = np.append(centre, cfg.uavs.altitude)
     minted: dict[int, int] = {}
 
-    def mint(team: HumanTeam) -> UavAgent:
-        """The team's next UAV from its staging pool."""
+    def mint(team: HumanTeam, position: np.ndarray) -> UavAgent:
+        """The team's next UAV from its staging pool; it starts at the team, whatever `position` the plan asks for."""
         k = minted.get(team.id, 0)
         minted[team.id] = k + 1
-        agent = _uav(cfg, 10_000_000 * (team.id + 1) + k, golden_ring(team.position, 20.0, k), "idle")
+        agent = _uav(cfg, 10_000_000 * (team.id + 1) + k, golden_ring(team.position, 20.0, k), "safety")
         agents.append(agent)
         return agent
 
@@ -283,9 +286,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
         # Tracks are born only here, so this order holds for the rest of the step.
         track_ids = sorted(tracks)
 
-        # Sensing against ground truth: lowest-id airborne agent wins.
-        airborne = [a for a in agents if a.mode in ("coverage", "safety")]
-        seen_by = first_observers(airborne, [f.position for f in fronts])
+        # Sensing against ground truth: lowest-id agent wins.
+        seen_by = first_observers(agents, [f.position for f in fronts])
         seen = [(f, agent) for f, agent in zip(fronts, seen_by) if agent is not None]
         observer = {f.id: agent for f, agent in seen}
         uncovered = len(fronts) - len(observer)
@@ -316,43 +318,33 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             else:
                 tracks[fid] = predict(tracks[fid], dt, params)
 
-        dismissed = False
         if cfg.controller == "proposed":
+            # The coverage UAVs that the teams may recruit this step.
+            pool = [a for a in agents if a.mode == "coverage"]
+            on_coverage = len(pool)
             vicinities = []
             if built.teams:
                 # Every team's certificate reads its tracks' terms from one pass of each kind.
-                vicinities = vicinity_fires(tracks, built.teams)
+                vicinities = vicinity_fires(tracks, built.teams, cfg.vicinity_radius)
                 near_ids = sorted(set().union(*vicinities))
                 near = [tracks[f] for f in near_ids]
                 terms = dict(zip(near_ids, zip(speed_terms(near, params), residual_terms(near))))
             for team, vicinity in zip(built.teams, vicinities):
                 if not vicinity:
                     continue
-                assigned = team_assigned.get(team.id, [])
-                assigned_ids = {a.id for a in assigned}
-                idle = [
-                    a
-                    for a in agents
-                    if a.mode in ("idle", "coverage") and a.id not in assigned_ids
-                ]
                 plan, assigned = plan_safety_tour(
                     vicinity,
-                    assigned,
-                    idle,
+                    team_assigned.get(team.id, []),
                     case,
                     cfg.alpha_conf,
                     dt,
                     terms,
                     team=team,
-                    uav_supply=None if cfg.uavs.count else partial(mint, team),
+                    recruit=partial(take_nearest, pool) if cfg.uavs.count else partial(mint, team),
                 )
-                if any(a.mode == "coverage" for a in assigned):
-                    dismissed = True
                 apply_safety_plan(plan, {a.id: a for a in assigned})
                 team_assigned[team.id] = assigned
-                metrics.drones_recruited[team.id] = max(
-                    metrics.drones_recruited.get(team.id, 0), len(assigned)
-                )
+                metrics.drones_recruited[team.id] = len(assigned)
                 metrics.bound_confidence[team.id] = joint_confidence(
                     len(vicinity), cfg.alpha_conf
                 )
@@ -368,18 +360,18 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                 params,
                 partial(_stream, cfg.rng_seed, _S_COVERAGE, step),
                 step,
-                force_replan=dismissed,
+                force_replan=len(pool) < on_coverage,
             )
         else:
+            # No team plans under this controller, so every UAV is on coverage.
             fire_positions = np.array([tracks[f].mean[:2] for f in track_ids])
-            movers = [a for a in agents if a.mode == "coverage"]
-            gradient_coverage_step(movers, fire_positions, built.gradient, dt)
+            gradient_coverage_step(agents, fire_positions, built.gradient, dt)
 
         cum += uncovered
         metrics.uncovered.append(uncovered)
         metrics.cum_uncertainty.append(cum)
         metrics.mean_trace_covariance.append(_mean_trace([tracks[fid].covariance for fid in track_ids]))
-        metrics.active_uavs.append(sum(1 for a in agents if a.mode != "idle"))
+        metrics.active_uavs.append(len(agents))
         metrics.wall_clock.append(time.perf_counter() - tic)
 
     return metrics

@@ -10,6 +10,7 @@ import itertools
 import math
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from emberwatch.bounds import (
     fov_width,
 )
 from emberwatch.config import FilterSection, load_config
-from emberwatch.coordination import UavAgent, plan_safety_tour
+from emberwatch.coordination import UavAgent, plan_safety_tour, take_nearest
 from emberwatch.fire import DEFAULT_ELLIPSE, calibrate_spread_rate, spread_velocity
 from emberwatch.harness import compare_controllers, run_scenario, sweep_safety
 from emberwatch.routing import build_mst, k_opt_improve, steiner_reduce, tour_from_mst
@@ -169,7 +170,7 @@ def _mc_tracks(rng, count):
 
 def test_criterion_3_urr_guarantee_monte_carlo():
     tic = time.perf_counter()
-    uav = UavAgent(id=0, pose=np.array([75.0, 75.0, 40.0]), speed=10.0, half_angle=0.6)
+    uav = UavAgent(id=0, pose=np.array([75.0, 75.0, 40.0]), speed=10.0, half_angle=0.6, mode="safety")
     g = fov_width(uav.fleet())
     passes = 0
     violations = 0
@@ -180,8 +181,8 @@ def test_criterion_3_urr_guarantee_monte_carlo():
         tracks = _mc_tracks(rng, int(rng.integers(3, 6)))
         terms = certificate(tracks)
         plan, _ = plan_safety_tour(
-            tracks, [uav], [], case=2, confidence_level=0.05, dt=1.0, terms=terms,
-            team=team_at_first_fire(tracks), uav_supply=None,
+            tracks, [uav], case=2, confidence_level=0.05, dt=1.0, terms=terms,
+            team=team_at_first_fire(tracks), recruit=partial(take_nearest, []),
         )
         if not plan.feasible:
             continue

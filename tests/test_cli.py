@@ -102,6 +102,7 @@ BAD_VALUES = [
     pytest.param("duration", {"duration": 2.5}, id="duration-float"),
     pytest.param("uavs.count", {"uavs": {"count": "abc"}}, id="uavs-count-string"),
     pytest.param("vicinity_radius", {"vicinity_radius": [1]}, id="vicinity-radius-list"),
+    pytest.param("vicinity_radius", {"vicinity_radius": 0.0}, id="vicinity-radius-zero"),
     pytest.param(
         "filter.init_weather_std[0]", {"filter": {"init_weather_std": ["a", 1, 1]}}, id="weather-std-string"
     ),
@@ -123,7 +124,6 @@ BAD_VALUES = [
         "filter.init_position_std", {"filter": {"init_position_std": 1.0e200}}, id="init-position-std-overflow"
     ),
     # rules owned by the domain objects that validation builds
-    pytest.param("vicinity_radius", {"vicinity_radius": 0.0}, id="vicinity-radius-zero"),
     pytest.param("fire.wind_speed", {"fire": {"wind_speed": -1.0}}, id="wind-speed-negative"),
     pytest.param(
         "fire.schedule[1].wind_speed",

@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from emberwatch.coordination import (
     coverage_step,
     first_observers,
     plan_safety_tour,
+    take_nearest,
     vicinity_fires,
 )
 from emberwatch.fire import DEFAULT_ELLIPSE, calibrate_spread_rate
@@ -24,7 +26,7 @@ from emberwatch.tracking import TrackEstimate, _observation, predict, residual_t
 from oracles import reference_innovation_cov
 
 
-def make_agent(agent_id=0, xy=(0.0, 0.0), z=40.0, speed=10.0, mode="idle"):
+def make_agent(agent_id=0, xy=(0.0, 0.0), z=40.0, speed=10.0, mode="coverage"):
     return UavAgent(
         id=agent_id,
         pose=np.array([xy[0], xy[1], z]),
@@ -67,22 +69,22 @@ def certificate(tracks):
 
 class TestVicinity:
     def test_empty_when_all_far(self):
-        team = HumanTeam(0, np.array([0.0, 0.0]), vicinity_radius=100.0)
+        team = HumanTeam(0, np.array([0.0, 0.0]))
         tracks = {1: make_track((500.0, 0.0)), 2: make_track((0.0, -900.0))}
-        assert vicinity_fires(tracks, [team]) == [{}]
+        assert vicinity_fires(tracks, [team], 100.0) == [{}]
 
     def test_fire_at_team_position_included(self):
-        team = HumanTeam(0, np.array([10.0, 10.0]), vicinity_radius=100.0)
+        team = HumanTeam(0, np.array([10.0, 10.0]))
         tracks = {5: make_track((10.0, 10.0))}
-        assert [list(v) for v in vicinity_fires(tracks, [team])] == [[5]]
+        assert [list(v) for v in vicinity_fires(tracks, [team], 100.0)] == [[5]]
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(3)
-        team = HumanTeam(0, np.array([500.0, 500.0]), vicinity_radius=200.0)
+        team = HumanTeam(0, np.array([500.0, 500.0]))
         tracks = {}
         for fid in range(50):
             tracks[fid] = make_track(tuple(rng.uniform(0, 1000, size=2)), predicted=False)
-        (got,) = vicinity_fires(tracks, [team])
+        (got,) = vicinity_fires(tracks, [team], 200.0)
         expected = {
             fid
             for fid, tr in tracks.items()
@@ -205,14 +207,14 @@ class TestAssignmentPort:
 
 def team_at_first_fire(tracks):
     """A team at the lowest-id fire's estimate, so an empty plan pulls the UAV nearest that fire first."""
-    return HumanTeam(0, tracks[min(tracks)].mean[:2], vicinity_radius=150.0)
+    return HumanTeam(0, tracks[min(tracks)].mean[:2])
 
 
 def solo_plan(tracks, uav, case):
-    """Can this one UAV keep every track fresh? No pool, so no recruiting."""
+    """Can this one UAV keep every track fresh? An empty pool, so no recruiting."""
     plan, _ = plan_safety_tour(
-        tracks, [uav], [], case=case, confidence_level=0.05, dt=1.0, terms=certificate(tracks),
-        team=team_at_first_fire(tracks), uav_supply=None,
+        tracks, [uav], case=case, confidence_level=0.05, dt=1.0, terms=certificate(tracks),
+        team=team_at_first_fire(tracks), recruit=partial(take_nearest, []),
     )
     return plan
 
@@ -277,10 +279,10 @@ class TestFeasibility:
 
 
 def plan_from_pool(tracks, pool, case):
-    """Plan from an idle pool with nobody assigned yet, then fly the plan."""
+    """Plan from a copy of a coverage pool with nobody assigned yet, then fly the plan."""
     plan, assigned = plan_safety_tour(
-        tracks, [], pool, case=case, confidence_level=0.05, dt=1.0, terms=certificate(tracks),
-        team=team_at_first_fire(tracks), uav_supply=None,
+        tracks, [], case=case, confidence_level=0.05, dt=1.0, terms=certificate(tracks),
+        team=team_at_first_fire(tracks), recruit=partial(take_nearest, list(pool)),
     )
     apply_safety_plan(plan, {a.id: a for a in assigned})
     return plan
@@ -299,8 +301,8 @@ class TestRecruitment:
     def test_empty_pool_gives_infeasible_plan(self):
         tracks = {1: make_track((30.0, 30.0))}
         plan, assigned = plan_safety_tour(
-            tracks, [], [], case=1, confidence_level=0.05, dt=1.0, terms=certificate(tracks),
-            team=team_at_first_fire(tracks), uav_supply=None,
+            tracks, [], case=1, confidence_level=0.05, dt=1.0, terms=certificate(tracks),
+            team=team_at_first_fire(tracks), recruit=partial(take_nearest, []),
         )
         assert not plan.feasible
         assert plan.segments == [] and plan.uncertainty_ratios == {}
@@ -355,12 +357,12 @@ class TestRecruitment:
         tracks = self._hard_case2_tracks()
         pool = [make_agent(i) for i in range(4)]
         plan, assigned = plan_safety_tour(
-            tracks, [], pool, case=2, confidence_level=0.05, dt=1.0, terms=certificate(tracks),
-            team=team_at_first_fire(tracks), uav_supply=None,
+            tracks, [], case=2, confidence_level=0.05, dt=1.0, terms=certificate(tracks),
+            team=team_at_first_fire(tracks), recruit=partial(take_nearest, list(pool)),
         )
         again, assigned2 = plan_safety_tour(
-            tracks, assigned, pool, case=2, confidence_level=0.05, dt=1.0, terms=certificate(tracks),
-            team=team_at_first_fire(tracks), uav_supply=None,
+            tracks, assigned, case=2, confidence_level=0.05, dt=1.0, terms=certificate(tracks),
+            team=team_at_first_fire(tracks), recruit=partial(take_nearest, list(pool)),
         )
         assert [a.id for a in assigned2[: len(assigned)]] == [a.id for a in assigned]
         assert len(again.segments) >= len(plan.segments)
@@ -407,6 +409,7 @@ class TestFirstObservers:
                     pose=np.array([*rng.uniform(0.0, 200.0, size=2), rng.uniform(5.0, 60.0)]),
                     speed=10.0,
                     half_angle=float(rng.uniform(0.1, 1.2)),
+                    mode="coverage",
                 )
                 for i in rng.permutation(int(rng.integers(1, 6)))
             ]
@@ -467,13 +470,14 @@ class TestCoverageStep:
         assert union == sorted(tracks)  # survivors re-cover everything
 
     def test_idle_agents_do_not_move(self):
+        """An agent off coverage, here on safety duty, is not moved by the coverage step."""
         tracks = {1: make_track((10.0, 10.0))}
-        idle = make_agent(5, xy=(0.0, 0.0), mode="idle")
+        guard = make_agent(5, xy=(0.0, 0.0), mode="safety")
         coverage_step(
-            [idle], tracks, case=1, confidence_level=0.05, dt=1.0,
+            [guard], tracks, case=1, confidence_level=0.05, dt=1.0,
             params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(4), step=0, force_replan=False,
         )
-        assert idle.pose[:2] == pytest.approx([0.0, 0.0])
+        assert guard.pose[:2] == pytest.approx([0.0, 0.0])
 
 
 def _route_fires(agent, tracks):

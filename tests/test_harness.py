@@ -259,6 +259,60 @@ class TestSafetyDemand:
             assert np.allclose(pa, pb)
 
 
+class TestFleetRecruitment:
+    """Teams that recruit from a coverage fleet rather than from staging pools."""
+
+    @staticmethod
+    def record_steps(monkeypatch):
+        """Per step: each planning team's assigned UAVs, whether it took a coverage UAV, and force_replan.
+
+        The proposed controller calls coverage_step once per step, after
+        every team's plan of that step.
+        """
+        import emberwatch.harness as harness
+
+        plan_safety_tour, coverage_step = harness.plan_safety_tour, harness.coverage_step
+        plans, forced = [{}], []
+
+        def recorded_plan(*args, **kwargs):
+            plan, assigned = plan_safety_tour(*args, **kwargs)
+            # apply_safety_plan has not run yet, so a UAV taken off coverage still says so.
+            plans[-1][kwargs["team"].id] = ([a.id for a in assigned], any(a.mode == "coverage" for a in assigned))
+            return plan, assigned
+
+        def recorded_coverage(*args, **kwargs):
+            forced.append(kwargs["force_replan"])
+            plans.append({})
+            return coverage_step(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "plan_safety_tour", recorded_plan)
+        monkeypatch.setattr(harness, "coverage_step", recorded_coverage)
+        return plans, forced
+
+    def test_teams_share_no_uav_and_take_only_fleet_uavs(self, monkeypatch):
+        base = load_config(CONFIG_DIR / "sweep.yaml")
+        cfg = replace(base, case=2, uavs=replace(base.uavs, count=3), teams=replace(base.teams, count=6))
+        plans, _ = self.record_steps(monkeypatch)
+        metrics = run_scenario(cfg)
+        assert sum(metrics.drones_recruited.values()) == 3  # the pool runs dry
+        assert metrics.active_uavs == [3] * cfg.duration
+        held: dict[int, list[int]] = {}
+        for step in plans:
+            held.update({team: ids for team, (ids, _) in step.items()})
+            taken = [uav for ids in held.values() for uav in ids]
+            assert len(taken) == len(set(taken))
+            assert set(taken) <= set(range(cfg.uavs.count))
+
+    def test_coverage_replans_exactly_when_a_team_takes_a_coverage_uav(self, monkeypatch):
+        base = load_config(CONFIG_DIR / "case3.yaml")
+        cfg = replace(base, teams=replace(base.teams, count=2))
+        plans, forced = self.record_steps(monkeypatch)
+        run_scenario(cfg)
+        took = [any(t for _, t in step.values()) for step in plans[: len(forced)]]
+        assert forced == took
+        assert any(took)
+
+
 class TestSweeps:
     def test_sweep_shapes_and_rows(self):
         result = sweep_safety(safety_config(duration=40), max_teams=2, trials=2)
