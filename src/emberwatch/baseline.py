@@ -3,7 +3,7 @@
 Each UAV climbs the Gaussian kernel density of the fire points while a
 potential field keeps neighbors apart. The attraction step has a fixed
 length along the gradient direction, the combined step is capped at the
-vehicle's speed, and altitude is clamped to a band. This is a simplified
+vehicle's speed, and a UAV keeps its altitude. This is a simplified
 stand-in for pixel-density coverage controllers; comparisons against it
 are qualitative.
 """
@@ -27,8 +27,6 @@ class GradientConfig:
     step_size: float  # attraction step length, m per step
     separation_weight: float
     separation_radius: float  # m; the footprint width unless configured
-    altitude_min: float
-    altitude_max: float
     kernel_bandwidth: float  # m; half the footprint width
 
     def __post_init__(self):
@@ -37,8 +35,6 @@ class GradientConfig:
                 raise DomainError(name, f"{name} must be > 0, got {getattr(self, name)}")
         if not self.separation_weight >= 0:
             raise DomainError("separation_weight", "separation_weight must be >= 0")
-        if self.altitude_min <= 0 or self.altitude_max < self.altitude_min:
-            raise DomainError("altitude_min", "altitude band must satisfy 0 < min <= max")
 
 
 def gradient_coverage_step(
@@ -63,7 +59,6 @@ def gradient_coverage_step(
         if norm > cap:
             step *= cap / norm
         agent.pose[:2] += step
-        agent.pose[2] = min(max(agent.pose[2], cfg.altitude_min), cfg.altitude_max)
 
 
 def _attraction_direction(p: np.ndarray, fires: np.ndarray, bandwidth: float) -> np.ndarray:

@@ -101,7 +101,6 @@ class UavConfigSection:
 class FilterSection:
     alpha_forget: float = 0.97
     init_position_std: float = 3.0
-    init_pose_std: float = 2.0
     init_weather_std: tuple[float, float, float] = (0.08, 0.15, 0.04)
     process_position_std: float = 0.05
     process_pose_std: float = 2.0
@@ -115,8 +114,6 @@ class GradientSection:
     step_size: float = 0.5
     separation_weight: float = 1.0
     separation_radius: float | None = None  # None -> footprint width
-    altitude_min: float = 10.0
-    altitude_max: float = 120.0
 
 
 @dataclass(frozen=True)
@@ -233,7 +230,6 @@ class ScenarioConfig:
             filter_config = FilterConfig(alpha_forget=fl.alpha_forget)
         for name in (
             "init_position_std",
-            "init_pose_std",
             "process_position_std",
             "process_pose_std",
             "obs_angle_std",
@@ -248,11 +244,13 @@ class ScenarioConfig:
                 "must be three positive values",
             )
             _check(max(triple) <= MAX_EXTENT, f"filter.{name}", f"too large: must be <= {MAX_EXTENT:g}")
-        # Diagonal P0, Q0 and R of every new track.
+        # Diagonal P0, Q0 and R of every new track. P0's UAV-pose block is 0:
+        # every track is predicted in the step it is born, and F zeroes the
+        # pose rows and columns, so nothing ever reads that block.
         priors = tuple(
             np.diag([std**2 for std in stds])
             for stds in (
-                (fl.init_position_std,) * 2 + (fl.init_pose_std,) * 3 + fl.init_weather_std,
+                (fl.init_position_std,) * 2 + (0.0,) * 3 + fl.init_weather_std,
                 (fl.process_position_std,) * 2 + (fl.process_pose_std,) * 3 + fl.process_weather_std,
                 (fl.obs_angle_std,) * 2 + fl.obs_weather_std,
             )
@@ -269,15 +267,8 @@ class ScenarioConfig:
                 step_size=g.step_size,
                 separation_weight=g.separation_weight,
                 separation_radius=g.separation_radius if g.separation_radius is not None else width,
-                altitude_min=g.altitude_min,
-                altitude_max=g.altitude_max,
                 kernel_bandwidth=width / 2.0,
             )
-        _check(
-            g.altitude_min <= u.altitude <= g.altitude_max,
-            "uavs.altitude",
-            "must lie inside the gradient altitude band",
-        )
 
         # How far each field can spread the run's positions, in metres. For
         # dt * duration seconds fronts move at most at their spread rate,

@@ -450,9 +450,10 @@ def coverage_step(
 ) -> None:
     """Advance every coverage UAV; replan partitions when deadlines expire.
 
-    `make_rng` builds the generator of a replan's k-means seeding; it is
-    called only on a step that replans. The caller applies sensing
-    against ground truth.
+    A coverage UAV without a route also makes the fleet replan, on every
+    step until a replan gives it one. `make_rng` builds the generator of
+    a replan's k-means seeding; it is called only on a step that replans.
+    The caller applies sensing against ground truth.
     """
     cov = sorted((a for a in agents if a.mode == "coverage"), key=lambda a: a.id)
     if not cov:
@@ -490,7 +491,6 @@ def _replan_coverage(
         idxs = clusters.get(agent.id, [])
         if not idxs:
             agent.route = []
-            agent.replan_deadline = step + REPLAN_FALLBACK
             continue
         pts = centers[idxs]
         mst_edges, mst_length = build_mst(pts)

@@ -14,8 +14,7 @@ def make_agent(agent_id=0, xy=(0.0, 0.0), z=40.0, speed=10.0):
     )
 
 
-CFG = GradientConfig(step_size=0.5, separation_weight=1.0, separation_radius=50.0,
-                     altitude_min=10.0, altitude_max=120.0, kernel_bandwidth=25.0)
+CFG = GradientConfig(step_size=0.5, separation_weight=1.0, separation_radius=50.0, kernel_bandwidth=25.0)
 
 
 def test_fire_directly_below_is_a_fixed_point():
@@ -48,12 +47,6 @@ def test_step_capped_by_vehicle_speed():
     agent = make_agent(speed=3.0)
     gradient_coverage_step([agent], np.array([[40.0, 0.0]]), cfg, dt=1.0)
     assert np.linalg.norm(agent.pose[:2]) <= 3.0 + 1e-9
-
-
-def test_altitude_clamped_to_band():
-    agent = make_agent(z=500.0)
-    gradient_coverage_step([agent], np.array([[0.0, 0.0]]), CFG, dt=1.0)
-    assert CFG.altitude_min <= agent.pose[2] <= CFG.altitude_max
 
 
 def test_single_fire_convergence_within_200_steps():

@@ -152,10 +152,6 @@ BAD_VALUES = [
     pytest.param(
         "gradient.separation_weight", {"gradient": {"separation_weight": -1.0}}, id="separation-weight-negative"
     ),
-    pytest.param(
-        "gradient.altitude_min", {"gradient": {"altitude_min": 50.0, "altitude_max": 20.0}}, id="altitude-band-inverted"
-    ),
-    pytest.param("uavs.altitude", {"uavs": {"altitude": 500.0}}, id="altitude-outside-band"),
     # values that used to pass validation and then crash the run
     pytest.param("dt", {"case": 2, "dt": 1.0e300}, id="dt-1e300"),
     pytest.param("dt", {"case": 3, "dt": 1.0e308}, id="dt-1e308"),
@@ -173,11 +169,7 @@ BAD_VALUES = [
         {"fire": {"initial_count": 100_001, "layout": "team_clusters"}, "teams": {"count": 2}},
         id="team-cluster-id-collision",
     ),
-    pytest.param(
-        "uavs.altitude",
-        {"uavs": {"altitude": 5.0e-324}, "gradient": {"altitude_min": 5.0e-324}},
-        id="altitude-footprint-underflow",
-    ),
+    pytest.param("uavs.altitude", {"uavs": {"altitude": 5.0e-324}}, id="altitude-footprint-underflow"),
     # more fronts than the routing layer's dense distance arrays can hold
     pytest.param("fire.initial_count", {"fire": {"initial_count": 100_001, "layout": "uniform"}}, id="front-cap-initial"),
     # every other per-run entity count shares the front cap
@@ -251,9 +243,9 @@ def test_unconstructible_yaml_value_exits_two_naming_file(tmp_path, capsys, text
 FUZZ_FLOATS = [
     "area.width", "area.height", "fire.speed", "fire.wind_speed", "fire.wind_azimuth", "fire.cluster_spread",
     "fire.process_noise_std", "fire.ellipse.b", "fire.ellipse.l", "uavs.speed", "uavs.altitude",
-    "uavs.half_angle", "filter.alpha_forget", "filter.init_position_std", "filter.init_pose_std",
+    "uavs.half_angle", "filter.alpha_forget", "filter.init_position_std",
     "filter.process_pose_std", "filter.obs_angle_std", "gradient.step_size", "gradient.separation_weight",
-    "gradient.separation_radius", "gradient.altitude_min", "gradient.altitude_max", "alpha_conf",
+    "gradient.separation_radius", "alpha_conf",
     "vicinity_radius", "dt",
 ]
 FUZZ_INTS = ["fire.initial_count", "fire.cluster_count", "fire.spawn_rate_max", "fire.spawn_interval",

@@ -71,6 +71,10 @@ def test_unknown_nested_key(tmp_path):
             "filter.residual_source",
             id="filter.residual_source",
         ),
+        # knobs that moved no output (tests/test_every_knob_acts.py)
+        pytest.param("filter:\n  init_pose_std: 2.0\n", "filter.init_pose_std", id="filter.init_pose_std"),
+        pytest.param("gradient:\n  altitude_min: 10.0\n", "gradient.altitude_min", id="gradient.altitude_min"),
+        pytest.param("gradient:\n  altitude_max: 120.0\n", "gradient.altitude_max", id="gradient.altitude_max"),
     ],
 )
 def test_removed_modes_are_unknown_keys(tmp_path, capsys, text, path):
@@ -150,13 +154,6 @@ def test_wind_schedule_parsed():
 def test_controller_choices():
     with pytest.raises(ConfigError):
         scenario_from_dict({"controller": "wizard"}).validate()
-
-
-def test_altitude_must_fit_gradient_band():
-    cfg = scenario_from_dict({"uavs": {"altitude": 500.0}})
-    with pytest.raises(ConfigError) as err:
-        cfg.validate()
-    assert "altitude" in str(err.value)
 
 
 def test_fov_width():

@@ -479,6 +479,29 @@ class TestCoverageStep:
         )
         assert guard.pose[:2] == pytest.approx([0.0, 0.0])
 
+    def test_unrouted_agent_replans_every_step(self):
+        """Three agents over one track: the two left without a route make the fleet replan on every step.
+
+        Every deadline lies in the future, so only the unrouted agents trigger
+        the replans.
+        """
+        tracks = {1: make_track((100.0, 0.0))}
+        agents = [make_agent(i, xy=(50.0 * i, 0.0)) for i in range(3)]
+        for agent in agents:
+            agent.replan_deadline = 100
+        replans = []
+        for step in range(4):
+            def make_rng():
+                replans.append(step)
+                return np.random.default_rng(step)
+
+            coverage_step(
+                agents, tracks, case=1, confidence_level=0.05, dt=1.0,
+                params=DEFAULT_ELLIPSE, make_rng=make_rng, step=step, force_replan=False,
+            )
+            assert sum(bool(a.route) for a in agents) == 1
+        assert replans == [0, 1, 2, 3]
+
 
 def _route_fires(agent, tracks):
     hits = set()
