@@ -270,9 +270,8 @@ def _assign_route(agent: UavAgent, route: list[np.ndarray]) -> None:
     that takes longer to fly than the replan interval.
     """
     agent.route = route
-    agent.route_index = min(
-        range(len(route)), key=lambda i: (float(np.linalg.norm(route[i] - agent.pose[:2])), i), default=0
-    )
+    dists = row_norms(np.array(route) - agent.pose[:2]).tolist() if route else []
+    agent.route_index = min(range(len(route)), key=lambda i: (dists[i], i), default=0)
     agent.route_direction = 1
 
 
@@ -286,9 +285,8 @@ def take_nearest(pool: list[UavAgent], position: np.ndarray) -> UavAgent | None:
     """Remove and return the pool's UAV nearest `position` (lowest id on ties), or None if it is empty."""
     if not pool:
         return None
-    best = min(pool, key=lambda a: (float(np.linalg.norm(a.pose[:2] - position)), a.id))
-    pool.remove(best)
-    return best
+    dists = row_norms(np.array([a.pose[:2] for a in pool]) - position).tolist()
+    return pool.pop(min(range(len(pool)), key=lambda i: (dists[i], pool[i].id)))
 
 
 # ---------------------------------------------------------------------------

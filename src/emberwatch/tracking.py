@@ -39,6 +39,18 @@ exact). The F that consecutive tracks share is read-only.
 These share work without reordering any float operation, so results are
 the same bits as evaluating each quantity on its own
 (tests/test_hot_path_identity.py checks them against frozen references).
+
+The update's three LAPACK calls (`eigvalsh` and `solve` in
+`kalman_gain`, `cholesky` in `floor_psd`) go to numpy's linalg gufuncs
+directly. On a 5x5 or 8x8 matrix most of a `numpy.linalg` call is its
+Python wrapper, not LAPACK: it converts and checks its argument, picks
+a signature and casts the result. Every array this module passes is
+already a square float64 one, so each of those steps is a no-op here.
+What decides a result is kept: the same gufunc, under the same
+`np.errstate` as the wrapper's, in which overflow, division by zero and
+underflow are ignored and an invalid result is a failed factorisation
+that raises `LinAlgError`. So every output bit and every refusal is the
+wrapper's (tests/test_tracking.py checks the kernels against it).
 """
 
 from __future__ import annotations
@@ -48,6 +60,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import fire
 from .errors import DomainError, SingularResidual
@@ -225,6 +238,28 @@ def observe(state: np.ndarray) -> np.ndarray:
 # covariance helpers (also usable on scalar 1x1 systems in tests)
 
 
+def _lapack(gufunc, failure: str):
+    """`gufunc` as `numpy.linalg` calls it on a square float64 array: a
+    LAPACK failure raises `LinAlgError(failure)`, with the wrapper's message.
+    """
+
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(failure)
+
+    def kernel(*arrays):
+        with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            return gufunc(*arrays)
+
+    return kernel
+
+
+# np.linalg.eigvalsh, solve (of a matrix right-hand side) and cholesky,
+# without their wrappers (see the module docstring).
+_eigvalsh = _lapack(_umath_linalg.eigvalsh_lo, "Eigenvalues did not converge")
+_solve = _lapack(_umath_linalg.solve, "Singular matrix")
+_cholesky = _lapack(_umath_linalg.cholesky_lo, "Matrix is not positive definite")
+
+
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.T) / 2.0
 
@@ -243,7 +278,7 @@ def floor_psd(matrix: np.ndarray) -> np.ndarray:
     """
     sym = symmetrize(matrix)
     try:
-        np.linalg.cholesky(sym)
+        _cholesky(sym)
         return sym
     except np.linalg.LinAlgError:
         pass
@@ -278,13 +313,13 @@ def kalman_gain(HP: np.ndarray, S: np.ndarray) -> np.ndarray:
     from S, so its bits do not depend on the check.
     """
     try:
-        vals = np.linalg.eigvalsh(S)
+        vals = _eigvalsh(S)
     except np.linalg.LinAlgError as exc:  # S holds an infinity or a NaN
         raise SingularResidual("residual covariance is not finite") from exc
     lo, hi = vals[0], vals[-1]
     if not (lo > 0 and hi <= _COND_LIMIT * lo):
         raise SingularResidual(f"residual covariance condition number exceeds {_COND_LIMIT:g}")
-    return np.linalg.solve(S, HP).T
+    return _solve(S, HP).T
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from emberwatch import coordination, harness
 from emberwatch.bounds import BoundInputs, fov_width, traverse_bound, worst_case_speed
+from emberwatch.config import load_config
 from emberwatch.coordination import (
+    REPLAN_CAP,
     HumanTeam,
     UavAgent,
+    _assign_route,
     _linear_sum_assignment,
     apply_safety_plan,
     cluster_and_assign,
@@ -24,6 +30,8 @@ from emberwatch.fire import DEFAULT_ELLIPSE, calibrate_spread_rate
 from emberwatch.routing import build_mst
 from emberwatch.tracking import TrackEstimate, _observation, predict, residual_terms, speed_terms
 from oracles import reference_innovation_cov
+
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
 
 def make_agent(agent_id=0, xy=(0.0, 0.0), z=40.0, speed=10.0, mode="coverage"):
@@ -353,6 +361,14 @@ class TestRecruitment:
         ids = [seg.uav_id for seg in plan.segments]
         assert len(set(ids)) == len(ids)
 
+    def test_take_nearest_breaks_distance_ties_by_lowest_id(self):
+        pool = [make_agent(7, xy=(10.0, 0.0)), make_agent(3, xy=(-10.0, 0.0)), make_agent(1, xy=(0.0, 11.0))]
+        assert take_nearest(pool, np.array([0.0, 0.0])).id == 3
+        assert [a.id for a in pool] == [7, 1]
+        assert take_nearest(pool, np.array([0.0, 0.0])).id == 7
+        assert take_nearest(pool, np.array([0.0, 0.0])).id == 1
+        assert take_nearest(pool, np.array([0.0, 0.0])) is None
+
     def test_rebuild_keeps_assigned_agents(self):
         tracks = self._hard_case2_tracks()
         pool = [make_agent(i) for i in range(4)]
@@ -469,6 +485,14 @@ class TestCoverageStep:
         union = sorted({f for a in survivors for f in _route_fires(a, tracks)})
         assert union == sorted(tracks)  # survivors re-cover everything
 
+    def test_new_route_resumes_at_lowest_index_of_equally_near_waypoints(self):
+        agent = make_agent(0, xy=(0.0, 0.0))
+        route = [np.array(p) for p in ((30.0, 0.0), (0.0, 20.0), (-20.0, 0.0), (0.0, -20.0))]
+        _assign_route(agent, route)
+        assert agent.route is route and agent.route_index == 1
+        _assign_route(agent, [])
+        assert agent.route == [] and agent.route_index == 0
+
     def test_idle_agents_do_not_move(self):
         """An agent off coverage, here on safety duty, is not moved by the coverage step."""
         tracks = {1: make_track((10.0, 10.0))}
@@ -510,3 +534,64 @@ def _route_fires(agent, tracks):
             if np.linalg.norm(tr.mean[:2] - wp) < 30.0:
                 hits.add(fid)
     return hits
+
+
+class TestWhereCoverageDeadlinesComeFrom:
+    """Today's coverage deadlines, pinned before they are derived from the
+    model: every deadline of the shipped scenarios is the `REPLAN_FALLBACK`
+    timer, and the bound, or its `REPLAN_CAP` cap, sets one only on a sparse
+    compare cell."""
+
+    @staticmethod
+    def _sources(cfg, monkeypatch) -> dict[str, int]:
+        """How many of the run's coverage deadlines each source set.
+
+        `_replan_coverage` sets one deadline per routed agent from that
+        agent's `traverse_bound`: the bound in steps, capped at `REPLAN_CAP`,
+        when it is feasible and above 0 s, else the fallback.
+        """
+        sources = Counter()
+        replanning = []
+        replan, bound = coordination._replan_coverage, coordination.traverse_bound
+
+        def recorded_replan(*args):
+            replanning.append(True)
+            try:
+                return replan(*args)
+            finally:
+                replanning.pop()
+
+        def recorded_bound(*args):
+            result = bound(*args)
+            if replanning:
+                if not result.feasible:
+                    sources["infeasible fallback"] += 1
+                elif result.seconds <= 0:
+                    sources["0 s fallback"] += 1
+                elif result.seconds / cfg.dt > REPLAN_CAP:
+                    sources["cap"] += 1
+                else:
+                    sources["bound"] += 1
+            return result
+
+        monkeypatch.setattr(coordination, "_replan_coverage", recorded_replan)
+        monkeypatch.setattr(coordination, "traverse_bound", recorded_bound)
+        harness.run_scenario(cfg)
+        return dict(sources)
+
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            (1, {"0 s fallback": 48}),
+            (2, {"0 s fallback": 48}),
+            (3, {"0 s fallback": 8, "infeasible fallback": 40}),
+        ],
+    )
+    def test_shipped_scenarios_replan_on_the_fallback_alone(self, case, expected, monkeypatch):
+        cfg = load_config(CONFIG_DIR / f"case{case}.yaml")
+        assert self._sources(cfg, monkeypatch) == expected
+
+    @pytest.mark.parametrize("drones, expected", [(1, {"cap": 1}), (4, {"bound": 36, "0 s fallback": 12})])
+    def test_sparse_compare_cell_replans_on_the_bound(self, drones, expected, monkeypatch):
+        cells = dict(harness.experiment_cells(load_config(CONFIG_DIR / "compare.yaml"), "compare", [drones], 1))
+        assert self._sources(cells[1, "proposed", drones, 0], monkeypatch) == expected

@@ -1,10 +1,14 @@
 import math
+import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from emberwatch import harness, tracking
 from emberwatch.bounds import uncertainty_ratio
+from emberwatch.config import load_config
 from emberwatch.errors import DomainError, SingularResidual
 from emberwatch.fire import (
     DEFAULT_ELLIPSE,
@@ -25,7 +29,10 @@ from emberwatch.tracking import (
     FilterConfig,
     TrackEstimate,
     floor_psd,
+    _cholesky,
+    _eigvalsh,
     _observation,
+    _solve,
     kalman_gain,
     observe,
     predict,
@@ -502,3 +509,91 @@ class TestFastPaths:
             weather = WindFuelState(max(state[SPREAD_RATE], 0.0), max(state[SPREAD_RATE + 1], 0.0), state[-1])
             velocity, _ = spread_velocity(*state[SPREAD_RATE:], DEFAULT_ELLIPSE)
             assert np.array_equal(velocity, front_velocity(weather, DEFAULT_ELLIPSE))
+
+
+def _symmetric(rng, eigenvalues) -> np.ndarray:
+    """Seeded symmetric matrix with the given eigenvalues."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
+    return symmetrize((q * np.asarray(eigenvalues, dtype=float)) @ q.T)
+
+
+def _kernel_inputs(rng, n: int) -> dict[str, np.ndarray]:
+    """Named square inputs: positive definite, on and just past the 1e12
+    condition limit, indefinite, zero, rank-deficient, and holding NaN or
+    +-inf on and off the diagonal."""
+    low = rng.normal(size=(n, n - 2))
+    inputs = {
+        "spd": _spd(rng, 10.0, n),
+        "condition 1e12": _spd(rng, 1e12, n),
+        "condition just above 1e12": _spd(rng, 1e12 * (1 + 1e-6), n),
+        "indefinite": _symmetric(rng, np.linspace(-1.0, 2.0, n)),
+        "zero": np.zeros((n, n)),
+        "rank-deficient": low @ low.T,
+    }
+    for value in (np.nan, np.inf, -np.inf):
+        off = _spd(rng, 10.0, n)
+        off[1, 2] = off[2, 1] = value
+        on = _spd(rng, 10.0, n)
+        on[0, 0] = value
+        inputs[f"{value} off the diagonal"] = off
+        inputs[f"{value} on the diagonal"] = on
+    return inputs
+
+
+def _outcome(call, *arrays):
+    """(dtype, shape, bytes) of what `call` returns, or (type, message) of the
+    LinAlgError it raises. Any other exception, a float warning made an error
+    included, propagates."""
+    try:
+        result = call(*arrays)
+    except np.linalg.LinAlgError as exc:
+        return type(exc), str(exc)
+    return result.dtype, result.shape, result.tobytes()
+
+
+class TestLinalgKernels:
+    """The filter's direct linalg kernels are numpy.linalg's public calls
+    without the wrapper: the same bits on every input, and a refusal with the
+    same exception exactly where the public call raises, without a float
+    warning either way."""
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_kernels_equal_the_public_calls(self, n):
+        rng = np.random.default_rng(n)
+        rhs = rng.normal(size=(n, 8))
+        refused = {"eigvalsh": 0, "solve": 0, "cholesky": 0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, M in _kernel_inputs(rng, n).items():
+                for kernel, public, arrays in (
+                    (_eigvalsh, np.linalg.eigvalsh, (M,)),
+                    (_solve, np.linalg.solve, (M, rhs)),
+                    (_cholesky, np.linalg.cholesky, (M,)),
+                ):
+                    expected = _outcome(public, *arrays)
+                    assert _outcome(kernel, *arrays) == expected, (name, public.__name__)
+                    refused[public.__name__] += expected[0] is np.linalg.LinAlgError
+        assert all(refused.values()), refused  # every kernel's refusal is exercised
+
+    def test_a_run_calls_no_linalg_wrapper(self, monkeypatch):
+        cfg = replace(load_config(Path(__file__).parent.parent / "configs" / "case3.yaml"), duration=40)
+        gain = tracking.kalman_gain
+        gains = 0
+
+        def counted(*args):
+            nonlocal gains
+            gains += 1
+            return gain(*args)
+
+        def wrapper(*args, **kwargs):
+            raise AssertionError("the filter called a numpy.linalg wrapper")
+
+        wrappers = ("eigvalsh", "solve", "cholesky")
+        kernels = {_eigvalsh, _solve, _cholesky}
+        assert kernels.isdisjoint(getattr(np.linalg, name) for name in wrappers)  # no kernel is bound to a wrapper
+        for name in wrappers:
+            monkeypatch.setattr(np.linalg, name, wrapper)
+        monkeypatch.setattr(tracking, "kalman_gain", counted)
+        metrics = harness.run_scenario(cfg)
+        assert gains > 100  # the run's updates went through the kernels
+        assert metrics.filter_faults == 0
