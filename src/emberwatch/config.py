@@ -37,8 +37,8 @@ TEAM_FIRE_IDS = 100_000
 
 # Largest distance (m) over which a run's positions may spread, filter
 # standard deviation and duration (steps). Its square leaves room for sums
-# of squares (the k-means++ weights, the filter's covariance sums) and for
-# noise tails before a float overflows.
+# of squares (the filter's covariance sums) and for noise tails before a
+# float overflows.
 MAX_EXTENT = 1e100
 
 # Most fronts a run may hold, and the cap on every other per-run entity

@@ -3,9 +3,10 @@
 The safety side builds a close-enough tour over the fires near a human
 team, checks every track's uncertainty ratio against the traverse-time
 bound, and recruits additional UAVs (splitting the worst segment) until
-the check passes or the pool runs dry. The coverage side clusters the
-remaining tracked fires, assigns UAVs to clusters at minimum total
-distance, and replans when a partition's traverse bound expires.
+the check passes or the pool runs dry. The coverage side splits one
+tour over all tracked fires the same way, gives each segment to the free
+UAV nearest its centroid, and replans when a segment's traverse bound
+expires.
 
 Agents read a snapshot and are updated in ascending id order, which keeps
 whole runs deterministic without a communication model.
@@ -37,8 +38,6 @@ from .routing import SteinerWaypoint, build_mst, k_opt_improve, split_sequence, 
 REPLAN_FALLBACK = 25
 REPLAN_CAP = 200
 
-KMEANS_MAX_ITER = 100
-
 
 @dataclass(frozen=True)
 class HumanTeam:
@@ -50,8 +49,9 @@ class HumanTeam:
 class UavAgent:
     """One UAV with its pose, camera, role and current route.
 
-    A UAV has one of two roles: "coverage" flies a share of the fire
-    field, "safety" a share of one team's vicinity tour. A coverage UAV
+    A UAV has one of two roles: "coverage" flies a segment of the tour
+    over every tracked fire, "safety" a segment of one team's vicinity
+    tour; either patrols its segment back and forth. A coverage UAV
     can be recruited for safety; a safety UAV keeps that role.
     """
 
@@ -140,6 +140,17 @@ def first_observers(agents: Sequence[UavAgent], points) -> list[UavAgent | None]
 SAFETY_MAX_GROUP = 3
 
 
+def _split_tour(centers: np.ndarray, parts: int) -> list[list[int]]:
+    """One 2-opt-improved MST tour over the centers, split cyclically into `parts` near-equal open paths.
+
+    This is the tour-splitting heuristic of Frederickson, Hecht and Kim
+    (SIAM J. Comput., 1978), shared by the safety and coverage planners.
+    """
+    mst_edges, _ = build_mst(centers)
+    tour = k_opt_improve(tour_from_mst(centers, mst_edges), centers)
+    return split_sequence(list(tour.order), centers, parts, cyclic=True)
+
+
 def _segment(uav_id: int, waypoints: list[SteinerWaypoint]) -> SafetySegment:
     fire_ids = sorted(m for w in waypoints for m in w.members)
     return SafetySegment(uav_id=uav_id, waypoints=waypoints, fire_ids=fire_ids)
@@ -212,13 +223,11 @@ def plan_safety_tour(
     positions = np.array([tracks[f].mean[:2] for f in fire_ids])
     waypoints = steiner_reduce(positions, g, ids=fire_ids, max_members=SAFETY_MAX_GROUP)
     centers = np.array([w.position for w in waypoints])
-    mst_edges, _ = build_mst(centers)
-    tour = k_opt_improve(tour_from_mst(centers, mst_edges), centers)
 
     parts = min(len(assigned), len(waypoints))
-    chunks = split_sequence(list(tour.order), centers, parts, cyclic=True)
     segments = [
-        _segment(assigned[i].id, [waypoints[k] for k in chunk]) for i, chunk in enumerate(chunks)
+        _segment(assigned[i].id, [waypoints[k] for k in chunk])
+        for i, chunk in enumerate(_split_tour(centers, parts))
     ]
     # Agents beyond the waypoint count hold with an empty share.
     segments += [_segment(agent.id, []) for agent in assigned[parts:]]
@@ -293,146 +302,20 @@ def take_nearest(pool: list[UavAgent], position: np.ndarray) -> UavAgent | None:
 # coverage module
 
 
-def cluster_and_assign(
-    points: np.ndarray, uavs: list[UavAgent], rng: np.random.Generator
-) -> dict[int, list[int]]:
-    """K-means partition of the points plus optimal UAV-to-cluster matching.
+def cluster_and_assign(points: np.ndarray, uavs: list[UavAgent]) -> dict[int, list[int]]:
+    """Split one tour over the points into a segment per UAV, as a safety plan splits its tour.
 
-    k equals the UAV count (capped at the point count); seeding is
-    k-means++ from the supplied generator, Lloyd iterations are capped,
-    and the final one-to-one assignment minimizes total planar distance
-    from each UAV to its cluster center.
+    The tour is split cyclically into min(UAVs, points) near-equal
+    segments. In tour order, each segment goes to the free UAV nearest its
+    centroid (lowest id on ties); a UAV left over gets no points. Each
+    segment lists its point indices in tour order.
     """
     points = np.asarray(points, dtype=float)
-    uavs = sorted(uavs, key=lambda a: a.id)
-    if not uavs:
-        raise ValueError("need at least one UAV")
-    if len(points) == 0:
-        raise ValueError("need at least one point")
-    k = min(len(uavs), len(points))
-
-    centers = _kmeans_pp_init(points, k, rng)
-    labels = np.zeros(len(points), dtype=int)
-    for _ in range(KMEANS_MAX_ITER):
-        dists = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
-        new_labels = np.argmin(dists, axis=1)
-        for c in range(k):
-            members = points[new_labels == c]
-            if len(members) > 0:
-                centers[c] = members.mean(axis=0)
-            else:
-                # Re-seed an empty cluster at the point farthest from its center.
-                far = int(np.argmax(dists[np.arange(len(points)), new_labels]))
-                centers[c] = points[far]
-                new_labels[far] = c
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-
-    cost = [[float(np.linalg.norm(a.pose[:2] - centers[c])) for c in range(k)] for a in uavs]
-    rows, cols = _linear_sum_assignment(cost)
-    result: dict[int, list[int]] = {a.id: [] for a in uavs}
-    for r, c in zip(rows, cols):
-        result[uavs[r].id] = [int(i) for i in np.nonzero(labels == c)[0]]
-    return result
-
-
-def _linear_sum_assignment(cost: list[list[float]]) -> tuple[list[int], list[int]]:
-    """Minimum-cost one-to-one assignment of rows to columns of a non-empty
-    cost matrix given as a list of rows, returned as (rows, cols).
-
-    The shortest augmenting path method of Crouse ("On implementing 2D
-    rectangular assignment algorithms", IEEE TAES 52(4), 2016), ported
-    step for step from SciPy's `linear_sum_assignment` so that ties and
-    last bits come out the same: a tall matrix is solved transposed,
-    columns are scanned last to first, on equal path cost an unassigned
-    column wins, and the duals are updated in the same float order. Rows
-    come back sorted. A NaN or -inf entry, or a matrix with no finite
-    assignment, raises ValueError.
-    """
-    nr, nc = len(cost), len(cost[0])
-    transpose = nc < nr
-    if transpose:
-        cost = [list(col) for col in zip(*cost)]
-        nr, nc = nc, nr
-    if any(c != c or c == -math.inf for row in cost for c in row):
-        raise ValueError("matrix contains invalid numeric entries")
-
-    u = [0.0] * nr
-    v = [0.0] * nc
-    path = [-1] * nc
-    col4row = [-1] * nr
-    row4col = [-1] * nc
-    for cur_row in range(nr):
-        # Shortest augmenting path from cur_row to an unassigned column.
-        min_val = 0.0
-        remaining = list(range(nc - 1, -1, -1))
-        shortest = [math.inf] * nc
-        rows_seen = [False] * nr
-        cols_seen = [False] * nc
-        i = cur_row
-        sink = -1
-        while sink == -1:
-            index = -1
-            lowest = math.inf
-            rows_seen[i] = True
-            row, ui = cost[i], u[i]
-            for it, j in enumerate(remaining):
-                r = min_val + row[j] - ui - v[j]
-                best = shortest[j]
-                if r < best:
-                    path[j] = i
-                    shortest[j] = best = r
-                if best < lowest or (best == lowest and row4col[j] == -1):
-                    lowest = best
-                    index = it
-            min_val = lowest
-            if min_val == math.inf:
-                raise ValueError("cost matrix is infeasible")
-            j = remaining[index]
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-            cols_seen[j] = True
-            remaining[index] = remaining[-1]
-            remaining.pop()
-
-        u[cur_row] += min_val
-        for i in range(nr):
-            if rows_seen[i] and i != cur_row:
-                u[i] += min_val - shortest[col4row[i]]
-        for j in range(nc):
-            if cols_seen[j]:
-                v[j] -= min_val - shortest[j]
-
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur_row:
-                break
-
-    if transpose:
-        order = sorted(range(nr), key=col4row.__getitem__)
-        return [col4row[i] for i in order], order
-    return list(range(nr)), col4row
-
-
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    centers = [points[int(rng.integers(len(points)))]]
-    while len(centers) < k:
-        d2 = np.min(
-            [np.sum((points - c) ** 2, axis=1) for c in centers], axis=0
-        )
-        total = d2.sum()
-        if total <= 0:
-            remaining = [i for i in range(len(points)) if d2[i] == 0]
-            centers.append(points[remaining[len(centers) % len(remaining)]])
-            continue
-        centers.append(points[int(rng.choice(len(points), p=d2 / total))])
-    return np.array(centers, dtype=float)
+    free = list(uavs)
+    segments: dict[int, list[int]] = {a.id: [] for a in uavs}
+    for chunk in _split_tour(points, min(len(uavs), len(points))):
+        segments[take_nearest(free, points[chunk].mean(axis=0)).id] = chunk
+    return segments
 
 
 def coverage_step(
@@ -442,16 +325,14 @@ def coverage_step(
     confidence_level: float,
     dt: float,
     params: EllipseParams,
-    make_rng: Callable[[], np.random.Generator],
     step: int,
     force_replan: bool,
 ) -> None:
-    """Advance every coverage UAV; replan partitions when deadlines expire.
+    """Advance every coverage UAV along its segment; replan the segments when a deadline expires.
 
     A coverage UAV without a route also makes the fleet replan, on every
-    step until a replan gives it one. `make_rng` builds the generator of
-    a replan's k-means seeding; it is called only on a step that replans.
-    The caller applies sensing against ground truth.
+    step until a replan gives it one. The caller applies sensing against
+    ground truth.
     """
     cov = sorted((a for a in agents if a.mode == "coverage"), key=lambda a: a.id)
     if not cov:
@@ -462,7 +343,7 @@ def coverage_step(
         a.replan_deadline <= step or not a.route for a in cov
     )
     if fire_ids and needs_replan:
-        _replan_coverage(cov, tracks, fire_ids, case, confidence_level, dt, params, make_rng(), step)
+        _replan_coverage(cov, tracks, fire_ids, case, confidence_level, dt, params, step)
 
     for agent in cov:
         _follow_route(agent, dt)
@@ -476,24 +357,22 @@ def _replan_coverage(
     confidence_level: float,
     dt: float,
     params: EllipseParams,
-    rng: np.random.Generator,
     step: int,
 ) -> None:
     g = fov_width(cov[0].fleet())
     positions = np.array([tracks[f].mean[:2] for f in fire_ids])
     waypoints = steiner_reduce(positions, g, ids=fire_ids)
     centers = np.array([w.position for w in waypoints])
-    clusters = cluster_and_assign(centers, cov, rng)
+    segments = cluster_and_assign(centers, cov)
 
     for agent in cov:
-        idxs = clusters.get(agent.id, [])
+        idxs = segments[agent.id]
         if not idxs:
             agent.route = []
             continue
         pts = centers[idxs]
-        mst_edges, mst_length = build_mst(pts)
-        tour = k_opt_improve(tour_from_mst(pts, mst_edges), pts)
-        _assign_route(agent, [pts[i].copy() for i in tour.order])
+        _, mst_length = build_mst(pts)
+        _assign_route(agent, list(pts))
 
         member_fires = sorted({m for i in idxs for m in waypoints[i].members})
         member_tracks = [tracks[f] for f in member_fires]
@@ -516,10 +395,9 @@ def _replan_coverage(
 
 
 def _follow_route(agent: UavAgent, dt: float) -> None:
-    """Move along the route at constant speed: a coverage agent loops it, any other ping-pongs.
+    """Move along the route at constant speed, reversing at either end (ping-pong).
 
-    Only coverage routes are cycles, and a UAV recruited for safety never
-    returns to coverage.
+    Coverage and safety routes are both open segments of a split tour.
     """
     if not agent.route:
         return
@@ -535,14 +413,11 @@ def _follow_route(agent: UavAgent, dt: float) -> None:
             budget -= dist
             if len(agent.route) == 1:
                 break
-            if agent.mode == "coverage":
-                agent.route_index = (agent.route_index + 1) % len(agent.route)
-            else:
+            nxt = agent.route_index + agent.route_direction
+            if nxt < 0 or nxt >= len(agent.route):
+                agent.route_direction *= -1
                 nxt = agent.route_index + agent.route_direction
-                if nxt < 0 or nxt >= len(agent.route):
-                    agent.route_direction *= -1
-                    nxt = agent.route_index + agent.route_direction
-                agent.route_index = nxt
+            agent.route_index = nxt
         else:
             agent.pose[:2] += delta * (budget / dist)
             budget = 0.0

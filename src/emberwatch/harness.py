@@ -41,11 +41,11 @@ from .geometry import golden_ring
 from .tracking import TrackEstimate, predict, residual_terms, speed_terms, step_track
 
 # Substream purposes; fire.py keys the fire step's motion (6) and spawns (7).
+# Purpose 5 is unused: renumbering the others would move every keyed draw.
 _S_LAYOUT = 1
 _S_TEAMFIRE = 2
 _S_DETECT = 3
 _S_OBS = 4
-_S_COVERAGE = 5
 
 STEP_CSV_HEADER = "step,uncovered_count,cum_uncertainty,mean_trace_P,active_uavs"
 
@@ -358,7 +358,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                 cfg.alpha_conf,
                 dt,
                 params,
-                partial(_stream, cfg.rng_seed, _S_COVERAGE, step),
                 step,
                 force_replan=len(pool) < on_coverage,
             )

@@ -523,40 +523,40 @@ PINNED_SIMULATIONS = [
     pytest.param(
         "case1.yaml", {}, "csv",
         {
-            "steps.csv": "24364f2c9f85e83796bf76df01068e12f92a8cde68866d709b589c185fc2a808",
-            "stdout": "ddfecc8761e5e91207db0c8a9b6906a0060ca89961b83d15f127089c637b5ed4",
+            "steps.csv": "49d7ae1ecd8e9f5e014322504494460470fe89c8852e36ac190e90e88fc9fb75",
+            "stdout": "e06e29af7a7cbeaabfacfeb122946939db58e10b34670efbb9c9bc613b8e3c8e",
         },
         id="case1-csv",
     ),
     pytest.param(
         "case2.yaml", {}, "csv",
         {
-            "steps.csv": "2c34ba1a7e7044172163659be5ee6ac6faebf6dfa76a5de0fab65e175a656602",
-            "stdout": "35cf647b19260509b515093ba221be52617123b4bbe34f941af071914b688cb8",
+            "steps.csv": "a0c6071b171d64ce4ad71e868a7901937cff85828471f624da75b2b4da76cef5",
+            "stdout": "7c2a975155459572a2fa53c86066af6ccd5486c48a70209f21fb049ec9bd7efc",
         },
         id="case2-csv",
     ),
     pytest.param(
         "case3.yaml", {}, "csv",
         {
-            "steps.csv": "4b1173446d81ffda89f030c6d1d1046eb4a0d5054ea2c70d17b9e8e77d90fd81",
-            "stdout": "4416fb29b6ed8c4f38a44b8336334768b294c62487a8fbca71eafc2fe721ce67",
+            "steps.csv": "cdbe2aa69391203b2a6b09cad5f83f3b660917559a68e3cbc41219f8e4f97797",
+            "stdout": "5ca0b31eaee735aa1cf0b1292c59605f6f0cda6f44f42f6560f83dba16378d98",
         },
         id="case3-csv",
     ),
     pytest.param(
         "case3.yaml", {"teams": {"count": 2}}, "csv",
         {
-            "steps.csv": "cfe86a7b7aea2a13d8966d6f91973890241ef23a0ec7b44d95663f5c464a0402",
-            "stdout": "b090525b97ff9ebb2e3426141a106e49fb18d0e2ab6563c881064581dae97254",
+            "steps.csv": "419c494d8804a3da6fecb1bc2d748487670ab26038e6e9948fe5d276369622d4",
+            "stdout": "7282dd7228933a722bc7fff7360ce138e2160892c919c99b2c4ea81031a609c7",
         },
         id="case3-teams-csv",
     ),
     pytest.param(
         "case3.yaml", {"teams": {"count": 2}}, "json",
         {
-            "steps.json": "0e76e486038fc4ec460c76a9b50e67fe9b7bf0ece8b3661e16354d4aefd88a9a",
-            "stdout": "b090525b97ff9ebb2e3426141a106e49fb18d0e2ab6563c881064581dae97254",
+            "steps.json": "c1d2684cf5984d81724efb9d8868b47ce8fe727941b49312b85fc2fd6e5d2081",
+            "stdout": "7282dd7228933a722bc7fff7360ce138e2160892c919c99b2c4ea81031a609c7",
         },
         id="case3-teams-json",
     ),

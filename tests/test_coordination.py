@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 from collections import Counter
@@ -7,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 
 from emberwatch import coordination, harness
 from emberwatch.bounds import BoundInputs, fov_width, traverse_bound, worst_case_speed
@@ -17,7 +17,7 @@ from emberwatch.coordination import (
     HumanTeam,
     UavAgent,
     _assign_route,
-    _linear_sum_assignment,
+    _follow_route,
     apply_safety_plan,
     cluster_and_assign,
     coverage_step,
@@ -27,7 +27,7 @@ from emberwatch.coordination import (
     vicinity_fires,
 )
 from emberwatch.fire import DEFAULT_ELLIPSE, calibrate_spread_rate
-from emberwatch.routing import build_mst
+from emberwatch.routing import build_mst, k_opt_improve, tour_from_mst
 from emberwatch.tracking import TrackEstimate, _observation, predict, residual_terms, speed_terms
 from oracles import reference_innovation_cov
 
@@ -101,116 +101,65 @@ class TestVicinity:
         assert set(got) == expected
 
 
+def tour_order(points):
+    """The cyclic tour that both planners split: an MST walk improved by 2-opt."""
+    edges, _ = build_mst(points)
+    return list(k_opt_improve(tour_from_mst(points, edges), points).order)
+
+
 class TestClusterAndAssign:
+    """Coverage splits one tour over the waypoints into a segment per UAV."""
+
     def test_single_uav_takes_everything(self):
-        rng = np.random.default_rng(5)
-        points = rng.uniform(0, 100, size=(9, 2))
-        out = cluster_and_assign(points, [make_agent(0)], rng)
-        assert sorted(out[0]) == list(range(9))
+        points = np.random.default_rng(5).uniform(0, 100, size=(9, 2))
+        assert cluster_and_assign(points, [make_agent(0)]) == {0: tour_order(points)}
 
-    def test_two_blobs_two_uavs_nearest(self):
-        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [100.0, 100.0], [101.0, 100.0], [100.0, 101.0]])
-        a = make_agent(0, xy=(0.0, 5.0))
-        b = make_agent(1, xy=(100.0, 95.0))
-        out = cluster_and_assign(points, [a, b], np.random.default_rng(7))
-        assert sorted(out[0]) == [0, 1, 2]
-        assert sorted(out[1]) == [3, 4, 5]
-
-    def test_assignment_cost_is_exhaustive_minimum(self):
+    def test_each_waypoint_is_in_exactly_one_segment(self):
         rng = np.random.default_rng(11)
-        for _ in range(10):
-            points = rng.uniform(0, 100, size=(9, 2))
-            uavs = [make_agent(i, xy=tuple(rng.uniform(0, 100, size=2))) for i in range(3)]
-            out = cluster_and_assign(points, uavs, np.random.default_rng(13))
-            centers = {
-                u.id: np.mean(points[out[u.id]], axis=0) for u in uavs if out[u.id]
-            }
-            got = sum(
-                float(np.linalg.norm(u.pose[:2] - centers[u.id])) for u in uavs if u.id in centers
-            )
-            cluster_list = [centers[u.id] for u in uavs if u.id in centers]
-            best = min(
-                sum(
-                    float(np.linalg.norm(u.pose[:2] - cluster_list[p[i]]))
-                    for i, u in enumerate(uavs)
-                )
-                for p in itertools.permutations(range(len(cluster_list)))
-            )
-            assert got == pytest.approx(best, abs=1e-9)
+        for n, k in [(9, 3), (12, 4), (5, 5), (18, 6), (30, 8)]:
+            points = rng.uniform(0, 400, size=(n, 2))
+            uavs = [make_agent(i, xy=tuple(rng.uniform(0, 400, size=2))) for i in range(k)]
+            out = cluster_and_assign(points, uavs)
+            assert sorted(out) == list(range(k))
+            assert sorted(i for seg in out.values() for i in seg) == list(range(n))
+            assert all(out.values())
 
-    def test_assignment_optimal_up_to_six_uavs(self):
+    def test_each_segment_is_a_contiguous_run_of_one_cyclic_tour(self):
         rng = np.random.default_rng(29)
-        points = rng.uniform(0, 400, size=(18, 2))
-        uavs = [make_agent(i, xy=tuple(rng.uniform(0, 400, size=2))) for i in range(6)]
-        out = cluster_and_assign(points, uavs, np.random.default_rng(31))
-        centers = {u.id: np.mean(points[out[u.id]], axis=0) for u in uavs if out[u.id]}
-        got = sum(float(np.linalg.norm(u.pose[:2] - centers[u.id])) for u in uavs if u.id in centers)
-        cluster_list = [centers[u.id] for u in uavs if u.id in centers]
-        best = min(
-            sum(
-                float(np.linalg.norm(u.pose[:2] - cluster_list[p[i]]))
-                for i, u in enumerate(uavs)
-            )
-            for p in itertools.permutations(range(len(cluster_list)))
-        )
-        assert got == pytest.approx(best, abs=1e-9)
+        for k in (2, 3, 6):
+            points = rng.uniform(0, 400, size=(18, 2))
+            uavs = [make_agent(i, xy=tuple(rng.uniform(0, 400, size=2))) for i in range(k)]
+            order = tour_order(points)
+            for seg in cluster_and_assign(points, uavs).values():
+                start = order.index(seg[0])
+                assert seg == (order[start:] + order[:start])[: len(seg)]
+
+    def test_nearest_free_uav_at_the_centroid_wins_in_tour_order(self):
+        # The tour starts at point 0, so segment [0] is assigned first. UAV 0
+        # is nearer that segment than UAV 1 is and takes it, although the
+        # swapped assignment would fly 120 m less in total.
+        points = np.array([[0.0, 0.0], [100.0, 0.0]])
+        uavs = [make_agent(1, xy=(-100.0, 0.0)), make_agent(0, xy=(60.0, 0.0))]
+        assert cluster_and_assign(points, uavs) == {1: [1], 0: [0]}
+
+    def test_equally_near_uavs_go_lowest_id_first(self):
+        points = np.array([[0.0, 0.0], [100.0, 0.0]])
+        uavs = [make_agent(5, xy=(50.0, 0.0)), make_agent(2, xy=(-50.0, 0.0))]
+        assert cluster_and_assign(points, uavs) == {5: [1], 2: [0]}
 
     def test_more_uavs_than_points(self):
         points = np.array([[0.0, 0.0], [50.0, 50.0]])
         uavs = [make_agent(i, xy=(i * 10.0, 0.0)) for i in range(4)]
-        out = cluster_and_assign(points, uavs, np.random.default_rng(17))
-        covered = sorted(i for ids in out.values() for i in ids)
-        assert covered == [0, 1]
-        assert sum(1 for ids in out.values() if ids) == 2
+        assert cluster_and_assign(points, uavs) == {0: [0], 1: [], 2: [], 3: [1]}
 
-    def test_deterministic_given_rng_seed(self):
+    def test_equal_inputs_give_equal_outputs_without_a_generator(self):
+        assert list(inspect.signature(cluster_and_assign).parameters) == ["points", "uavs"]
         points = np.random.default_rng(19).uniform(0, 100, size=(12, 2))
-        uavs = [make_agent(i, xy=(i * 5.0, i * 3.0)) for i in range(3)]
-        a = cluster_and_assign(points, uavs, np.random.default_rng(23))
-        b = cluster_and_assign(points, uavs, np.random.default_rng(23))
-        assert a == b
-
-
-class TestAssignmentPort:
-    """The private assignment solver against scipy's, the reference it ports."""
-
-    def test_equals_scipy_on_seeded_matrices(self):
-        rng = np.random.default_rng(2016)
-        kinds = ("uniform", "ties", "equal")
-        checked = 0
-        for trial in range(10_800):
-            rows, cols = (int(n) for n in rng.integers(1, 10, size=2))
-            kind = kinds[trial % 3]
-            if kind == "uniform":
-                cost = rng.uniform(0.0, 100.0, size=(rows, cols))
-            elif kind == "ties":
-                cost = rng.integers(0, 4, size=(rows, cols)).astype(float)
-            else:
-                cost = np.full((rows, cols), float(rng.integers(0, 5)))
-            want_rows, want_cols = linear_sum_assignment(cost)
-            got = _linear_sum_assignment(cost.tolist())
-            assert got == (want_rows.tolist(), want_cols.tolist()), (kind, cost)
-            if kind == "equal" and rows == cols:
-                assert got == (list(range(rows)), list(range(rows)))
-            checked += 1
-        assert checked >= 10_000
-
-    @pytest.mark.parametrize(
-        "cost",
-        [
-            [[1.0, math.nan], [2.0, 3.0]],
-            [[1.0, -math.inf], [2.0, 3.0]],
-            [[math.nan], [1.0], [2.0]],
-            [[math.inf, math.inf], [1.0, 2.0]],
-            [[math.inf, 1.0], [math.inf, 2.0]],
-        ],
-        ids=["nan", "minus-inf", "nan-tall", "infeasible-row", "infeasible-column"],
-    )
-    def test_invalid_matrices_raise(self, cost):
-        with pytest.raises(ValueError):
-            linear_sum_assignment(np.array(cost))
-        with pytest.raises(ValueError):
-            _linear_sum_assignment(cost)
+        runs = [
+            cluster_and_assign(points.copy(), [make_agent(i, xy=(i * 5.0, i * 3.0)) for i in range(3)])
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
 
 
 def team_at_first_fire(tracks):
@@ -443,7 +392,7 @@ class TestCoverageStep:
         agent = make_agent(0, xy=(50.0, 50.0), mode="coverage")
         coverage_step(
             [agent], tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(0), step=0, force_replan=False,
+            params=DEFAULT_ELLIPSE, step=0, force_replan=False,
         )
         assert first_observers([agent], [(50.0, 50.0)]) == [agent]
 
@@ -452,7 +401,7 @@ class TestCoverageStep:
         agents = [make_agent(0, mode="coverage"), make_agent(1, xy=(300.0, 0.0), mode="coverage")]
         coverage_step(
             agents, tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(1), step=0, force_replan=False,
+            params=DEFAULT_ELLIPSE, step=0, force_replan=False,
         )
         assert all(a.route for a in agents)
         assert all(a.replan_deadline > 0 for a in agents)
@@ -462,7 +411,7 @@ class TestCoverageStep:
         agent = make_agent(0, xy=(290.0, 0.0), speed=1.0, mode="coverage")
         coverage_step(
             [agent], tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(5), step=0, force_replan=False,
+            params=DEFAULT_ELLIPSE, step=0, force_replan=False,
         )
         assert agent.route[agent.route_index] == pytest.approx([300.0, 0.0])
         assert agent.pose[:2] == pytest.approx([291.0, 0.0])
@@ -472,14 +421,14 @@ class TestCoverageStep:
         agents = [make_agent(i, xy=(40.0 * i, 10.0), mode="coverage") for i in range(3)]
         coverage_step(
             agents, tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(2), step=0, force_replan=False,
+            params=DEFAULT_ELLIPSE, step=0, force_replan=False,
         )
         before = {a.id: list(map(tuple, a.route)) for a in agents}
         # dismiss agent 1 to safety duty; survivors must replan immediately
         agents[1].mode = "safety"
         coverage_step(
             agents, tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(3), step=1, force_replan=True,
+            params=DEFAULT_ELLIPSE, step=1, force_replan=True,
         )
         survivors = [a for a in agents if a.mode == "coverage"]
         union = sorted({f for a in survivors for f in _route_fires(a, tracks)})
@@ -499,11 +448,11 @@ class TestCoverageStep:
         guard = make_agent(5, xy=(0.0, 0.0), mode="safety")
         coverage_step(
             [guard], tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, make_rng=lambda: np.random.default_rng(4), step=0, force_replan=False,
+            params=DEFAULT_ELLIPSE, step=0, force_replan=False,
         )
         assert guard.pose[:2] == pytest.approx([0.0, 0.0])
 
-    def test_unrouted_agent_replans_every_step(self):
+    def test_unrouted_agent_replans_every_step(self, monkeypatch):
         """Three agents over one track: the two left without a route make the fleet replan on every step.
 
         Every deadline lies in the future, so only the unrouted agents trigger
@@ -514,17 +463,31 @@ class TestCoverageStep:
         for agent in agents:
             agent.replan_deadline = 100
         replans = []
-        for step in range(4):
-            def make_rng():
-                replans.append(step)
-                return np.random.default_rng(step)
+        replan = coordination._replan_coverage
 
+        def counted_replan(*args):
+            replans.append(args[-1])
+            return replan(*args)
+
+        monkeypatch.setattr(coordination, "_replan_coverage", counted_replan)
+        for step in range(4):
             coverage_step(
                 agents, tracks, case=1, confidence_level=0.05, dt=1.0,
-                params=DEFAULT_ELLIPSE, make_rng=make_rng, step=step, force_replan=False,
+                params=DEFAULT_ELLIPSE, step=step, force_replan=False,
             )
             assert sum(bool(a.route) for a in agents) == 1
         assert replans == [0, 1, 2, 3]
+
+    def test_coverage_agent_reverses_at_its_segment_end(self):
+        """A coverage UAV turns back at the last waypoint instead of flying to the first."""
+        agent = make_agent(0, xy=(0.0, 0.0), speed=10.0, mode="coverage")
+        _assign_route(agent, [np.array(p) for p in ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0))])
+        poses = []
+        for _ in range(4):
+            _follow_route(agent, 1.0)
+            poses.append(tuple(agent.pose[:2]))
+        # A looped route would leave (10, 10) for (0, 0) on the diagonal.
+        assert poses == [(10.0, 0.0), (10.0, 10.0), (10.0, 0.0), (0.0, 0.0)]
 
 
 def _route_fires(agent, tracks):
@@ -591,7 +554,7 @@ class TestWhereCoverageDeadlinesComeFrom:
         cfg = load_config(CONFIG_DIR / f"case{case}.yaml")
         assert self._sources(cfg, monkeypatch) == expected
 
-    @pytest.mark.parametrize("drones, expected", [(1, {"cap": 1}), (4, {"bound": 36, "0 s fallback": 12})])
+    @pytest.mark.parametrize("drones, expected", [(1, {"cap": 1}), (4, {"bound": 16, "0 s fallback": 16})])
     def test_sparse_compare_cell_replans_on_the_bound(self, drones, expected, monkeypatch):
         cells = dict(harness.experiment_cells(load_config(CONFIG_DIR / "compare.yaml"), "compare", [drones], 1))
         assert self._sources(cells[1, "proposed", drones, 0], monkeypatch) == expected

@@ -516,7 +516,7 @@ class TestKeyedStreams:
 
         purposes = [getattr(harness, name) for name in dir(harness) if name.startswith("_S_")]
         purposes += [fire._S_MOTION, fire._S_SPAWN]
-        assert len(purposes) == 7
+        assert len(purposes) == 6
         assert len(set(purposes)) == len(purposes)
 
 
@@ -602,41 +602,6 @@ class TestBatchedPaths:
         wind, pose = WindFuelState(0.1, 1.0, 0.0), np.array([1.0, 1.0, 0.0])
         with pytest.raises(DomainError, match="uav_z"):
             _make_observations([front], [pose], wind, coverage_config(), np.zeros((1, 5)))
-
-    def test_coverage_generator_is_built_only_on_replan_steps(self, monkeypatch):
-        import emberwatch.coordination as coordination
-        import emberwatch.harness as harness
-
-        cfg = replace(load_config(CONFIG_DIR / "case2.yaml"), duration=60)
-        built, replans = [], []
-        stream, replan, coverage_step = harness._stream, coordination._replan_coverage, harness.coverage_step
-
-        def counted_stream(seed, *key):
-            if key[0] == harness._S_COVERAGE:
-                built.append(key[1])
-            return stream(seed, *key)
-
-        def counted_replan(*args):
-            replans.append(args[-1])
-            return replan(*args)
-
-        monkeypatch.setattr(harness, "_stream", counted_stream)
-        monkeypatch.setattr(coordination, "_replan_coverage", counted_replan)
-        lazy = run_scenario(cfg)
-        assert built == replans
-        assert 0 < len(replans) < cfg.duration
-
-        def eager(*args, **kwargs):
-            # The generator built on every step, as before it was built lazily.
-            rng = args[6]()
-            return coverage_step(*args[:6], lambda: rng, *args[7:], **kwargs)
-
-        monkeypatch.setattr(harness, "coverage_step", eager)
-        built.clear()
-        eager_run = run_scenario(cfg)
-        assert len(built) == cfg.duration
-        assert eager_run.to_csv() == lazy.to_csv()
-        assert eager_run.to_json() == lazy.to_json()
 
 
 class TestMetricsSerialization:

@@ -80,6 +80,6 @@ def test_simulator_path_runs_without_scipy(tmp_path):
     assert (tmp_path / "out" / "steps.csv").is_file()
     assert set(report["finals"]) == {"proposed", "gradient"}
     assert report["drones"] >= 1
-    # The two former scipy call sites both ran.
+    # The coverage planner and the bounds' quantile both ran.
     assert report["assignments"] >= 1
     assert report["quantiles"] >= 1

@@ -1,15 +1,17 @@
-"""The package holds no code that only tests reach. Three rules:
+"""The package holds no code that only tests reach. Four rules:
 
 - definitions: every function, method, property and class that the
   package defines is used by the package itself;
 - fields: every dataclass and NamedTuple field is read by attribute in
   the package or in the benchmark (`perfbench/`);
 - defaults: every parameter with a default is left at that default by at
-  least one call in the package, and set by at least one.
+  least one call in the package, and set by at least one;
+- constants: every name that a module-level assignment of the package
+  binds is loaded by the package.
 
-A definition, field or default that only tests reach is test-only code:
-it keeps the package's surface larger than what a run needs, and it is
-checked for behaviour that nothing relies on. The package's
+A definition, field, default or constant that only tests reach is
+test-only code: it keeps the package's surface larger than what a run
+needs, and it is checked for behaviour that nothing relies on. The package's
 `__init__.py` only re-exports names, so a name listed there alone does
 not count as used. Dunder names are called by Python itself and are
 exempt. Names are matched, not resolved: a read of `x.seconds` counts
@@ -59,6 +61,30 @@ def _referenced(tree):
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def _constants(tree):
+    """(name, line) of each name a module-level assignment binds, tuple unpacking included."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            for node in target.elts if isinstance(target, ast.Tuple) else [target]:
+                if isinstance(node, ast.Name):
+                    yield node.id, stmt.lineno
+
+
+def _loaded(tree):
+    """Every name the module loads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
 
 
 def _is_dunder(name):
@@ -179,3 +205,14 @@ def test_every_default_is_both_left_and_set_by_the_package():
         if all(passed):
             findings.append(f"{module}:{line} {function}({parameter}): no call leaves it at its default")
     assert not findings, f"defaults that only tests set or leave: {findings}"
+
+
+def test_every_constant_is_loaded_by_the_package():
+    modules = _modules()
+    constants = [(module, *found) for module, tree in modules.items() for found in _constants(tree)]
+    assert {("coordination.py", "REPLAN_CAP"), ("tracking.py", "WIND_AZIMUTH")} <= {c[:2] for c in constants}
+    loaded = set().union(*(_loaded(tree) for tree in modules.values()))
+    unloaded = [
+        f"{module}:{line} {name}" for module, name, line in constants if not _is_dunder(name) and name not in loaded
+    ]
+    assert not unloaded, f"module-level constants that src/emberwatch never loads: {unloaded}"
