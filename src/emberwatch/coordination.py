@@ -1,12 +1,13 @@
 """Safety and coverage coordination of the UAV fleet.
 
-The safety side builds a close-enough tour over the fires near a human
-team, checks every track's uncertainty ratio against the traverse-time
-bound, and recruits additional UAVs (splitting the worst segment) until
-the check passes or the pool runs dry. The coverage side splits one
-tour over all tracked fires the same way, gives each segment to the free
-UAV nearest its centroid, and replans when a segment's traverse bound
-expires.
+Both roles split one close-enough tour into segments, one per UAV, and
+bound each segment's traverse time the same way. The safety side tours
+the fires near a human team, checks every track's uncertainty ratio
+against its segment's bound, and recruits additional UAVs (splitting the
+worst segment) until the check passes or the pool runs dry. The coverage
+side tours all tracked fires, gives each segment to the free UAV nearest
+its centroid, and replans the whole fleet when the earliest segment bound
+expires. Every UAV then flies its route in one patrol step.
 
 Agents read a snapshot and are updated in ascending id order, which keeps
 whole runs deterministic without a communication model.
@@ -25,6 +26,7 @@ from .bounds import (
     RATIO_PASS_TOL,
     BoundInputs,
     FleetParams,
+    TraverseBound,
     fov_width,
     traverse_bound,
     uncertainty_ratio,
@@ -63,7 +65,6 @@ class UavAgent:
     route: list = field(default_factory=list)  # waypoint positions, (2,) each
     route_index: int = 0
     route_direction: int = 1
-    replan_deadline: int = 0
 
     def __post_init__(self):
         self.pose = np.asarray(self.pose, dtype=float)
@@ -73,8 +74,8 @@ class UavAgent:
 
 
 @dataclass
-class SafetySegment:
-    """A contiguous share of the vicinity tour owned by one UAV."""
+class Segment:
+    """One UAV's contiguous share of a split tour: waypoints in tour order, their fires in id order."""
 
     uav_id: int
     waypoints: list[SteinerWaypoint]
@@ -83,9 +84,10 @@ class SafetySegment:
 
 @dataclass
 class MissionPlan:
-    """Safety assignment for one team's vicinity fires."""
+    """Safety assignment for one team's vicinity fires: a segment per assigned UAV,
+    each fire's uncertainty ratio under its segment's bound, and whether all pass."""
 
-    segments: list[SafetySegment]
+    segments: list[Segment]
     uncertainty_ratios: dict[int, float]
     feasible: bool
 
@@ -151,13 +153,32 @@ def _split_tour(centers: np.ndarray, parts: int) -> list[list[int]]:
     return split_sequence(list(tour.order), centers, parts, cyclic=True)
 
 
-def _segment(uav_id: int, waypoints: list[SteinerWaypoint]) -> SafetySegment:
+def _segment(uav_id: int, waypoints: list[SteinerWaypoint]) -> Segment:
     fire_ids = sorted(m for w in waypoints for m in w.members)
-    return SafetySegment(uav_id=uav_id, waypoints=waypoints, fire_ids=fire_ids)
+    return Segment(uav_id=uav_id, waypoints=waypoints, fire_ids=fire_ids)
+
+
+def _segment_bound(
+    segment: Segment,
+    speeds: Sequence[tracking.SpeedTerms],
+    fleet: FleetParams,
+    case: int,
+    confidence_level: float,
+) -> TraverseBound:
+    """The traverse-time bound of a segment with fires; `speeds` are their speed terms, in `fire_ids` order."""
+    centers = np.array([w.position for w in segment.waypoints])
+    _, mst_length = build_mst(centers)
+    inputs = BoundInputs(
+        mst_length=mst_length,
+        fire_count=len(segment.fire_ids),
+        worst_speed=worst_case_speed(speeds, confidence_level),
+        fov_width=fov_width(fleet),
+    )
+    return traverse_bound(case, inputs, fleet)
 
 
 def _segment_report(
-    segment: SafetySegment,
+    segment: Segment,
     terms: Mapping[int, tuple[tracking.SpeedTerms, tracking.ResidualTerms]],
     fleet: FleetParams,
     case: int,
@@ -167,15 +188,7 @@ def _segment_report(
     """(passed, uncertainty ratio per fire) for one UAV's share of the tour."""
     if not segment.fire_ids:
         return True, {}
-    centers = np.array([w.position for w in segment.waypoints])
-    _, mst_length = build_mst(centers)
-    inputs = BoundInputs(
-        mst_length=mst_length,
-        fire_count=len(segment.fire_ids),
-        worst_speed=worst_case_speed([terms[f][0] for f in segment.fire_ids], confidence_level),
-        fov_width=fov_width(fleet),
-    )
-    bound = traverse_bound(case, inputs, fleet)
+    bound = _segment_bound(segment, [terms[f][0] for f in segment.fire_ids], fleet, case, confidence_level)
     ratios = {f: uncertainty_ratio(terms[f][1], bound.seconds, dt) for f in segment.fire_ids}
     passed = bound.feasible and all(v <= 1.0 + RATIO_PASS_TOL for v in ratios.values())
     return passed, ratios
@@ -269,24 +282,24 @@ def apply_safety_plan(plan: MissionPlan, agents_by_id: Mapping[int, UavAgent]) -
     for segment in plan.segments:
         agent = agents_by_id[segment.uav_id]
         agent.mode = "safety"
-        _assign_route(agent, [np.asarray(w.position, dtype=float) for w in segment.waypoints])
+        _assign_route(agent, segment)
 
 
-def _assign_route(agent: UavAgent, route: list[np.ndarray]) -> None:
-    """Give the agent a new route, resumed at its nearest waypoint (lowest index on ties).
+def _assign_route(agent: UavAgent, segment: Segment) -> None:
+    """Route the agent over its segment's waypoints, resumed at the nearest one (lowest index on ties).
 
     Resuming there keeps a replan from resetting progress along a route
     that takes longer to fly than the replan interval.
     """
-    agent.route = route
+    agent.route = route = [np.asarray(w.position, dtype=float) for w in segment.waypoints]
     dists = row_norms(np.array(route) - agent.pose[:2]).tolist() if route else []
     agent.route_index = min(range(len(route)), key=lambda i: (dists[i], i), default=0)
     agent.route_direction = 1
 
 
 def patrol_step(agents: list[UavAgent], dt: float) -> None:
-    """Advance every safety-mode agent along its segment (ping-pong)."""
-    for agent in sorted((a for a in agents if a.mode == "safety"), key=lambda a: a.id):
+    """Fly every agent that has a route, of either role, one step along it (ping-pong), in id order."""
+    for agent in sorted(agents, key=lambda a: a.id):
         _follow_route(agent, dt)
 
 
@@ -326,72 +339,56 @@ def coverage_step(
     dt: float,
     params: EllipseParams,
     step: int,
-    force_replan: bool,
-) -> None:
-    """Advance every coverage UAV along its segment; replan the segments when a deadline expires.
+    due: int,
+) -> int:
+    """Replan the coverage segments if the fleet's replan is `due` by `step`; return the step the next one is due.
 
-    A coverage UAV without a route also makes the fleet replan, on every
-    step until a replan gives it one. The caller applies sensing against
-    ground truth.
+    Only coverage UAVs are replanned, and none is moved: `patrol_step`
+    flies them. Without a coverage UAV or a track nothing is planned and
+    `due` comes back unchanged.
     """
     cov = sorted((a for a in agents if a.mode == "coverage"), key=lambda a: a.id)
-    if not cov:
-        return
-
-    fire_ids = sorted(tracks)
-    needs_replan = force_replan or any(
-        a.replan_deadline <= step or not a.route for a in cov
-    )
-    if fire_ids and needs_replan:
-        _replan_coverage(cov, tracks, fire_ids, case, confidence_level, dt, params, step)
-
-    for agent in cov:
-        _follow_route(agent, dt)
+    if not cov or not tracks or due > step:
+        return due
+    return _replan_coverage(cov, tracks, case, confidence_level, dt, params, step)
 
 
 def _replan_coverage(
     cov: list[UavAgent],
     tracks: Mapping[int, tracking.TrackEstimate],
-    fire_ids: list[int],
     case: int,
     confidence_level: float,
     dt: float,
     params: EllipseParams,
     step: int,
-) -> None:
-    g = fov_width(cov[0].fleet())
+) -> int:
+    """Give each coverage UAV its segment of one tour over the tracks; return the step the next replan is due.
+
+    That is the earliest segment horizon: the bound in steps capped at
+    `REPLAN_CAP`, or `REPLAN_FALLBACK` if the bound is infeasible or 0 s,
+    and 1 for a UAV left without a segment.
+    """
+    fire_ids = sorted(tracks)
+    fleet = cov[0].fleet()
     positions = np.array([tracks[f].mean[:2] for f in fire_ids])
-    waypoints = steiner_reduce(positions, g, ids=fire_ids)
-    centers = np.array([w.position for w in waypoints])
-    segments = cluster_and_assign(centers, cov)
+    waypoints = steiner_reduce(positions, fov_width(fleet), ids=fire_ids)
+    chunks = cluster_and_assign(np.array([w.position for w in waypoints]), cov)
+    # One pass for every segment: a track's terms have the same bits in any batch.
+    speeds = dict(zip(fire_ids, tracking.speed_terms([tracks[f] for f in fire_ids], params)))
 
+    horizons = []
     for agent in cov:
-        idxs = segments[agent.id]
-        if not idxs:
-            agent.route = []
+        segment = _segment(agent.id, [waypoints[i] for i in chunks[agent.id]])
+        _assign_route(agent, segment)
+        if not segment.fire_ids:
+            horizons.append(1)
             continue
-        pts = centers[idxs]
-        _, mst_length = build_mst(pts)
-        _assign_route(agent, list(pts))
-
-        member_fires = sorted({m for i in idxs for m in waypoints[i].members})
-        member_tracks = [tracks[f] for f in member_fires]
-        speed = worst_case_speed(tracking.speed_terms(member_tracks, params), confidence_level)
-        bound = traverse_bound(
-            case,
-            BoundInputs(
-                mst_length=mst_length,
-                fire_count=len(member_fires),
-                worst_speed=speed,
-                fov_width=g,
-            ),
-            agent.fleet(),
-        )
+        bound = _segment_bound(segment, [speeds[f] for f in segment.fire_ids], fleet, case, confidence_level)
         if bound.feasible and bound.seconds > 0:
-            horizon = max(math.ceil(min(bound.seconds / dt, REPLAN_CAP)), 1)
+            horizons.append(max(math.ceil(min(bound.seconds / dt, REPLAN_CAP)), 1))
         else:
-            horizon = REPLAN_FALLBACK
-        agent.replan_deadline = step + horizon
+            horizons.append(REPLAN_FALLBACK)
+    return step + min(horizons)
 
 
 def _follow_route(agent: UavAgent, dt: float) -> None:

@@ -270,6 +270,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
 
     tracks = _init_tracks(fire_map.fronts, cfg, wind, staging, built.priors)
     team_assigned: dict[int, list[UavAgent]] = {}
+    coverage_due = 0  # the step the fleet's next coverage replan is due
     metrics = RunMetrics()
     cum = 0
 
@@ -350,17 +351,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                 )
                 if not plan.feasible:
                     metrics.plans_feasible = False
-            patrol_step(agents, dt)
-            coverage_step(
-                agents,
-                tracks,
-                case,
-                cfg.alpha_conf,
-                dt,
-                params,
-                step,
-                force_replan=len(pool) < on_coverage,
+            if len(pool) < on_coverage:
+                coverage_due = step  # a team took a coverage UAV: the rest replan now
+            coverage_due = coverage_step(
+                agents, tracks, case, cfg.alpha_conf, dt, params, step=step, due=coverage_due
             )
+            patrol_step(agents, dt)
         else:
             # No team plans under this controller, so every UAV is on coverage.
             fire_positions = np.array([tracks[f].mean[:2] for f in track_ids])

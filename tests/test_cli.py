@@ -515,10 +515,11 @@ def test_experiment_outputs_keep_their_bytes(tmp_path, capsys, command, config, 
     assert got == digests
 
 
-# SHA-256 of the output file and of stdout of `simulate` runs. The last two
-# run case 3 with both teams and a coverage fleet, which no shipped config
-# combines: there the coverage replans read tracks that the safety
-# certificate's per-step pass has read too.
+# SHA-256 of the output file and of stdout of `simulate` runs. The 8-UAV run
+# leaves half its fleet without a coverage segment, so the fleet replans on
+# every step. The two "teams" runs fly case 3 with both teams and a coverage
+# fleet, which no shipped config combines: there the coverage replans read
+# tracks that the safety certificate's per-step pass has read too.
 PINNED_SIMULATIONS = [
     pytest.param(
         "case1.yaml", {}, "csv",
@@ -543,6 +544,14 @@ PINNED_SIMULATIONS = [
             "stdout": "5ca0b31eaee735aa1cf0b1292c59605f6f0cda6f44f42f6560f83dba16378d98",
         },
         id="case3-csv",
+    ),
+    pytest.param(
+        "case3.yaml", {"uavs": {"count": 8}}, "csv",
+        {
+            "steps.csv": "e2d7c75f1aba12dfbf8cb190377e3dfe90f3bb16c6a13ccce07c89d301d6c2b4",
+            "stdout": "e5cc98cb0e42970439fc6e5d5ce89f91865b044756a6b03b78430b66be650a5c",
+        },
+        id="case3-8uavs-csv",
     ),
     pytest.param(
         "case3.yaml", {"teams": {"count": 2}}, "csv",

@@ -18,16 +18,18 @@ from emberwatch.coordination import (
     UavAgent,
     _assign_route,
     _follow_route,
+    _segment,
     apply_safety_plan,
     cluster_and_assign,
     coverage_step,
     first_observers,
+    patrol_step,
     plan_safety_tour,
     take_nearest,
     vicinity_fires,
 )
 from emberwatch.fire import DEFAULT_ELLIPSE, calibrate_spread_rate
-from emberwatch.routing import build_mst, k_opt_improve, tour_from_mst
+from emberwatch.routing import SteinerWaypoint, build_mst, k_opt_improve, tour_from_mst
 from emberwatch.tracking import TrackEstimate, _observation, predict, residual_terms, speed_terms
 from oracles import reference_innovation_cov
 
@@ -392,27 +394,29 @@ class TestCoverageStep:
         agent = make_agent(0, xy=(50.0, 50.0), mode="coverage")
         coverage_step(
             [agent], tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, step=0, force_replan=False,
+            params=DEFAULT_ELLIPSE, step=0, due=0,
         )
+        patrol_step([agent], dt=1.0)
         assert first_observers([agent], [(50.0, 50.0)]) == [agent]
 
     def test_replan_assigns_routes_and_deadlines(self):
         tracks = {i: make_track((100.0 * i, 0.0)) for i in range(1, 5)}
         agents = [make_agent(0, mode="coverage"), make_agent(1, xy=(300.0, 0.0), mode="coverage")]
-        coverage_step(
+        due = coverage_step(
             agents, tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, step=0, force_replan=False,
+            params=DEFAULT_ELLIPSE, step=0, due=0,
         )
         assert all(a.route for a in agents)
-        assert all(a.replan_deadline > 0 for a in agents)
+        assert due > 0
 
     def test_replan_resumes_at_nearest_waypoint(self):
         tracks = {i: make_track((100.0 * i, 0.0)) for i in range(1, 5)}
         agent = make_agent(0, xy=(290.0, 0.0), speed=1.0, mode="coverage")
         coverage_step(
             [agent], tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, step=0, force_replan=False,
+            params=DEFAULT_ELLIPSE, step=0, due=0,
         )
+        patrol_step([agent], dt=1.0)
         assert agent.route[agent.route_index] == pytest.approx([300.0, 0.0])
         assert agent.pose[:2] == pytest.approx([291.0, 0.0])
 
@@ -421,14 +425,14 @@ class TestCoverageStep:
         agents = [make_agent(i, xy=(40.0 * i, 10.0), mode="coverage") for i in range(3)]
         coverage_step(
             agents, tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, step=0, force_replan=False,
+            params=DEFAULT_ELLIPSE, step=0, due=0,
         )
         before = {a.id: list(map(tuple, a.route)) for a in agents}
         # dismiss agent 1 to safety duty; survivors must replan immediately
         agents[1].mode = "safety"
         coverage_step(
             agents, tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, step=1, force_replan=True,
+            params=DEFAULT_ELLIPSE, step=1, due=1,
         )
         survivors = [a for a in agents if a.mode == "coverage"]
         union = sorted({f for a in survivors for f in _route_fires(a, tracks)})
@@ -436,10 +440,10 @@ class TestCoverageStep:
 
     def test_new_route_resumes_at_lowest_index_of_equally_near_waypoints(self):
         agent = make_agent(0, xy=(0.0, 0.0))
-        route = [np.array(p) for p in ((30.0, 0.0), (0.0, 20.0), (-20.0, 0.0), (0.0, -20.0))]
-        _assign_route(agent, route)
-        assert agent.route is route and agent.route_index == 1
-        _assign_route(agent, [])
+        points = [(30.0, 0.0), (0.0, 20.0), (-20.0, 0.0), (0.0, -20.0)]
+        _assign_route(agent, _segment(0, [SteinerWaypoint(np.array(p), (k,)) for k, p in enumerate(points)]))
+        assert [tuple(w) for w in agent.route] == points and agent.route_index == 1
+        _assign_route(agent, _segment(0, []))
         assert agent.route == [] and agent.route_index == 0
 
     def test_idle_agents_do_not_move(self):
@@ -448,20 +452,18 @@ class TestCoverageStep:
         guard = make_agent(5, xy=(0.0, 0.0), mode="safety")
         coverage_step(
             [guard], tracks, case=1, confidence_level=0.05, dt=1.0,
-            params=DEFAULT_ELLIPSE, step=0, force_replan=False,
+            params=DEFAULT_ELLIPSE, step=0, due=0,
         )
         assert guard.pose[:2] == pytest.approx([0.0, 0.0])
 
     def test_unrouted_agent_replans_every_step(self, monkeypatch):
         """Three agents over one track: the two left without a route make the fleet replan on every step.
 
-        Every deadline lies in the future, so only the unrouted agents trigger
-        the replans.
+        The routed agent's own horizon lies further out, so only the
+        unrouted agents make each next step due.
         """
         tracks = {1: make_track((100.0, 0.0))}
         agents = [make_agent(i, xy=(50.0 * i, 0.0)) for i in range(3)]
-        for agent in agents:
-            agent.replan_deadline = 100
         replans = []
         replan = coordination._replan_coverage
 
@@ -470,18 +472,46 @@ class TestCoverageStep:
             return replan(*args)
 
         monkeypatch.setattr(coordination, "_replan_coverage", counted_replan)
+        due = 0
         for step in range(4):
-            coverage_step(
+            due = coverage_step(
                 agents, tracks, case=1, confidence_level=0.05, dt=1.0,
-                params=DEFAULT_ELLIPSE, step=step, force_replan=False,
+                params=DEFAULT_ELLIPSE, step=step, due=due,
             )
             assert sum(bool(a.route) for a in agents) == 1
+            assert due == step + 1
         assert replans == [0, 1, 2, 3]
+
+    def test_due_is_the_earliest_segment_horizon(self):
+        """Two segments of 100 m and 300 m: in case 1 their bounds are 20 s and
+        60 s at 10 m/s, and the fleet's next replan is due at the first."""
+        tracks = {
+            1: make_track((0.0, 0.0)),
+            2: make_track((0.0, 100.0)),
+            3: make_track((1000.0, 0.0)),
+            4: make_track((1300.0, 0.0)),
+        }
+        agents = [make_agent(0, xy=(0.0, 50.0)), make_agent(1, xy=(1150.0, 0.0))]
+        due = coverage_step(
+            agents, tracks, case=1, confidence_level=0.05, dt=1.0,
+            params=DEFAULT_ELLIPSE, step=5, due=5,
+        )
+        assert [len(a.route) for a in agents] == [2, 2]
+        assert [build_mst(np.array(a.route))[1] for a in agents] == pytest.approx([100.0, 300.0])
+        assert due == 5 + 20
+        # Not yet due: nothing is replanned and the deadline is kept.
+        agents[0].route = []
+        assert coverage_step(
+            agents, tracks, case=1, confidence_level=0.05, dt=1.0,
+            params=DEFAULT_ELLIPSE, step=24, due=due,
+        ) == 25
+        assert agents[0].route == []
 
     def test_coverage_agent_reverses_at_its_segment_end(self):
         """A coverage UAV turns back at the last waypoint instead of flying to the first."""
         agent = make_agent(0, xy=(0.0, 0.0), speed=10.0, mode="coverage")
-        _assign_route(agent, [np.array(p) for p in ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0))])
+        points = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0))
+        _assign_route(agent, _segment(0, [SteinerWaypoint(np.array(p), (k,)) for k, p in enumerate(points)]))
         poses = []
         for _ in range(4):
             _follow_route(agent, 1.0)

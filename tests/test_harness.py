@@ -264,7 +264,8 @@ class TestFleetRecruitment:
 
     @staticmethod
     def record_steps(monkeypatch):
-        """Per step: each planning team's assigned UAVs, whether it took a coverage UAV, and force_replan.
+        """Per step: each planning team's assigned UAVs and whether it took a coverage UAV;
+        and coverage_step's step, the due it was passed and the due it returned.
 
         The proposed controller calls coverage_step once per step, after
         every team's plan of that step.
@@ -272,7 +273,7 @@ class TestFleetRecruitment:
         import emberwatch.harness as harness
 
         plan_safety_tour, coverage_step = harness.plan_safety_tour, harness.coverage_step
-        plans, forced = [{}], []
+        plans, calls = [{}], []
 
         def recorded_plan(*args, **kwargs):
             plan, assigned = plan_safety_tour(*args, **kwargs)
@@ -281,13 +282,14 @@ class TestFleetRecruitment:
             return plan, assigned
 
         def recorded_coverage(*args, **kwargs):
-            forced.append(kwargs["force_replan"])
+            due = coverage_step(*args, **kwargs)
+            calls.append((kwargs["step"], kwargs["due"], due))
             plans.append({})
-            return coverage_step(*args, **kwargs)
+            return due
 
         monkeypatch.setattr(harness, "plan_safety_tour", recorded_plan)
         monkeypatch.setattr(harness, "coverage_step", recorded_coverage)
-        return plans, forced
+        return plans, calls
 
     def test_teams_share_no_uav_and_take_only_fleet_uavs(self, monkeypatch):
         base = load_config(CONFIG_DIR / "sweep.yaml")
@@ -306,10 +308,15 @@ class TestFleetRecruitment:
     def test_coverage_replans_exactly_when_a_team_takes_a_coverage_uav(self, monkeypatch):
         base = load_config(CONFIG_DIR / "case3.yaml")
         cfg = replace(base, teams=replace(base.teams, count=2))
-        plans, forced = self.record_steps(monkeypatch)
+        plans, calls = self.record_steps(monkeypatch)
         run_scenario(cfg)
-        took = [any(t for _, t in step.values()) for step in plans[: len(forced)]]
-        assert forced == took
+        took = [any(t for _, t in step.values()) for step in plans[: len(calls)]]
+        # The run passes on the due that the last call returned, and makes
+        # the step itself due exactly when a team took a coverage UAV.
+        kept = 0
+        for (step, passed, returned), taken in zip(calls, took):
+            assert passed == (step if taken else kept)
+            kept = returned
         assert any(took)
 
 
