@@ -160,7 +160,7 @@ class ScenarioConfig:
         _check(f.process_noise_std >= 0, "fire.process_noise_std", "must be >= 0")
         _check(f.max_per_lineage >= 0, "fire.max_per_lineage", "must be >= 0")
         for i, shift in enumerate(f.schedule):
-            _check(shift.step >= 0, f"fire.schedule[{i}].step", "must be >= 0")
+            _check(0 <= shift.step < self.duration, f"fire.schedule[{i}].step", f"must be in [0, {self.duration})")
 
         winds = {"fire.wind_speed": f.wind_speed}
         winds.update((f"fire.schedule[{i}].wind_speed", s.wind_speed) for i, s in enumerate(f.schedule))
@@ -206,9 +206,8 @@ class ScenarioConfig:
                 f"expected {t.count} positions, got {len(t.positions)}",
             )
         if f.layout == "team_clusters":
-            # Fire ids are team * TEAM_FIRE_IDS + index, and must stay below 2**32.
+            # Fire ids are team * TEAM_FIRE_IDS + index; MAX_FRONTS teams keep them below 2**32.
             _check(f.initial_count <= TEAM_FIRE_IDS, "fire.initial_count", f"team_clusters allows at most {TEAM_FIRE_IDS}")
-            _check(t.count * TEAM_FIRE_IDS < 2**32, "teams.count", f"team_clusters allows at most {2**32 // TEAM_FIRE_IDS}")
         fronts = f.initial_count * (t.count if f.layout == "team_clusters" else 1)
         _check(fronts <= MAX_FRONTS, "fire.initial_count", f"the run starts with {fronts} fronts, more than {MAX_FRONTS}")
         if self.case == 3:

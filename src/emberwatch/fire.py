@@ -1,10 +1,11 @@
 """Simplified elliptical wildfire growth model.
 
-Discrete firefront points advance with a planar velocity set by the
-fuel-driven spread rate, the wind speed, and the wind azimuth through the
-length-to-breadth ellipse relation. Three scenario cases are supported:
-1 near-stationary fronts, 2 moving fronts, and 3 moving fronts that also
-spawn children at a fixed step interval.
+Discrete firefront points advance with one planar velocity per step, set
+by the map's fuel-driven spread rate, wind speed and wind azimuth through
+the length-to-breadth ellipse relation. A front is an id and a position;
+a child's id also names the root of its spawn lineage. Three scenario
+cases are supported: 1 near-stationary fronts, 2 moving fronts, and 3
+moving fronts that also spawn children at a fixed step interval.
 
 All randomness comes from keyed counter-based draws: each motion and
 spawn value is a pure function of (seed, purpose, step, front id, index),
@@ -36,7 +37,8 @@ RANGE_SAMPLES = 257
 # Bound on the uniform spawn draw; generous for the usual up-to-3 setting.
 MAX_SPAWN_RATE = 7
 
-# Child ids are lineage_root << 32 | index, so roots must stay below 2^32.
+# Child ids are lineage_root << 32 | index, so roots must stay below 2^32;
+# a root's id is its own lineage root.
 _LINEAGE_SHIFT = 32
 
 # The mask of one 32-bit word.
@@ -118,17 +120,17 @@ class WindFuelState:
 
 @dataclass(slots=True)
 class FireFront:
-    """One discretized firefront point.
+    """One discretized firefront point: an id and a position.
 
-    The constructor stores the arrays it is given; the fire step passes
-    float64 arrays. The fire step never writes a front's fields or arrays
-    after building it, and callers must not either.
+    All fronts of a map move with its one spread velocity, and a front's
+    id names its spawn lineage root (see `_LINEAGE_SHIFT`). The
+    constructor stores the array it is given; the fire step passes float64
+    arrays, never writes a front after building it, and callers must not
+    either.
     """
 
     id: int
     position: np.ndarray  # (2,) meters
-    velocity: np.ndarray  # (2,) m/s
-    lineage: int = 0  # id of the initial ancestor, used for spawn caps
 
 
 @dataclass(frozen=True)
@@ -167,15 +169,11 @@ class FireMap:
                 raise DomainError("speed", f"case 1 requires zero fire speed, got {speed!r}")
 
     def with_fronts(self, positions: Sequence, ids: Sequence[int]) -> FireMap:
-        """This map with fronts at rest velocity; each id roots a spawn lineage."""
+        """This map with fronts at the positions; each id, in (0, 2^32), roots a spawn lineage."""
         for i in ids:
             if not 0 < int(i) < (1 << _LINEAGE_SHIFT):
                 raise DomainError("ids", f"initial front ids must be in (0, 2^{_LINEAGE_SHIFT}), got {i}")
-        velocity = front_velocity(self.wind_fuel, self.params)
-        fronts = [
-            FireFront(id=int(i), position=np.asarray(p, dtype=float), velocity=velocity, lineage=int(i))
-            for i, p in zip(ids, positions)
-        ]
+        fronts = [FireFront(id=int(i), position=np.asarray(p, dtype=float)) for i, p in zip(ids, positions)]
         return replace(self, fronts=tuple(fronts))
 
 
@@ -283,27 +281,25 @@ def spawn_fronts(
 ) -> list[FireFront]:
     """Place 0..spawn_rate_max children inside the parent's per-step growth box.
 
-    `draws` holds at least 1 + 2 * spawn_rate_max uniforms in [0, 1): the
-    first sets the count, and each child k takes its x and y offsets from
-    draws 1 + 2k and 2 + 2k. Children carry `velocity`, the step's spread
-    velocity. Child ids count up from `id_base`, which the caller places in
-    the lineage's id space (lineage << 32 on), so ids stay unique per
-    lineage without global state.
+    The box spans |velocity| * dt, the step's spread velocity, on each side
+    of the parent. `draws` holds at least 1 + 2 * spawn_rate_max uniforms
+    in [0, 1): the first sets the count, and each child k takes its x and y
+    offsets from draws 1 + 2k and 2 + 2k. Child ids count up from `id_base`,
+    which the caller places in the lineage's id space (lineage << 32 on),
+    so ids stay unique per lineage without global state.
     """
     count = int(draws[0] * (spawn_rate_max + 1))
-    offsets = (2.0 * draws[1 : 1 + 2 * count].reshape(count, 2) - 1.0) * (np.abs(front.velocity) * dt)
-    return [
-        FireFront(id=id_base + k, position=front.position + offset, velocity=velocity, lineage=front.lineage)
-        for k, offset in enumerate(offsets)
-    ]
+    offsets = (2.0 * draws[1 : 1 + 2 * count].reshape(count, 2) - 1.0) * (np.abs(velocity) * dt)
+    return [FireFront(id=id_base + k, position=front.position + offset) for k, offset in enumerate(offsets)]
 
 
 def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
     """Advance every front one step; apply case-3 spawning on its interval.
 
-    Each front moves by one Euler step q + v*dt plus, when `noise_std` is
-    positive, `noise_std` times two keyed normals; it then carries the
-    step's spread velocity.
+    Each front moves by one Euler step q + v*dt, v being the spread
+    velocity of the map's current weather, plus, when `noise_std` is
+    positive, `noise_std` times two keyed normals. Spawning caps and
+    numbers children per lineage root, which it reads from the ids.
     """
     if dt <= 0:
         raise DomainError("dt", f"dt must be > 0, got {dt}")
@@ -311,35 +307,31 @@ def simulate_step(fire_map: FireMap, dt: float) -> FireMap:
     velocity = front_velocity(fire_map.wind_fuel, fire_map.params)
     ids = [f.id for f in fire_map.fronts]
     positions = np.array([f.position for f in fire_map.fronts]).reshape(-1, 2)
-    positions += np.array([f.velocity for f in fire_map.fronts]).reshape(-1, 2) * dt
+    positions += velocity * dt
     if fire_map.noise_std > 0:
         positions += fire_map.noise_std * keyed_normal(fire_map.rng_seed, (_S_MOTION, step), ids, 2)
-    fronts = [
-        FireFront(id=f.id, position=position, velocity=velocity, lineage=f.lineage)
-        for f, position in zip(fire_map.fronts, positions)
-    ]
+    fronts = [FireFront(id=i, position=position) for i, position in zip(ids, positions)]
 
     new_step = step + 1
     if fire_map.case == 3 and new_step % fire_map.spawn_interval == 0:
+        roots = [i >> _LINEAGE_SHIFT or i for i in ids]  # a child's high word, or a root's own id
         lineage_counts: dict[int, int] = {}
         next_index: dict[int, int] = {}
-        for f in fronts:
-            lineage_counts[f.lineage] = lineage_counts.get(f.lineage, 0) + 1
-            if f.id >> _LINEAGE_SHIFT == f.lineage:
-                idx = (f.id & ((1 << _LINEAGE_SHIFT) - 1)) + 1
-                next_index[f.lineage] = max(next_index.get(f.lineage, 0), idx)
+        for i, root in zip(ids, roots):
+            lineage_counts[root] = lineage_counts.get(root, 0) + 1
+            if i != root:
+                next_index[root] = max(next_index.get(root, 0), (i & _MASK32) + 1)
         children: list[FireFront] = []
         spawns = keyed_uniform(fire_map.rng_seed, (_S_SPAWN, step), ids, 1 + 2 * fire_map.spawn_rate_max)
-        for front, draws in zip(fronts, spawns):
-            if fire_map.max_per_lineage and lineage_counts[front.lineage] >= fire_map.max_per_lineage:
+        for front, root, draws in zip(fronts, roots, spawns):
+            if fire_map.max_per_lineage and lineage_counts[root] >= fire_map.max_per_lineage:
                 continue
-            base = (front.lineage << _LINEAGE_SHIFT) + next_index.get(front.lineage, 0)
+            base = (root << _LINEAGE_SHIFT) + next_index.get(root, 0)
             kids = spawn_fronts(front, fire_map.spawn_rate_max, dt, velocity, draws, id_base=base)
             if fire_map.max_per_lineage:
-                room = fire_map.max_per_lineage - lineage_counts[front.lineage]
-                kids = kids[: max(room, 0)]
-            lineage_counts[front.lineage] = lineage_counts.get(front.lineage, 0) + len(kids)
-            next_index[front.lineage] = next_index.get(front.lineage, 0) + len(kids)
+                kids = kids[: max(fire_map.max_per_lineage - lineage_counts[root], 0)]
+            lineage_counts[root] += len(kids)
+            next_index[root] = next_index.get(root, 0) + len(kids)
             children.extend(kids)
         fronts.extend(children)
 

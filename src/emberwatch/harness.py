@@ -249,7 +249,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     """
     built = cfg.validate()
     params = cfg.fire.ellipse
-    wind = built.fire_map.wind_fuel
     case = cfg.case
     dt = cfg.dt
 
@@ -268,7 +267,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
         agents.append(agent)
         return agent
 
-    tracks = _init_tracks(fire_map.fronts, cfg, wind, staging, built.priors)
+    tracks = _init_tracks(fire_map.fronts, cfg, fire_map.wind_fuel, staging, built.priors)
     team_assigned: dict[int, list[UavAgent]] = {}
     coverage_due = 0  # the step the fleet's next coverage replan is due
     metrics = RunMetrics()
@@ -278,12 +277,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
         tic = time.perf_counter()
 
         if step in built.schedule:
-            wind = built.schedule[step]
-            fire_map = replace(fire_map, wind_fuel=wind)
+            fire_map = replace(fire_map, wind_fuel=built.schedule[step])
 
         fire_map = simulate_step(fire_map, dt)
         fronts = sorted(fire_map.fronts, key=lambda f: f.id)
-        tracks.update(_init_tracks([f for f in fronts if f.id not in tracks], cfg, wind, staging, built.priors))
+        born = [f for f in fronts if f.id not in tracks]
+        tracks.update(_init_tracks(born, cfg, fire_map.wind_fuel, staging, built.priors))
         # Tracks are born only here, so this order holds for the rest of the step.
         track_ids = sorted(tracks)
 
@@ -299,7 +298,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             _make_observations(
                 [f for f, _ in seen],
                 [agent.pose for _, agent in seen],
-                wind,
+                fire_map.wind_fuel,
                 cfg,
                 keyed_normal(cfg.rng_seed, (_S_OBS, step), list(observer), 5),
             )

@@ -474,12 +474,14 @@ def reference_residual_terms(prior_mean, P, F, R):
 
 
 def reference_simulate_step(fire_map, dt):
-    """Fronts after one fire step, as (id, position, velocity, lineage) tuples.
+    """Fronts after one fire step, as (id, position) tuples.
 
-    Reads the map's fields; evaluates the spread velocity once per front
-    and once per spawned child, as the velocity of its wind state. Moves
-    and spawns one front at a time, each from the single-id keyed draw of
-    its own key: purpose 6 (motion) or 7 (spawns), then the step.
+    Reads the map's fields; evaluates the spread velocity of the map's
+    current wind state once per front and once per spawning parent. Reads
+    a front's lineage root from its id: a root's id is below 2**32, and a
+    child's high word is its root. Moves and spawns one front at a time,
+    each from the single-id keyed draw of its own key: purpose 6 (motion)
+    or 7 (spawns), then the step.
     """
     from emberwatch.errors import DomainError
     from emberwatch.fire import keyed_normal, keyed_uniform
@@ -490,45 +492,48 @@ def reference_simulate_step(fire_map, dt):
         c = _ref_spread_coefficient(wf.spread_rate, wf.wind_speed, params)
         return np.array([c * math.sin(wf.wind_azimuth), c * math.cos(wf.wind_azimuth)])
 
+    def lineage(fid):
+        return fid if fid < 1 << _LINEAGE_SHIFT else fid >> _LINEAGE_SHIFT
+
     if dt <= 0:
         raise DomainError("dt", f"dt must be > 0, got {dt}")
     fronts = []
     for f in fire_map.fronts:
-        v = velocity()
-        position = f.position + f.velocity * dt
+        position = f.position + velocity() * dt
         if fire_map.noise_std > 0:
             position = position + fire_map.noise_std * keyed_normal(fire_map.rng_seed, (6, fire_map.step), [f.id], 2)[0]
-        fronts.append((f.id, position, v, f.lineage))
+        fronts.append((f.id, position))
 
     new_step = fire_map.step + 1
     if fire_map.case == 3 and new_step % fire_map.spawn_interval == 0:
         low = (1 << _LINEAGE_SHIFT) - 1
         counts: dict[int, int] = {}
         next_index: dict[int, int] = {}
-        for fid, _, _, lineage in fronts:
-            counts[lineage] = counts.get(lineage, 0) + 1
-            if fid >> _LINEAGE_SHIFT == lineage:
-                next_index[lineage] = max(next_index.get(lineage, 0), (fid & low) + 1)
+        for fid, _ in fronts:
+            root = lineage(fid)
+            counts[root] = counts.get(root, 0) + 1
+            if fid != root:
+                next_index[root] = max(next_index.get(root, 0), (fid & low) + 1)
         children = []
         cap = fire_map.max_per_lineage
         rate = fire_map.spawn_rate_max
-        for fid, position, parent_velocity, lineage in fronts:
-            if cap and counts[lineage] >= cap:
+        for fid, position in fronts:
+            root = lineage(fid)
+            if cap and counts[root] >= cap:
                 continue
-            base = (lineage << _LINEAGE_SHIFT) + next_index.get(lineage, 0)
+            base = (root << _LINEAGE_SHIFT) + next_index.get(root, 0)
             draws = keyed_uniform(fire_map.rng_seed, (7, fire_map.step), [fid], 1 + 2 * rate)[0]
             kids = []
             count = math.floor(draws[0] * (rate + 1))
             if count:
-                half = np.abs(parent_velocity) * dt
-                v = velocity()
+                half = np.abs(velocity()) * dt
                 for k in range(count):
                     offset = (2.0 * draws[1 + 2 * k : 3 + 2 * k] - 1.0) * half
-                    kids.append((base + k, position + offset, v, lineage))
+                    kids.append((base + k, position + offset))
             if cap:
-                kids = kids[: max(cap - counts[lineage], 0)]
-            counts[lineage] = counts.get(lineage, 0) + len(kids)
-            next_index[lineage] = next_index.get(lineage, 0) + len(kids)
+                kids = kids[: max(cap - counts[root], 0)]
+            counts[root] = counts.get(root, 0) + len(kids)
+            next_index[root] = next_index.get(root, 0) + len(kids)
             children.extend(kids)
         fronts.extend(children)
     return fronts, new_step

@@ -211,6 +211,11 @@ BAD_VALUES = [
         ]}},
         id="schedule-step-repeated",
     ),
+    pytest.param(
+        "fire.schedule[0].step",
+        {"fire": {"schedule": [{"step": 12, "wind_speed": 5.0, "wind_azimuth": 0.5}]}},
+        id="schedule-step-at-duration",
+    ),
 ]
 
 
@@ -519,7 +524,10 @@ def test_experiment_outputs_keep_their_bytes(tmp_path, capsys, command, config, 
 # leaves half its fleet without a coverage segment, so the fleet replans on
 # every step. The two "teams" runs fly case 3 with both teams and a coverage
 # fleet, which no shipped config combines: there the coverage replans read
-# tracks that the safety certificate's per-step pass has read too.
+# tracks that the safety certificate's per-step pass has read too. The
+# "scheduled" run shifts the wind at step 100, where the fronts, the sensor
+# and new tracks all take the new weather; an override replaces a whole
+# section, so it restates case2.yaml's fire section.
 PINNED_SIMULATIONS = [
     pytest.param(
         "case1.yaml", {}, "csv",
@@ -536,6 +544,19 @@ PINNED_SIMULATIONS = [
             "stdout": "7c2a975155459572a2fa53c86066af6ccd5486c48a70209f21fb049ec9bd7efc",
         },
         id="case2-csv",
+    ),
+    pytest.param(
+        "case2.yaml",
+        {"fire": {
+            "initial_count": 12, "layout": "clusters", "cluster_count": 4, "cluster_spread": 10.0,
+            "schedule": [{"step": 100, "wind_speed": 8.0, "wind_azimuth": 2.0}],
+        }},
+        "csv",
+        {
+            "steps.csv": "701c43d2d0a4d114fdd5a3865e9cdeea8c2e77e5ef91e7a9992a49ed6703be4d",
+            "stdout": "6ed5f24b5180c6a8558f020679b97271bbfae6b55af1b5774985e45ea6052467",
+        },
+        id="case2-scheduled-csv",
     ),
     pytest.param(
         "case3.yaml", {}, "csv",

@@ -6,6 +6,8 @@ import pytest
 from emberwatch.cli import main
 from emberwatch.config import (
     CASE_SPEEDS,
+    MAX_FRONTS,
+    TEAM_FIRE_IDS,
     ScenarioConfig,
     load_config,
     scenario_from_dict,
@@ -149,6 +151,12 @@ def test_wind_schedule_parsed():
     )
     cfg.validate()
     assert cfg.fire.schedule[0].step == 50
+
+
+def test_team_fire_ids_fit_the_lineage_id_space():
+    # teams.count <= MAX_FRONTS keeps every team_clusters id below 2**32,
+    # where the fire step reads a child's lineage root from its id.
+    assert MAX_FRONTS * TEAM_FIRE_IDS < 2**32
 
 
 def test_controller_choices():

@@ -140,18 +140,20 @@ MOTION, SPAWN = 6, 7  # the fire step's keyed-draw purposes
 
 
 class TestPropagation:
-    def _map(self, q=(0.0, 0.0), v=(1.0, 2.0), noise_std=0.0, wf=None):
+    def _map(self, q=(0.0, 0.0), noise_std=0.0, wf=None):
         wf = wf or WindFuelState(spread_rate=0.0, wind_speed=5.0, wind_azimuth=0.0)
-        front = FireFront(id=1, position=np.array(q), velocity=np.array(v), lineage=1)
+        front = FireFront(id=1, position=np.array(q))
         return FireMap((front,), wf, case=1 if wf.spread_rate == 0 else 2, noise_std=noise_std, rng_seed=42, step=3)
 
     def test_exact_euler_step(self):
-        out = simulate_step(self._map(), 0.5)
+        # spread velocity (1, 2) m/s: speed sqrt(5) at the azimuth atan2(1, 2) from north
+        wf = WindFuelState(calibrate_spread_rate(math.sqrt(5.0), 5.0, DEFAULT_ELLIPSE), 5.0, math.atan2(1.0, 2.0))
+        out = simulate_step(self._map(wf=wf), 0.5)
         assert out.fronts[0].position == pytest.approx([0.5, 1.0])
-        assert np.array_equal(out.fronts[0].velocity, [0.0, 0.0])  # the step's spread velocity
+        assert np.array_equal(out.fronts[0].position, front_velocity(wf, DEFAULT_ELLIPSE) * 0.5)
 
     def test_stationary_without_noise(self):
-        out = simulate_step(self._map(v=(0.0, 0.0)), 3.0)
+        out = simulate_step(self._map(), 3.0)
         assert out.fronts[0].position == pytest.approx([0.0, 0.0])
 
     def test_noise_is_seed_deterministic(self):
@@ -166,7 +168,7 @@ class TestPropagation:
         wf = WindFuelState(spread_rate=1.0, wind_speed=5.0, wind_azimuth=0.3)
         fmap = self._map(noise_std=0.1, wf=wf)
         outs = [simulate_step(fmap, 1.0).fronts[0].position for _ in range(2)]
-        euler = fmap.fronts[0].position + fmap.fronts[0].velocity * 1.0
+        euler = fmap.fronts[0].position + front_velocity(wf, DEFAULT_ELLIPSE) * 1.0
         assert np.array_equal(outs[0], euler + 0.1 * keyed_normal(42, (MOTION, 3), [1], 2)[0])
 
     def test_n_steps_exact_without_noise(self):
@@ -198,8 +200,7 @@ class TestSpawning:
             wind_speed=5.0,
             wind_azimuth=math.pi / 4,
         )
-        v = front_velocity(wf, DEFAULT_ELLIPSE)
-        return FireFront(id=9, position=np.array([5.0, 5.0]), velocity=v, lineage=9), wf
+        return FireFront(id=9, position=np.array([5.0, 5.0])), wf
 
     def test_zero_rate_spawns_nothing(self):
         parent, wf = self._parent()
@@ -215,11 +216,11 @@ class TestSpawning:
         for first, count in ((0.0, 0), (0.2499, 0), (0.25, 1), (1.0 - 2.0**-53, 3)):
             draws = np.full(7, 0.5)
             draws[0] = first
-            assert len(spawn_fronts(parent, 3, 1.0, parent.velocity, draws, BASE)) == count
+            assert len(spawn_fronts(parent, 3, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), draws, BASE)) == count
 
     def test_children_inside_growth_box(self):
         parent, wf = self._parent()
-        half = np.abs(parent.velocity) * 1.0
+        half = np.abs(front_velocity(wf, DEFAULT_ELLIPSE)) * 1.0
         seen = 0
         for seed in range(1000):
             for kid in spawn_fronts(parent, 3, 1.0, front_velocity(wf, DEFAULT_ELLIPSE), spawn_draws(seed), BASE):
@@ -237,7 +238,7 @@ class TestSpawning:
         ids = [k.id for k in kids]
         assert len(ids) == 3 and len(set(ids)) == len(ids)
         assert all(i != parent.id and i >= (1 << 32) for i in ids)
-        assert all(k.lineage == parent.lineage for k in kids)
+        assert all(k.id >> 32 == parent.id for k in kids)  # each child's id names its lineage root
 
 
 class TestSimulateStep:
@@ -334,6 +335,25 @@ class TestSimulateStep:
         assert np.array_equal(same, moved)
         assert not np.array_equal(others - (7.0, 7.0), moved - (1.0, 2.0))  # each front has its own noise
 
+    def test_fronts_move_with_a_wind_shift_in_its_own_step(self):
+        # run_scenario applies a fire.schedule entry by replacing the map's
+        # weather just before the step; the fronts move with the new wind.
+        rate = calibrate_spread_rate(0.5, 5.0, DEFAULT_ELLIPSE)
+        old = WindFuelState(spread_rate=rate, wind_speed=5.0, wind_azimuth=0.3)
+        new = WindFuelState(spread_rate=rate, wind_speed=8.0, wind_azimuth=2.0)
+        fmap = initial_fire_map([(1.0, 2.0), (-40.0, 7.5), (300.0, 0.0)], old, case=2, ids=[3, 8, 21],
+                                noise_std=0.2, rng_seed=11, step=6)
+        for _ in range(3):
+            fmap = simulate_step(fmap, 1.0)
+        shifted = replace(fmap, wind_fuel=new)
+        stepped = simulate_step(shifted, 0.5)
+        noise = 0.2 * keyed_normal(11, (MOTION, 9), [3, 8, 21], 2)
+        step = front_velocity(new, DEFAULT_ELLIPSE) * 0.5
+        assert not np.allclose(step, front_velocity(old, DEFAULT_ELLIPSE) * 0.5)
+        for before, after, drawn in zip(shifted.fronts, stepped.fronts, noise):
+            assert after.id == before.id
+            assert np.array_equal(after.position, before.position + step + drawn)
+
     @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 9, 2**128 + 3])
     def test_substream_key_matches_the_spawn_key_form(self, seed):
         keys = [(), (0,), (4, 33, 0), (1, 17, 100_005, 1), (2**32 + 1, 5), (2**63, 2**64 + 3), (2**70,)]
@@ -364,9 +384,8 @@ class TestSimulateStep:
             fmap = simulate_step(fmap, 1.0)
             assert isinstance(fmap.fronts, tuple)
             for f in fmap.fronts:
-                for array in (f.position, f.velocity):
-                    assert isinstance(array, np.ndarray)
-                    assert array.dtype == np.float64 and array.shape == (2,)
+                assert isinstance(f.position, np.ndarray)
+                assert f.position.dtype == np.float64 and f.position.shape == (2,)
             ids = [f.id for f in fmap.fronts]
             assert len(ids) == len(set(ids))
             replace(fmap)  # the public checks accept the stepped map

@@ -443,7 +443,7 @@ def keyed_draw_mismatches(cfg, monkeypatch):
         for f, after in zip(fire_map.fronts, moved.fronts):
             key = (fire._S_MOTION, step[0])
             noise = fire_map.noise_std * keyed_normal(seed, key, [f.id], 2)[0]
-            expected = f.position + f.velocity * dt + noise
+            expected = f.position + fire.front_velocity(fire_map.wind_fuel, fire_map.params) * dt + noise
             received.append(("motion", (*key, f.id), np.array_equal(after.position, expected)))
         return moved
 
@@ -591,7 +591,7 @@ class TestBatchedPaths:
         # numpy's SIMD arctan differs from math.atan in the last bit on about
         # 0.1% of random angles (AVX-512 host), so a large batch shows it.
         for n in (0, 1, 40, 3000):
-            fronts = [FireFront(i, rng.uniform(-500.0, 500.0, size=2), np.zeros(2)) for i in range(n)]
+            fronts = [FireFront(i, rng.uniform(-500.0, 500.0, size=2)) for i in range(n)]
             poses = [np.array([*rng.uniform(-500.0, 500.0, size=2), rng.uniform(1e-3, 200.0)]) for _ in range(n)]
             noise = rng.normal(size=(n, 5))
             rows = _make_observations(fronts, poses, wind, cfg, noise)
@@ -605,7 +605,7 @@ class TestBatchedPaths:
         from emberwatch.fire import FireFront, WindFuelState
         from emberwatch.harness import _make_observations
 
-        front = FireFront(1, np.zeros(2), np.zeros(2))
+        front = FireFront(1, np.zeros(2))
         wind, pose = WindFuelState(0.1, 1.0, 0.0), np.array([1.0, 1.0, 0.0])
         with pytest.raises(DomainError, match="uav_z"):
             _make_observations([front], [pose], wind, coverage_config(), np.zeros((1, 5)))

@@ -100,11 +100,9 @@ class TestStateTransition:
     def test_matches_fire_propagation(self):
         # cross-module check against the ground-truth propagator
         wf = WindFuelState(spread_rate=2.0, wind_speed=5.0, wind_azimuth=math.pi / 3)
-        front = FireFront(id=1, position=np.array([7.0, -2.0]), velocity=np.zeros(2))
-        front = replace(front, velocity=np.zeros(2))
+        front = FireFront(id=1, position=np.array([7.0, -2.0]))
         import emberwatch.fire as fire
 
-        front = replace(front, velocity=fire.front_velocity(wf, DEFAULT_ELLIPSE))
         moved = fire.simulate_step(fire.FireMap((front,), wf, case=2, noise_std=0.0), 0.5).fronts[0]
         s = np.array([7.0, -2.0, 0, 0, 40, 2.0, 5.0, math.pi / 3], dtype=float)
         out = transition(s, 0.5, DEFAULT_ELLIPSE, None)[0]
